@@ -41,6 +41,7 @@ from repro.core.instance import ProblemInstance
 from repro.incremental.edits import (
     Join,
     Leave,
+    Rewire,
     SetCompetency,
     as_edit,
     canonical_batch,
@@ -48,7 +49,7 @@ from repro.incremental.edits import (
     invert_batch,
 )
 from repro.incremental.session import DeltaSession
-from repro.voting.exact import direct_voting_probability
+from repro.voting.exact import DirectVotingTerm, direct_voting_probability
 from repro.voting.montecarlo import CorrectnessEstimate
 from repro.voting.outcome import TiePolicy
 
@@ -263,13 +264,31 @@ class AttackSearch:
         session.apply(move.edits)
         return session.estimate()
 
-    def _harm(
-        self, instance: ProblemInstance, estimate: CorrectnessEstimate
-    ) -> Tuple[float, float]:
-        direct = direct_voting_probability(
-            instance.competencies, tie_policy=self.tie_policy
-        )
-        return float(direct) - estimate.probability, float(direct)
+    def _screen_direct(self, direct: DirectVotingTerm, move: AttackMove) -> float:
+        """Direct probability of the state ``move`` would produce.
+
+        Moves that leave competencies alone reuse the committed value;
+        one ``SetCompetency`` plus any number of ``Join`` edits are
+        scored in O(n) per edit from the committed PMF.  Anything else
+        (a ``Leave``, several competency changes) is recomputed on a
+        patched copy.
+        """
+        n = len(direct.competencies)
+        joins: List[float] = []
+        competency: Optional[Tuple[int, float]] = None
+        for edit in map(as_edit, move.edits):
+            if isinstance(edit, Join):
+                joins.append(edit.competency)
+            elif isinstance(edit, SetCompetency) and edit.voter >= n:
+                joins[edit.voter - n] = edit.competency
+            elif isinstance(edit, SetCompetency) and competency is None:
+                competency = (edit.voter, edit.competency)
+            elif isinstance(edit, (SetCompetency, Leave)):
+                return direct_voting_probability(
+                    _attacked_competencies(direct.competencies, move.edits),
+                    tie_policy=self.tie_policy,
+                )
+        return direct.probability_delta(competency, joins)
 
     # ------------------------------------------------------------------
 
@@ -277,7 +296,11 @@ class AttackSearch:
         """Run the greedy search; returns the (JSON-serialisable) result."""
         session = self._fresh_session(self.instance)
         pre_estimate = session.estimate()
-        baseline_harm, _pre_direct = self._harm(session.instance, pre_estimate)
+        # Candidates are screened against the committed state's cached
+        # PMF; every published direct value comes from a fresh term.
+        direct = DirectVotingTerm(session.instance.competencies, self.tie_policy)
+        pre_direct = direct.probability
+        baseline_harm = pre_direct - pre_estimate.probability
 
         committed: List[Tuple[Any, ...]] = []  # canonical batches
         history: List[Dict[str, Any]] = []
@@ -308,21 +331,27 @@ class AttackSearch:
                 else:
                     estimate = self._score_scratch(session.instance, move)
                 # Harm is judged on the attacked state: the move may have
-                # changed competencies, so recompute direct on a shadow.
-                harm = self._candidate_harm(session.instance, move, estimate)
+                # changed competencies, which changes both sides.
+                harm = self._screen_direct(direct, move) - estimate.probability
                 if best is None or harm > best[2] + _HARM_EPS:
                     best = (move, estimate, harm)
 
             if best is None or best[2] <= current_harm + _HARM_EPS:
                 break  # no strictly improving move
 
-            move, estimate, harm = best
+            move, estimate, _screened = best
             session.apply(move.edits)
+            if any(
+                not isinstance(as_edit(edit), Rewire) for edit in move.edits
+            ):
+                direct = DirectVotingTerm(
+                    session.instance.competencies, self.tie_policy
+                )
+            harm = direct.probability - estimate.probability
             committed.append(canonical_batch(move.edits))
             budget_left -= move.cost
             current_harm = harm
             post_estimate = estimate
-            _harm_now, direct_now = self._harm(session.instance, estimate)
             history.append(
                 {
                     "step": step,
@@ -330,7 +359,7 @@ class AttackSearch:
                     "cost": move.cost,
                     "probability": estimate.probability,
                     "std_error": estimate.std_error,
-                    "direct": direct_now,
+                    "direct": direct.probability,
                     "harm": harm,
                 }
             )
@@ -341,7 +370,8 @@ class AttackSearch:
         certificate: Optional[Dict[str, Any]] = None
         if found:
             certificate = self._certificate(
-                committed, pre_estimate, post_estimate, session.instance
+                committed, pre_estimate, post_estimate,
+                pre_direct, direct.probability,
             ).to_dict()
 
         return AttackResult(
@@ -357,60 +387,16 @@ class AttackSearch:
             certificate=certificate,
         )
 
-    def _candidate_harm(
-        self,
-        instance: ProblemInstance,
-        move: AttackMove,
-        estimate: CorrectnessEstimate,
-    ) -> float:
-        """Harm of a candidate: direct-vs-mechanism on the *attacked* state.
-
-        The direct probability must be computed on the post-move
-        competencies (a misreport changes both sides of the comparison),
-        so replay the move's competency effects on a scratch copy.
-        """
-        competencies = instance.competencies
-        patched: Optional[List[float]] = None
-        for edit in move.edits:
-            edit = as_edit(edit)
-            if isinstance(edit, SetCompetency):
-                if patched is None:
-                    patched = [float(p) for p in competencies]
-                patched[edit.voter] = edit.competency
-            elif isinstance(edit, Join):
-                if patched is None:
-                    patched = [float(p) for p in competencies]
-                patched.append(edit.competency)
-            elif isinstance(edit, Leave):
-                if patched is None:
-                    patched = [float(p) for p in competencies]
-                del patched[edit.voter]
-        if patched is not None:
-            competencies = np.asarray(patched, dtype=np.float64)
-        direct = direct_voting_probability(
-            competencies, tie_policy=self.tie_policy
-        )
-        return float(direct) - estimate.probability
-
     def _certificate(
         self,
         committed: List[Any],
         pre_estimate: CorrectnessEstimate,
         post_estimate: CorrectnessEstimate,
-        attacked: ProblemInstance,
+        pre_direct: float,
+        post_direct: float,
     ) -> ViolationCertificate:
         from repro.io import instance_to_dict
 
-        pre_direct = float(
-            direct_voting_probability(
-                self.instance.competencies, tie_policy=self.tie_policy
-            )
-        )
-        post_direct = float(
-            direct_voting_probability(
-                attacked.competencies, tie_policy=self.tie_policy
-            )
-        )
         return ViolationCertificate(
             scenario=self.scenario.spec(),
             mechanism=dict(self.mechanism_spec),
@@ -439,3 +425,18 @@ class AttackSearch:
             min_harm=self.min_harm,
             margin=self.margin,
         )
+
+
+def _attacked_competencies(
+    competencies: np.ndarray, edits: Any
+) -> np.ndarray:
+    """``competencies`` after ``edits``' competency effects, as a copy."""
+    out = competencies.copy()
+    for edit in map(as_edit, edits):
+        if isinstance(edit, SetCompetency):
+            out[edit.voter] = edit.competency
+        elif isinstance(edit, Join):
+            out = np.append(out, edit.competency)
+        elif isinstance(edit, Leave):
+            out = np.delete(out, edit.voter)
+    return out

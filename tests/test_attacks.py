@@ -14,7 +14,12 @@ import json
 import numpy as np
 import pytest
 
-from repro._util.rng import as_generator
+from repro._util.rng import (
+    as_generator,
+    as_seed_sequence,
+    child_seed_sequence,
+    derive_seed,
+)
 from repro.attacks import (
     AdaptiveLemmaProbe,
     AttackResult,
@@ -43,6 +48,8 @@ from repro.incremental import (
     invert_batch,
 )
 from repro.mechanisms.threshold import RandomApproved
+from repro.voting.exact import direct_voting_probability
+from repro.voting.outcome import TiePolicy
 
 MECH = {"name": "random_approved"}
 SCENARIOS = [
@@ -255,15 +262,28 @@ class TestStarRediscovery:
 class TestDeltaVersusScratch:
     """Both inner loops are pure functions of the same inputs."""
 
-    @pytest.mark.parametrize("engine,rounds", [("mc", 64), ("exact", 16)])
-    def test_inner_loops_bitwise_identical(self, engine, rounds):
+    @pytest.mark.parametrize(
+        "scenario,engine,rounds",
+        [
+            # misreport keeps the ids it had before the other scenarios
+            # joined the matrix.
+            pytest.param(
+                name, engine, rounds,
+                id=f"{engine}-{rounds}" if name == "misreport"
+                else f"{name}-{engine}-{rounds}",
+            )
+            for name in SCENARIO_BUILDERS
+            for engine, rounds in (("mc", 64), ("exact", 16))
+        ],
+    )
+    def test_inner_loops_bitwise_identical(self, scenario, engine, rounds):
         instance = _instance(n=48, seed=3)
         results = {}
         for inner in ("delta", "scratch"):
             results[inner] = AttackSearch(
                 instance,
                 MECH,
-                {"name": "misreport"},
+                {"name": scenario},
                 budget=3,
                 rounds=rounds,
                 seed=2,
@@ -273,6 +293,72 @@ class TestDeltaVersusScratch:
             ).run()
         assert results["delta"].to_dict() == results["scratch"].to_dict()
         assert results["delta"].moves_evaluated > 0
+
+
+def _committed_competencies(instance, scenario, seed, result):
+    """Competencies after each committed move, replayed on a fresh session.
+
+    Committed moves are regenerated from the search's proposal stream
+    (child ``step`` of ``derive_seed(seed, 1)``) and matched by label.
+    """
+    mechanism = RandomApproved()
+    session = DeltaSession(instance, mechanism, rounds=1, seed=seed, engine="mc")
+    root = as_seed_sequence(derive_seed(seed, 1))
+    states = []
+    for record in result.history:
+        rng = as_generator(child_seed_sequence(root, record["step"]))
+        proposals = scenario.propose(session.instance, mechanism, rng)
+        (move,) = [m for m in proposals if m.label == record["label"]]
+        session.apply(move.edits)
+        states.append(session.instance.competencies.copy())
+    return states
+
+
+class TestScreenThenConfirm:
+    """Candidates are screened with the O(n) direct term; every published
+    direct value and harm is confirmed by a from-scratch PMF."""
+
+    @pytest.mark.parametrize(
+        "tie_policy,n", [("INCORRECT", 48), ("COIN_FLIP", 47)]
+    )
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+    def test_history_direct_and_harm_are_exact(self, scenario, tie_policy, n):
+        instance = _instance(n=n, seed=3)
+        result = AttackSearch(
+            instance, MECH, scenario.spec(), budget=3, rounds=16, seed=2,
+            engine="exact", tie_policy=tie_policy, min_harm=0.9,
+        ).run()
+        assert result.steps > 0
+        tie = TiePolicy[tie_policy]
+        pre = DeltaSession(
+            instance, RandomApproved(), rounds=16, seed=2, engine="exact",
+            tie_policy=tie,
+        ).estimate()
+        assert result.baseline_harm == (
+            direct_voting_probability(instance.competencies, tie)
+            - pre.probability
+        )
+        states = _committed_competencies(instance, scenario, 2, result)
+        for record, competencies in zip(result.history, states):
+            assert record["direct"] == direct_voting_probability(competencies, tie)
+            assert record["harm"] == record["direct"] - record["probability"]
+        assert result.best_harm == result.history[-1]["harm"]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+    def test_certificate_direct_terms_are_exact(self, scenario):
+        instance = _instance(n=48, seed=3)
+        result = AttackSearch(
+            instance, MECH, scenario.spec(), budget=3, rounds=16, seed=2,
+            engine="exact", min_harm=-1.0, margin=0.0,
+        ).run()
+        assert result.found
+        (post,) = _committed_competencies(instance, scenario, 2, result)
+        certificate = result.certificate
+        assert certificate["pre"]["direct"] == direct_voting_probability(
+            instance.competencies
+        )
+        assert certificate["post"]["direct"] == direct_voting_probability(post)
+        assert verify_certificate(certificate).ok
 
 
 class TestCertificateIntegrity:

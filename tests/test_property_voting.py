@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.voting.exact import (
+    DirectVotingTerm,
     direct_voting_probability,
     poisson_binomial_pmf,
     tail_from_pmf,
@@ -107,3 +108,42 @@ class TestTailProperties:
         lo = direct_voting_probability([p * 0.9] * n)
         hi = direct_voting_probability([min(1.0, p * 1.1)] * n)
         assert hi >= lo - 1e-12
+
+
+class TestDirectVotingTermProperties:
+    """The O(n) screen agrees with a from-scratch ``direct_voting_probability``."""
+
+    edge_probabilities = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), probabilities)
+    tie_policies = st.sampled_from([TiePolicy.INCORRECT, TiePolicy.COIN_FLIP])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(edge_probabilities, min_size=1, max_size=150),
+        st.none() | st.tuples(st.integers(0, 10**6), edge_probabilities),
+        st.lists(edge_probabilities, max_size=3),
+        tie_policies,
+    )
+    @example([0.3], (0, 0.5), [], TiePolicy.INCORRECT)  # n = 1
+    @example([0.5, 1.0], (1, 0.0), [0.5], TiePolicy.COIN_FLIP)  # n = 2
+    def test_matches_rebuild(self, probs, edit, joins, tie_policy):
+        term = DirectVotingTerm(probs, tie_policy)
+        assert term.probability == direct_voting_probability(probs, tie_policy)
+        attacked = list(probs)
+        competency = None
+        if edit is not None:
+            competency = (edit[0] % len(probs), edit[1])
+            attacked[competency[0]] = competency[1]
+        want = direct_voting_probability(attacked + joins, tie_policy)
+        assert abs(term.probability_delta(competency, joins) - want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [4096, 4097])
+    @pytest.mark.parametrize("tie_policy", list(TiePolicy))
+    @pytest.mark.parametrize("p,q", [(0.0, 1.0), (0.5, 0.25), (1.0, 0.0), (0.3, 0.7)])
+    def test_matches_rebuild_at_scale(self, n, tie_policy, p, q):
+        probs = np.random.default_rng(n).uniform(0.35, 0.65, n)
+        probs[7] = p
+        term = DirectVotingTerm(probs, tie_policy)
+        attacked = probs.copy()
+        attacked[7] = q
+        want = direct_voting_probability(attacked, tie_policy)
+        assert abs(term.probability_delta((7, q)) - want) <= 1e-12
