@@ -50,18 +50,27 @@ def resolve_forests_batch(
     Returns ``(sink_of, weights)``, both ``(rounds, n)``: ``sink_of[r, i]``
     is the sink carrying voter ``i``'s vote in round ``r`` and
     ``weights[r, i]`` the votes carried by ``i`` (0 unless a sink).
+    ``sink_of`` comes back in the pointer dtype — int32 while
+    ``rounds * n`` fits, int64 beyond — and ``weights`` as int64.
 
     Pointer doubling runs over *flattened global* indices — every voter
-    of every round is one cell of a single array — so each round of
-    fancy indexing is one flat gather instead of a per-row
-    ``take_along_axis``.  Only columns that delegate in at least one
-    round participate in the doubling (direct voters self-point and
-    never move), and pointers are 32-bit while the flat index space
-    fits, halving gather traffic.  Integer delegate matrices of any
-    width (the batch kernels emit the instance's CSR index dtype,
-    int32 below 2^31 voters) are consumed as-is — no int64 upcast
-    copy.  Cycles raise :class:`DelegationCycleError` (reported via
-    the per-round reference walk).
+    of every round is one cell of a single array — so each gather is
+    one flat fancy index instead of a per-row ``take_along_axis``.  It
+    runs only over a shrinking *frontier*: the delegating cells whose
+    pointer does not yet land on a sink.  Each pass tests
+    ``moving[target]``, drops the cells that have landed (their
+    pointer is final; the frontier is compacted once a quarter of it
+    has landed) and doubles and scatters the survivors, so a cell at
+    depth ``d`` leaves after ``ceil(log2 d)`` doublings and shallow
+    forests cost little more than one gather per delegator.
+    A forest of ``n`` voters is at most ``n - 1`` hops deep, so a
+    frontier still non-empty after ``n.bit_length() + 1`` passes can
+    only hold cells on or feeding a cycle; the first such cell in
+    row-major order is walked by :meth:`DelegationGraph._raise_cycle`
+    and reported as :class:`DelegationCycleError`.  Integer delegate
+    matrices of any width (the batch kernels emit the instance's CSR
+    index dtype, int32 below 2^31 voters) are consumed as-is — no
+    int64 upcast copy.
     """
     delegates = np.asarray(delegates)
     if delegates.dtype.kind != "i":
@@ -72,39 +81,44 @@ def resolve_forests_batch(
     if n == 0 or rounds == 0:
         empty = np.zeros((rounds, n), dtype=np.int64)
         return empty, empty.copy()
-    idx = np.arange(n, dtype=np.int64)
-    bad = (delegates != SELF) & ((delegates < 0) | (delegates >= n))
-    if bad.any():
-        r, i = np.argwhere(bad)[0]
+    if delegates.min() < SELF or delegates.max() >= n:
+        r, i = np.argwhere((delegates < SELF) | (delegates >= n))[0]
         raise ValueError(
             f"voter {i} delegates to out-of-range target {delegates[r, i]}"
         )
-    moving = (delegates != SELF) & (delegates != idx)
     ptr_dtype = np.int32 if rounds * n <= np.iinfo(np.int32).max else np.int64
+    idx = np.arange(n, dtype=ptr_dtype)
+    # SELF is -1, so adding i + 1 points a direct voter at itself; the
+    # branch-free sum avoids ``np.where``'s per-cell branch on the mask.
+    ptr = (delegates + (delegates == SELF) * (idx + 1)).astype(
+        ptr_dtype, copy=False
+    )
+    moving = (ptr != idx).ravel()
     base = (np.arange(rounds, dtype=ptr_dtype) * n)[:, None]
-    ptr = delegates.astype(ptr_dtype)
-    np.copyto(ptr, idx.astype(ptr_dtype), where=~moving)
     ptr += base
-    active = np.flatnonzero(moving.any(axis=0))
-    if active.size:
-        sub = ptr[:, active]
-        for _ in range(int(n).bit_length() + 1):
-            nxt = ptr.ravel()[sub]
-            if np.array_equal(nxt, sub):
-                break
-            ptr[:, active] = nxt
-            sub = nxt
-        # A pointer is resolved iff it landed on a cell that does not
-        # delegate in its round; checking the active columns alone
-        # suffices (every other column self-points at a sink).
-        unresolved = moving.ravel()[sub]
-        if unresolved.any():
-            r, k = np.argwhere(unresolved)[0]
-            DelegationGraph._raise_cycle(delegates[r], int(active[k]))
     flat = ptr.ravel()
+    cells = np.flatnonzero(moving)
+    target = flat[cells]
+    for _ in range(int(n).bit_length() + 1):
+        unresolved = moving[target]
+        left = np.count_nonzero(unresolved)
+        if not left:
+            break
+        # Compact once a quarter of the frontier has landed.  A landed
+        # cell points at a sink, which points at itself, so doubling it
+        # again is harmless; a deep chain sheds too few cells per pass
+        # to repay the copy.
+        if 4 * left <= 3 * cells.size:
+            cells = np.compress(unresolved, cells)
+            target = np.compress(unresolved, target)
+        target = flat[target]
+        flat[cells] = target
+    else:
+        r, i = divmod(int(cells[moving[target]][0]), n)
+        DelegationGraph._raise_cycle(delegates[r], i)
     weights = np.bincount(flat, minlength=rounds * n).reshape(rounds, n)
-    sink_of = (ptr - base).astype(np.int64, copy=False)
-    return sink_of, weights
+    ptr -= base
+    return ptr, weights
 
 
 class DelegationGraph:

@@ -105,7 +105,7 @@ def _reference_resolve_sinks_delta(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """From-scratch oracle: global pointer doubling on the single row."""
     sink_of, weights = resolve_forests_batch(np.asarray(delegates)[None, :])
-    return sink_of[0], weights[0]
+    return sink_of[0].astype(np.int64), weights[0]
 
 
 def weight_diff(

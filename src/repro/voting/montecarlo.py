@@ -98,8 +98,11 @@ def _auto_chunk_rounds(
 
     Estimates the dominant per-round footprint: the uniform rows the
     kernel consumes (float64), the delegate row (index dtype), and the
-    int64 sink/weight rows plus pointer scratch of
-    :func:`~repro.delegation.graph.resolve_forests_batch`.  Small
+    resolve scratch of
+    :func:`~repro.delegation.graph.resolve_forests_batch`: three 8-byte
+    words per voter cover its int32 sink row (the pointer dtype below
+    2^31 cells), the int64 weight row, and the frontier's cell and
+    target arrays plus ``bincount``'s index copy.  Small
     instances resolve to chunks far larger than any realistic round
     count, so the single-shot fast path is unchanged below ~10^5 voters.
     """
@@ -378,10 +381,13 @@ def _streamed_rounds(
             vote_rng = np.random.default_rng(
                 child_seed_sequence(root, r).spawn(1)[0]
             )
+            # ``np.compress`` keeps the same elements in the same order
+            # as a boolean-mask index and is much cheaper at this size.
             mask = weights[offset] > 0
-            probs = comp[mask]
-            row = weights[offset][mask]
-            correct = float(row[vote_rng.random(len(probs)) < probs].sum())
+            probs = np.compress(mask, comp)
+            row = np.compress(mask, weights[offset])
+            votes = vote_rng.random(len(probs)) < probs
+            correct = float(np.compress(votes, row).sum())
             values[cstart - start + offset] = majority_correct(
                 correct, total, tie_policy
             )

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.instance import ProblemInstance
-from repro.graphs.generators import complete_graph
+from repro.graphs.generators import barabasi_albert_graph, complete_graph
 from repro.mechanisms.direct import DirectVoting
 from repro.mechanisms.greedy import GreedyBest
-from repro.mechanisms.threshold import RandomApproved
+from repro.mechanisms.threshold import ApprovalThreshold, RandomApproved
 from repro.voting.exact import direct_voting_probability
 from repro.voting.montecarlo import (
+    BatchEstimator,
     estimate_ballot_probability,
     estimate_correct_probability,
     estimate_gain,
@@ -100,3 +101,42 @@ class TestBallotEstimator:
     def test_rejects_zero_rounds(self, instance):
         with pytest.raises(ValueError):
             estimate_ballot_probability(instance, DirectVoting(), rounds=0)
+
+
+# (probability, std_error) of 40 naive batch rounds per seed.  With
+# j = 1 the threshold rule and RandomApproved consume the same uniforms
+# the same way, so the two mechanisms share one expected pair.
+_NAIVE_PINS = {
+    0: (0.4, 0.07745966692414834),
+    1: (0.325, 0.07405656621799313),
+    2: (0.35, 0.07541551564499178),
+}
+
+
+class TestNaiveBatchPinned:
+    """Bitwise pin of the ``exact_conditional=False`` batch vote stream.
+
+    The perfbench ``ba_million`` workload only checks that its naive
+    estimates lie in [0, 1]; this pins the vote stream exactly.
+    """
+
+    @pytest.fixture(scope="class")
+    def ba_instance(self):
+        n = 2000
+        comp = np.random.default_rng(8).uniform(0.2, 0.55, n)
+        return ProblemInstance(
+            barabasi_albert_graph(n, 3, seed=7), comp, alpha=0.05
+        )
+
+    @pytest.mark.parametrize(
+        "mechanism", [ApprovalThreshold(1), RandomApproved()],
+        ids=["threshold1", "random_approved"],
+    )
+    @pytest.mark.parametrize("chunk_rounds", [1, 3, None])
+    @pytest.mark.parametrize("seed", sorted(_NAIVE_PINS))
+    def test_estimates_bitwise(self, ba_instance, mechanism, chunk_rounds, seed):
+        est = BatchEstimator(chunk_rounds=chunk_rounds).estimate(
+            ba_instance, mechanism, rounds=40, seed=seed,
+            exact_conditional=False,
+        )
+        assert (est.probability, est.std_error) == _NAIVE_PINS[seed]
