@@ -31,8 +31,10 @@ from repro.incremental.edits import edit_chain_digest, edit_from_dict
 from repro.voting.montecarlo import CorrectnessEstimate
 from repro.voting.outcome import TiePolicy
 
-CERTIFICATE_SCHEMA = 1
-"""Bumped whenever the certificate layout changes incompatibly."""
+CERTIFICATE_SCHEMA = 2
+"""Bumped whenever the certificate layout changes incompatibly, or the
+replayed values change bits (``direct`` is compared with ``==``; 2: exact
+PMFs through the FFT merge ladder)."""
 
 
 def instance_digest(instance: ProblemInstance) -> str:

@@ -63,8 +63,10 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
-SCHEMA_VERSION = 1
-"""Bumped whenever digest components or the entry layout change."""
+SCHEMA_VERSION = 2
+"""Bumped whenever digest components, the entry layout or the bits an
+estimate is computed with change (2: exact PMFs through the FFT merge
+ladder)."""
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 """Where estimates land unless the caller picks a directory."""

@@ -17,10 +17,11 @@ children and apply the identical merge, so a patched tree equals a
 scratch build node by node (pinned by
 :func:`_reference_pmf_tree_delta`, reprolint K403).
 
-Merges above :data:`FFT_MERGE_MIN` output support use an explicit
-real-FFT convolution at a 5-smooth padded length — deterministic for
-fixed operand shapes, and what makes the re-merge path
-O(n log n · log blocks) instead of the O(n²) of naive convolution, so
+Node merges use the exact engine's one merge rule
+(:func:`repro.voting.exact._convolve`): direct convolution for short
+operands, real FFT at a 5-smooth length above.  The branch depends only
+on operand lengths, so a patched re-merge runs the same instructions as
+a scratch build, and the re-merge path is O(n log n · log blocks), so
 dirty-path patching beats a scratch rebuild even though the root merge
 is always on the path.
 """
@@ -31,10 +32,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.voting.exact import _smooth_fft_len, weighted_bernoulli_pmf
-
-FFT_MERGE_MIN = 2048
-"""Output support at or above which node merges use FFT convolution."""
+from repro.voting.exact import _convolve, weighted_bernoulli_pmf
 
 
 def default_blocks(n: int) -> int:
@@ -65,21 +63,6 @@ def _leaf_pmf(weights: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return weighted_bernoulli_pmf(weights[active], probs[active])
 
 
-def _merge(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Convolve two node PMFs; FFT at large support, direct below.
-
-    The branch depends only on operand lengths, which depend only on the
-    block weights — identical between scratch build and patched
-    re-merge, so both paths run the identical instruction sequence.
-    """
-    out_len = len(left) + len(right) - 1
-    if out_len < FFT_MERGE_MIN:
-        return np.convolve(left, right)
-    m = _smooth_fft_len(out_len)
-    spec = np.fft.rfft(left, m) * np.fft.rfft(right, m)
-    return np.fft.irfft(spec, m)[:out_len]
-
-
 def pmf_tree_build(
     weights: np.ndarray, probs: np.ndarray, bounds: np.ndarray
 ) -> List[List[np.ndarray]]:
@@ -92,7 +75,7 @@ def pmf_tree_build(
     while len(levels[-1]) > 1:
         prev = levels[-1]
         levels.append(
-            [_merge(prev[2 * i], prev[2 * i + 1]) for i in range(len(prev) // 2)]
+            [_convolve(prev[2 * i], prev[2 * i + 1]) for i in range(len(prev) // 2)]
         )
     return levels
 
@@ -127,7 +110,7 @@ def pmf_tree_delta(
         dirty = np.unique(dirty // 2)
         prev = levels[level - 1]
         for i in dirty:
-            levels[level][i] = _merge(prev[2 * i], prev[2 * i + 1])
+            levels[level][i] = _convolve(prev[2 * i], prev[2 * i + 1])
     return levels
 
 

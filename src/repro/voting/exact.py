@@ -13,14 +13,18 @@ so measuring them requires exact conditional probabilities.
 
 Performance architecture (see ``docs/performance.md``):
 
-* :func:`poisson_binomial_pmf` is a divide-and-conquer merge tree.  The
-  per-Bernoulli length-2 PMFs are merged pairwise in vectorised batches
-  while blocks are short, then the surviving long blocks are merged with
-  ``np.convolve`` — no per-element Python iteration anywhere.
-* :func:`weighted_bernoulli_pmf` buckets sinks by weight: each distinct
-  weight's sinks collapse into one Poisson-binomial pass (the weight-1
-  majority is a single pass), the bucket PMF is stretched onto the
-  ``w``-spaced lattice, and buckets are merged by convolution.
+* Every PMF product goes through one merge rule, set by one crossover,
+  :data:`_FFT_MIN`: direct convolution for short operands, real FFT at
+  a 5-smooth length above (:func:`_merge_level` for a batch of
+  equal-width blocks, :func:`_convolve` for a lone pair).
+* :func:`_pb_ladder` computes many Poisson-binomial PMFs at once: the
+  per-Bernoulli length-2 PMFs are merged level by level, in vectorised
+  batches.  Wide groups are cut into chunks of :data:`_BUCKET_CHUNK`
+  whose PMFs are then merged pairwise, so one group of ``n`` costs
+  O(n log² n).
+* :func:`poisson_binomial_pmf` and :func:`weighted_bernoulli_pmf` factor
+  voters with ``p ∈ {0, 1}`` out first, as an exact shift of the
+  support, so degenerate electorates stay exact.
 * The original quadratic loops are retained as ``_reference_*`` and the
   randomized equivalence suite (``tests/test_perf_kernels.py``) pins the
   fast kernels to them at ≤1e-12 absolute error.
@@ -34,17 +38,27 @@ from math import erf, sqrt
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro._util.validation import check_probability_vector
 from repro.delegation.graph import DelegationGraph
 from repro.voting.outcome import TiePolicy
 
 _DP_CUTOFF = 64
-"""Input size below which the plain DP beats the merge tree (overhead)."""
+"""Input size below which the plain DP beats the merge ladder (overhead)."""
 
-_TREE_MIN_BLOCKS = 16
-"""Block count at which batched pair merging yields to ``np.convolve``."""
+_FFT_MIN = 64
+"""Block width above which a batched ladder level uses real-FFT convolution.
+
+Picked from a sweep of the callers (``docs/performance.md``).  A lone
+pair pays the transforms' fixed call overhead by itself, which moves its
+measured crossover to about ``4 * _FFT_MIN`` (see :func:`_convolve`).
+"""
+
+_BUCKET_CHUNK = 512
+"""Widest group one ladder row holds; wider groups are cut into chunks."""
+
+_MERGE_FLOP_LIMIT = 50_000
+"""Pair cost under which :func:`weighted_tails_batch` merges directly."""
 
 
 def _reference_poisson_binomial_pmf(probs: Sequence[float]) -> np.ndarray:
@@ -73,60 +87,73 @@ def _pb_dp(p: np.ndarray) -> np.ndarray:
     return pmf
 
 
-def _grouped_pb(groups: List[np.ndarray]) -> List[np.ndarray]:
-    """Poisson-binomial PMFs of several groups via one batched merge tree.
+@lru_cache(maxsize=None)
+def _smooth_fft_len(n: int) -> int:
+    """Smallest 5-smooth integer ``>= n`` (a fast pocketfft length).
 
-    Each group is padded with ``p = 0`` Bernoullis (convolution
-    identities) to a common power-of-two width, so batched pair merges
-    stay inside group boundaries at every level.  Padding entries leave
-    exact zeros beyond a group's true support, which the final slice
-    removes — no approximation is introduced.
+    Power-of-two padding to ``2n`` nearly doubles the transform size;
+    mixed-radix lengths with factors {2, 3, 5} stay within ~5% of the
+    minimum and measure >2x faster on the doubling-ladder shapes.
     """
-    sizes = [len(g) for g in groups]
-    num_groups = len(groups)
-    width = 1 << max(0, max(sizes) - 1).bit_length()
-    padded = np.zeros((num_groups, width))
-    for row, group in enumerate(groups):
-        padded[row, : len(group)] = group
-    if width == 1:
-        blocks = np.empty((num_groups, 2))
-        blocks[:, 0] = 1.0 - padded.ravel()
-        blocks[:, 1] = padded.ravel()
-    else:
-        # First merge level in closed form: the product of two length-2
-        # PMFs is a length-3 PMF, cheaper as three ufunc lines than as a
-        # batched convolution over 2x as many rows.
-        pp = padded.reshape(num_groups * width // 2, 2)
-        qq = 1.0 - pp
-        blocks = np.empty((num_groups * width // 2, 3))
-        blocks[:, 0] = qq[:, 0] * qq[:, 1]
-        blocks[:, 1] = pp[:, 0] * qq[:, 1] + qq[:, 0] * pp[:, 1]
-        blocks[:, 2] = pp[:, 0] * pp[:, 1]
-    while blocks.shape[0] > max(num_groups, _TREE_MIN_BLOCKS):
-        blocks = _convolve_pairs(blocks)
-    per_group = blocks.shape[0] // num_groups
-    out = []
-    for row, size in enumerate(sizes):
-        rows = blocks[row * per_group : (row + 1) * per_group]
-        pmf = _merge_pmfs(list(rows)) if per_group > 1 else rows[0]
-        out.append(pmf[: size + 1])
-    return out
+    k = max(1, n)
+    while True:
+        m = k
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return k
+        k += 1
 
 
-def _convolve_pairs(blocks: np.ndarray) -> np.ndarray:
-    """One merge level: convolve blocks ``2i`` and ``2i+1`` in a batch.
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a ⊛ b`` for a lone pair: direct up to ``4 * _FFT_MIN``, real FFT above.
 
-    ``blocks`` is ``(m, L)`` with even ``m``; returns ``(m/2, 2L-1)``.
-    The pairwise polynomial products collapse into a single einsum over
-    a sliding-window (Toeplitz) view of the zero-padded right factors.
-    Width 3 (the first ladder level, with the most rows) expands the
-    five product coefficients explicitly — measurably faster than the
-    strided-view einsum at that size.
+    The branch depends only on the operand lengths, so equal-length
+    inputs always take the same path (the incremental merge tree's
+    patch == scratch contract relies on it).
+    """
+    if min(len(a), len(b)) <= 4 * _FFT_MIN:
+        return np.convolve(a, b)
+    out_len = len(a) + len(b) - 1
+    L = _smooth_fft_len(out_len)
+    return np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(b, L), L)[:out_len]
+
+
+def _merge_level(blocks: np.ndarray, groups: int) -> np.ndarray:
+    """One ladder level over ``(m, L)`` blocks, ``m / groups`` per group.
+
+    Blocks wider than :data:`_FFT_MIN` are merged by one batched real
+    FFT, four at a time while a group still has four or more (the same
+    transform work as two pair levels, in half the calls).  Narrower
+    blocks are merged in pairs by one einsum over a sliding-window
+    (Toeplitz) view of the zero-padded right factors; width 3 (the first
+    ladder level, with the most rows) expands the five product
+    coefficients explicitly — measurably faster than the strided-view
+    einsum at that size.  A single remaining pair goes to
+    :func:`_convolve`.
+
+    FFT outputs are not clipped: their rounding error is signed and the
+    zero-frequency bin multiplies exactly, so unclipped levels keep the
+    total mass to roundoff.  The public PMFs clip negative roundoff once,
+    at the end.
     """
     m, length = blocks.shape
+    if m == 2:
+        return _convolve(blocks[0], blocks[1])[None, :]
+    if length > _FFT_MIN:
+        fan = 4 if m >= 4 * groups else 2
+        out_len = fan * (length - 1) + 1
+        L = _smooth_fft_len(out_len)
+        spec = np.fft.rfft(blocks, L, axis=1)
+        prod = spec[0::fan] * spec[1::fan]
+        for k in range(2, fan):
+            prod *= spec[k::fan]
+        return np.fft.irfft(prod, L, axis=1)[:, :out_len]
+    out_len = 2 * length - 1
     left = blocks[0::2]
+    right = blocks[1::2]
     if length == 3:
-        right = blocks[1::2]
         out = np.empty((m // 2, 5))
         out[:, 0] = left[:, 0] * right[:, 0]
         out[:, 1] = left[:, 0] * right[:, 1] + left[:, 1] * right[:, 0]
@@ -138,27 +165,78 @@ def _convolve_pairs(blocks: np.ndarray) -> np.ndarray:
         out[:, 3] = left[:, 1] * right[:, 2] + left[:, 2] * right[:, 1]
         out[:, 4] = left[:, 2] * right[:, 2]
         return out
-    out_len = 2 * length - 1
     padded = np.zeros((m // 2, 3 * length - 2))
-    padded[:, length - 1 : out_len] = blocks[1::2]
+    padded[:, length - 1 : out_len] = right
     s0, s1 = padded.strides
-    # windows[i, k, j] = padded[i, length-1 + k - j] = right[i, k - j]
-    # (a raw strided Toeplitz view: sliding_window_view's checks cost
-    # more than the einsum at these block sizes).
-    windows = as_strided(
-        padded[:, length - 1 :],
-        shape=(m // 2, out_len, length),
+    # windows[i, k, j] = padded[i, length-1 + k - j] = right[i, k - j]:
+    # a raw strided Toeplitz view (as_strided's checks cost more than the
+    # einsum at these block sizes).
+    windows = np.ndarray(
+        (m // 2, out_len, length),
+        buffer=padded,
+        offset=(length - 1) * s1,
         strides=(s0, s1, -s1),
     )
     return np.einsum("mj,mkj->mk", left, windows)
 
 
+def _pb_ladder(padded: np.ndarray) -> np.ndarray:
+    """Poisson-binomial PMFs of every row of an ``(m, width)`` matrix.
+
+    ``width`` is a power of two and shorter groups are padded with
+    ``p = 0`` Bernoullis (convolution identities), so every level's
+    merges stay inside a row.  Returns ``(m, width + 1)``; entries
+    beyond a row's true support are zero up to the FFT levels' roundoff,
+    and callers slice them off.
+    """
+    m, width = padded.shape
+    if width == 1:
+        out = np.empty((m, 2))
+        out[:, 0] = 1.0 - padded[:, 0]
+        out[:, 1] = padded[:, 0]
+        return out
+    # First level in closed form: the product of two length-2 PMFs is a
+    # length-3 PMF, cheaper as three ufunc lines than as a batched
+    # convolution over 2x as many rows.
+    pp = padded.reshape(m * width // 2, 2)
+    qq = 1.0 - pp
+    blocks = np.empty((m * width // 2, 3))
+    blocks[:, 0] = qq[:, 0] * qq[:, 1]
+    blocks[:, 1] = pp[:, 0] * qq[:, 1] + qq[:, 0] * pp[:, 1]
+    blocks[:, 2] = pp[:, 0] * pp[:, 1]
+    while blocks.shape[0] > m:
+        blocks = _merge_level(blocks, m)
+    return blocks
+
+
+def _grouped_pb(groups: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Poisson-binomial PMFs of several groups through one ladder."""
+    width = 1 << max(0, max(len(g) for g in groups) - 1).bit_length()
+    padded = np.zeros((len(groups), width))
+    for row, group in enumerate(groups):
+        padded[row, : len(group)] = group
+    pmfs = _pb_ladder(padded)
+    return [pmfs[row, : len(g) + 1] for row, g in enumerate(groups)]
+
+
+def _pb_wide(p: np.ndarray) -> np.ndarray:
+    """Poisson-binomial PMF of one group of any size.
+
+    Equal chunks of at most :data:`_BUCKET_CHUNK` voters go through one
+    ladder, so padding to a power of two wastes at most one chunk's
+    worth, and the chunk PMFs are merged pairwise.
+    """
+    if len(p) <= _BUCKET_CHUNK:
+        return _grouped_pb([p])[0]
+    return _merge_pmfs(_grouped_pb(np.array_split(p, -(-len(p) // _BUCKET_CHUNK))))
+
+
 def _merge_pmfs(pmfs: List[np.ndarray]) -> np.ndarray:
-    """Convolve a list of PMFs with balanced pairwise ``np.convolve``."""
+    """Convolve a list of PMFs pairwise, balanced, shortest first."""
     pmfs = sorted(pmfs, key=len)
     while len(pmfs) > 1:
         pmfs = [
-            np.convolve(pmfs[i], pmfs[i + 1]) if i + 1 < len(pmfs) else pmfs[i]
+            _convolve(pmfs[i], pmfs[i + 1]) if i + 1 < len(pmfs) else pmfs[i]
             for i in range(0, len(pmfs), 2)
         ]
     return pmfs[0]
@@ -166,24 +244,34 @@ def _merge_pmfs(pmfs: List[np.ndarray]) -> np.ndarray:
 
 def _pb_unchecked(p: np.ndarray) -> np.ndarray:
     """Poisson-binomial PMF of pre-validated ``p``; see the public docs."""
-    n = len(p)
-    if n == 0:
-        return np.ones(1)
-    if n <= _DP_CUTOFF:
-        return _pb_dp(p)
-    return _grouped_pb([p])[0]
+    live = p[(p > 0.0) & (p < 1.0)]
+    if len(live) <= _DP_CUTOFF:
+        base = _pb_dp(live)
+    else:
+        base = np.maximum(_pb_wide(live), 0.0)
+    if len(live) == len(p):
+        return base
+    # Voters with p = 1 shift the support by one each; p = 0 voters are
+    # identities.  Both are exact, so degenerate electorates stay exact.
+    out = np.zeros(len(p) + 1)
+    ones = int(np.count_nonzero(p == 1.0))
+    out[ones : ones + len(base)] = base
+    return out
 
 
 def poisson_binomial_pmf(probs: Sequence[float]) -> np.ndarray:
     """PMF of the sum of independent Bernoulli(p_i) variables.
 
     Returns an array of length ``n + 1`` where entry ``k`` is
-    ``P[sum = k]``.  Divide-and-conquer convolution merge tree: length-2
-    PMFs are merged pairwise in vectorised batches while many blocks
-    remain, then the few surviving long blocks are merged with
-    ``np.convolve``.  All arithmetic is plain summation of non-negative
-    doubles, so the result matches :func:`_reference_poisson_binomial_pmf`
-    to machine precision (the equivalence suite pins it at ≤1e-12).
+    ``P[sum = k]``.  Voters with ``p ∈ {0, 1}`` are factored out as an
+    exact shift; the rest go through the plain DP (at most
+    :data:`_DP_CUTOFF` of them) or the batched merge ladder
+    (:func:`_pb_wide`), O(n log² n).  Merges wider than
+    :data:`_FFT_MIN` use real-FFT convolution, so each entry carries an
+    absolute error of a few ulps of the largest entry; negative
+    roundoff is clipped once, at the end.  The equivalence suite pins
+    the result to :func:`_reference_poisson_binomial_pmf` at ≤1e-12
+    per entry.
     """
     p = check_probability_vector("probs", probs) if len(probs) else np.empty(0)
     return _pb_unchecked(p)
@@ -224,12 +312,13 @@ def weighted_bernoulli_pmf(
 ) -> np.ndarray:
     """PMF of ``Σ w_i · Bernoulli(p_i)`` on support ``0 .. Σ w_i``.
 
-    Sinks are bucketed by weight: each distinct weight ``w`` contributes
-    ``w · PoissonBinomial(probs in bucket)``, whose PMF is the bucket's
-    Poisson-binomial PMF stretched onto the ``w``-spaced lattice.  The
-    weight-1 majority therefore collapses into a single fast
-    Poisson-binomial pass, and bucket PMFs are merged by convolution
-    (smallest first, to keep operand lengths short).
+    Sinks with ``p ∈ {0, 1}`` are factored out as an exact shift of the
+    support.  The rest are bucketed by weight: each distinct weight ``w``
+    contributes ``w · PoissonBinomial(probs in bucket)``, whose PMF is
+    the bucket's Poisson-binomial PMF stretched onto the ``w``-spaced
+    lattice.  The weight-1 majority therefore collapses into a single
+    Poisson-binomial pass, and bucket PMFs are merged by
+    :func:`_convolve` (smallest first, to keep operand lengths short).
     """
     if len(weights) != len(probs):
         raise ValueError("weights and probs must have equal length")
@@ -238,17 +327,18 @@ def weighted_bernoulli_pmf(
         raise ValueError("weights must be non-negative")
     p = check_probability_vector("probs", probs) if len(probs) else np.empty(0)
     total = int(w.sum())
-    active = w > 0
-    if not np.any(active):
+    shift = int(w[p == 1.0].sum())
+    live = (w > 0) & (p > 0.0) & (p < 1.0)
+    if not np.any(live):
         out = np.zeros(total + 1)
-        out[0] = 1.0
+        out[shift] = 1.0
         return out
-    w = w[active]
-    p = p[active]
+    w = w[live]
+    p = p[live]
     order = np.argsort(w, kind="stable")
     unique_weights, starts = np.unique(w[order], return_index=True)
     groups = np.split(p[order], starts[1:])
-    # One batched merge tree covers every small bucket; the rare huge
+    # One batched ladder covers every small bucket; the rare huge
     # bucket (e.g. all-weight-1 direct voting) goes through alone so its
     # width does not inflate the shared padding.
     small = [i for i, g in enumerate(groups) if len(g) <= _DP_CUTOFF]
@@ -260,7 +350,7 @@ def weighted_bernoulli_pmf(
             base_pmfs[i] = pmf
     for i, g in enumerate(groups):
         if base_pmfs[i] is None:
-            base_pmfs[i] = _pb_unchecked(g)
+            base_pmfs[i] = _pb_wide(g)
     buckets = []
     for wv, base in zip(unique_weights, base_pmfs):
         wv = int(wv)
@@ -270,8 +360,12 @@ def weighted_bernoulli_pmf(
             stretched = np.zeros(wv * (len(base) - 1) + 1)
             stretched[::wv] = base
             buckets.append(stretched)
-    # Support is exactly 0..total by construction.
-    return _merge_pmfs(buckets)
+    pmf = np.maximum(_merge_pmfs(buckets), 0.0)
+    if len(pmf) == total + 1:
+        return pmf
+    out = np.zeros(total + 1)
+    out[shift : shift + len(pmf)] = pmf
+    return out
 
 
 def tail_from_pmf(
@@ -291,7 +385,7 @@ def tail_from_pmf(
     win = float(pmf[half + 1 :].sum())
     if rem == 0 and tie_policy is TiePolicy.COIN_FLIP:
         win += 0.5 * float(pmf[half])
-    return min(1.0, win)
+    return min(1.0, max(0.0, win))
 
 
 def direct_voting_probability(
@@ -311,7 +405,7 @@ class DirectVotingTerm:
     :meth:`probability_delta` then scores a hypothetical electorate —
     one voter's competency changed, some voters appended — in O(n) per
     edit from the cached PMF, without a merge-tree rebuild.  Its values
-    agree with a rebuild to ~1e-16 absolute, not bitwise: callers that
+    agree with a rebuild to ~1e-15 absolute, not bitwise: callers that
     publish a number re-derive it from a fresh term.
     """
 
@@ -343,7 +437,7 @@ class DirectVotingTerm:
         """
         pmf, probability = self.pmf, self.probability
         for c in joins:
-            pmf = np.convolve(pmf, (1.0 - c, c))
+            pmf = _convolve(pmf, np.array((1.0 - c, c)))
         n = len(pmf) - 1
         if len(joins):
             probability = tail_from_pmf(pmf, n, self.tie_policy)
@@ -398,76 +492,11 @@ def forest_correct_probability(
     return tail_from_pmf(pmf, delegation.num_voters, tie_policy)
 
 
-_EINSUM_MAX = 64
-"""Pair-merge operand width below which the einsum kernel beats FFT."""
-
-
-@lru_cache(maxsize=None)
-def _smooth_fft_len(n: int) -> int:
-    """Smallest 5-smooth integer ``>= n`` (a fast pocketfft length).
-
-    Power-of-two padding to ``2n`` nearly doubles the transform size;
-    mixed-radix lengths with factors {2, 3, 5} stay within ~5% of the
-    minimum and measure >2x faster on the doubling-ladder shapes.
-    """
-    k = max(1, n)
-    while True:
-        m = k
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return k
-        k += 1
-
-_PIECE_LEN = 513
-"""Doubling-ladder stop: wider bucket classes emit multiple PMF pieces."""
-
-
-def _classed_pb_pieces(padded: np.ndarray, width: int) -> Tuple[np.ndarray, int]:
-    """Batched Poisson-binomial PMFs over ``(m, width)`` padded prob rows.
-
-    All ``m`` groups share the power-of-two pad width, so pair merges stay
-    inside group boundaries at every ladder level (einsum batches below
-    :data:`_EINSUM_MAX` operand width, batched-FFT doubling above).  The
-    ladder stops at :data:`_PIECE_LEN`-wide blocks: the return is
-    ``(pieces, n_pieces)`` where group ``g``'s PMF is the convolution of
-    rows ``g * n_pieces .. (g + 1) * n_pieces - 1`` of ``pieces`` —
-    ``n_pieces == 1`` except for very wide classes, whose final merges are
-    cheaper in the caller's shared length-``L`` FFT finish.
-    """
-    m = padded.shape[0]
-    if width == 1:
-        out = np.empty((m, 2))
-        out[:, 0] = 1.0 - padded[:, 0]
-        out[:, 1] = padded[:, 0]
-        return out, 1
-    pp = padded.reshape(m * width // 2, 2)
-    qq = 1.0 - pp
-    blocks = np.empty((m * width // 2, 3))
-    blocks[:, 0] = qq[:, 0] * qq[:, 1]
-    blocks[:, 1] = pp[:, 0] * qq[:, 1] + qq[:, 0] * pp[:, 1]
-    blocks[:, 2] = pp[:, 0] * pp[:, 1]
-    while blocks.shape[0] > m and blocks.shape[1] < _PIECE_LEN:
-        blen = blocks.shape[1]
-        if blen <= _EINSUM_MAX:
-            blocks = _convolve_pairs(blocks)
-        else:
-            L = _smooth_fft_len(2 * blen - 1)
-            spec = np.fft.rfft(blocks, n=L, axis=1)
-            spec = spec[0::2] * spec[1::2]
-            out = np.fft.irfft(spec, n=L, axis=1)[:, : 2 * blen - 1]
-            np.maximum(out, 0.0, out=out)
-            blocks = out
-    return blocks, blocks.shape[0] // m
-
-
 # reprolint: reference=_reference_weighted_bernoulli_pmf
 def weighted_tails_batch(
     weights: np.ndarray,
     probs: np.ndarray,
     total: int,
-    merge_flop_limit: int = 50_000,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Strict-majority win probabilities for a batch of sink profiles.
 
@@ -489,12 +518,12 @@ def weighted_tails_batch(
     1. one cross-round stable argsort buckets every round's sinks by
        weight; bucket boundaries fall out of one flat comparison;
     2. bucket PMFs are computed in mega-batches grouped by power-of-two
-       bucket size (:func:`_classed_pb_pieces`);
+       bucket size (:func:`_pb_ladder`);
     3. bucket PMFs are stretched onto their ``w``-spaced lattices by one
        vectorised scatter into a flat buffer;
     4. per round, a shortest-first heap merges small lattice PMFs with
        direct convolution while the pair cost stays under
-       ``merge_flop_limit``; the few surviving *finalists* are
+       :data:`_MERGE_FLOP_LIMIT`; the few surviving *finalists* are
     5. zero-padded into one matrix and multiplied in Fourier space at a
        shared length ``L``, and the half-point CDF and tie atom are read
        off with spectral dot products (no inverse transform).  For even
@@ -579,20 +608,20 @@ def weighted_tails_batch(
     seg_w = flatW[seg_start]
     keep = seg_w > 0
     seg_start, seg_len, seg_w = seg_start[keep], seg_len[keep], seg_w[keep]
-    # Split buckets wider than one ladder piece into chunks: a bucket of
-    # 513+ sinks would otherwise be padded to the next power of two and
-    # emitted as multiple pieces, paying for the padding; equal chunks
-    # of at most ``_PIECE_LEN - 1`` leaves land in the cheapest size
-    # class that fits and always complete to a single PMF piece.  The
-    # chunks rejoin in the per-round merge like any other segment.
-    maxlen = _PIECE_LEN - 1
-    if seg_len.size and int(seg_len.max()) > maxlen:
-        nch = -(-seg_len // maxlen)
+    # Split buckets wider than :data:`_BUCKET_CHUNK` sinks into equal
+    # chunks: a bucket of 513 sinks would otherwise be padded to 1024
+    # leaves, while equal chunks of at most 512 land in the cheapest size
+    # class that fits.  The chunks rejoin in the per-round merge like any
+    # other segment.
+    if seg_len.size and int(seg_len.max()) > _BUCKET_CHUNK:
+        nch = -(-seg_len // _BUCKET_CHUNK)
         within = np.arange(int(nch.sum())) - np.repeat(
             np.cumsum(nch) - nch, nch
         )
-        seg_start = np.repeat(seg_start, nch) + within * maxlen
-        seg_len = np.minimum(np.repeat(seg_len, nch) - within * maxlen, maxlen)
+        seg_start = np.repeat(seg_start, nch) + within * _BUCKET_CHUNK
+        seg_len = np.minimum(
+            np.repeat(seg_len, nch) - within * _BUCKET_CHUNK, _BUCKET_CHUNK
+        )
         seg_w = np.repeat(seg_w, nch)
     seg_round = seg_start // S
     G = len(seg_start)
@@ -606,78 +635,51 @@ def weighted_tails_batch(
     big = seg_len > 1
     cls[big] = 1 << (np.ceil(np.log2(seg_len[big])).astype(np.int64))
     pflat = Psort.ravel()
-    plain_classes: List[Tuple[np.ndarray, np.ndarray]] = []
-    multi: dict = {}
+    # 3. stretch bucket PMFs onto the weight lattice with one masked
+    # scatter per size class (buf[seg_off[g] + w * j] = pmf[j]).
+    out_len = np.minimum(seg_len * seg_w + 1, cap)
+    n_pts = (out_len - 1) // seg_w + 1
+    seg_off = np.concatenate(([0], np.cumsum(out_len)))
+    buf = np.zeros(int(seg_off[-1]))
     for c in np.unique(cls):
         members = np.flatnonzero(cls == c)
-        lens = seg_len[members]
         pos = np.arange(c)
-        colmask = pos[None, :] < lens[:, None]
+        colmask = pos[None, :] < seg_len[members][:, None]
         src = seg_start[members][:, None] + pos[None, :]
         padded = np.zeros((len(members), c))
         padded[colmask] = pflat[src[colmask]]
-        pieces, npc = _classed_pb_pieces(padded, int(c))
-        if npc == 1:
-            plain_classes.append((members, pieces))
-        else:
-            for k, g in enumerate(members):
-                multi[int(g)] = pieces[k * npc : (k + 1) * npc]
-    # 3. stretch single-piece bucket PMFs onto the weight lattice with
-    # one masked scatter per size class (buf[seg_off[g] + w * j] = pmf[j]).
-    plain = np.array(sorted(set(range(G)) - set(multi)), dtype=np.int64)
-    out_len = np.minimum(seg_len[plain] * seg_w[plain] + 1, cap)
-    n_pts = (out_len - 1) // seg_w[plain] + 1
-    seg_off = np.concatenate(([0], np.cumsum(out_len)))
-    buf = np.zeros(int(seg_off[-1]))
-    plain_slot = np.full(G, -1, dtype=np.int64)
-    plain_slot[plain] = np.arange(len(plain))
-    for members, pieces in plain_classes:
-        slots = plain_slot[members]
-        pos = np.arange(pieces.shape[1])
-        colmask = pos[None, :] < n_pts[slots][:, None]
-        dst = seg_off[slots][:, None] + seg_w[members][:, None] * pos[None, :]
-        buf[dst[colmask]] = pieces[colmask]
+        pmfs = _pb_ladder(padded)
+        pos = np.arange(pmfs.shape[1])
+        colmask = pos[None, :] < n_pts[members][:, None]
+        dst = seg_off[members][:, None] + seg_w[members][:, None] * pos[None, :]
+        buf[dst[colmask]] = pmfs[colmask]
     # 4. per-round shortest-first direct merges under the flop limit.
     bounds = np.searchsorted(seg_round, np.arange(rounds + 1))
     finalists: List[Tuple[np.ndarray, bool]] = []
     fin_count = np.zeros(rounds, dtype=np.int64)
     fin_start: List[int] = []
     for r in range(rounds):
-        heap = []
-        nid = 0
-        for g in range(int(bounds[r]), int(bounds[r + 1])):
-            w = int(seg_w[g])
-            slot = int(plain_slot[g])
-            if slot >= 0:
-                a = buf[seg_off[slot] : seg_off[slot] + out_len[slot]]
-                capped = int(seg_len[g]) * w + 1 > cap
-                heap.append((len(a), nid, a, capped))
-                nid += 1
-            else:
-                pieces = multi[g]
-                lpp = pieces.shape[1] - 1  # leaves per piece
-                for i in range(pieces.shape[0]):
-                    real = min(max(int(seg_len[g]) - i * lpp, 0), lpp)
-                    base = pieces[i][: real + 1]
-                    ln = min(real * w + 1, cap)
-                    if w == 1:
-                        a = base[:ln]
-                    else:
-                        a = np.zeros(ln)
-                        a[::w] = base[: (ln - 1) // w + 1]
-                    heap.append((len(a), nid, a, real * w + 1 > cap))
-                    nid += 1
+        heap = [
+            (
+                int(out_len[g]),
+                nid,
+                buf[seg_off[g] : seg_off[g] + out_len[g]],
+                int(seg_len[g]) * int(seg_w[g]) + 1 > cap,
+            )
+            for nid, g in enumerate(range(int(bounds[r]), int(bounds[r + 1])))
+        ]
+        nid = len(heap)
         heapq.heapify(heap)
         while len(heap) > 1:
             la, _, a, ca = heapq.heappop(heap)
             lb, _, b, cb = heapq.heappop(heap)
-            if la * lb > merge_flop_limit:
+            if la * lb > _MERGE_FLOP_LIMIT:
                 heap.append((la, nid, a, ca))
                 heap.append((lb, nid + 1, b, cb))
                 nid += 2
                 heapq.heapify(heap)
                 break
-            c = np.convolve(a, b)
+            c = _convolve(a, b)
             capped = ca or cb
             if len(c) > cap:
                 c = c[:cap]

@@ -413,6 +413,17 @@ class TestCertificateIntegrity:
         assert not report.ok
         assert report.failures()[0]["check"] == "schema"
 
+    def test_schema_1_certificate_fails_on_schema(self, certificate):
+        """A certificate recorded with the pre-ladder exact kernels is
+        rejected on its schema, before any ``direct`` is replayed."""
+        old = json.loads(json.dumps(certificate))
+        old["schema"] = 1
+        old["digest"] = ViolationCertificate.from_dict(old).digest()
+        report = verify_certificate(old)
+        assert not report.ok
+        assert report.failures()[0]["check"] == "schema"
+        assert [c["check"] for c in report.checks] == ["schema"]
+
     def test_describe_mentions_the_claim(self, certificate):
         cert = ViolationCertificate.from_dict(certificate)
         text = cert.describe()

@@ -157,6 +157,25 @@ class TestEstimateCache:
         assert cache.get(digest) is None
         assert not cache.path_for(digest).exists()
 
+    def test_schema_1_entry_is_a_miss(self, tmp_path, monkeypatch):
+        """An entry written before the exact kernels changed bits is never
+        served: schema 1 digests to another key and fails validation."""
+        cache = EstimateCache(tmp_path / "store")
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_mod, "SCHEMA_VERSION", 1)
+            old = _estimate(cache)
+            old_digest = estimate_digest(
+                _instance(), MECH, SeedSequence(1), PARAMS
+            )
+            assert cache.get(old_digest) is not None
+        assert cache_mod.SCHEMA_VERSION != 1
+        digest = estimate_digest(_instance(), MECH, SeedSequence(1), PARAMS)
+        assert digest != old_digest
+        assert cache.get(digest) is None
+        # The schema-1 file does not validate under its own name either.
+        assert cache.get(old_digest) is None
+        assert _estimate(cache) == old
+
     def test_clear(self, tmp_path):
         cache = EstimateCache(tmp_path / "store")
         _estimate(cache)

@@ -40,9 +40,16 @@ from repro.incremental.structure import (
     approved_csr_delta,
     patched_instance,
 )
-from repro.incremental.tails import tree_root
+from repro.incremental.tails import (
+    _reference_pmf_tree_delta,
+    block_bounds,
+    default_blocks,
+    pmf_tree_build,
+    pmf_tree_delta,
+    tree_root,
+)
 from repro.mechanisms.threshold import ApprovalThreshold
-from repro.voting.exact import weighted_bernoulli_pmf
+from repro.voting.exact import _FFT_MIN, weighted_bernoulli_pmf
 
 TOPOLOGIES = {
     "complete": lambda: complete_graph(20),
@@ -408,6 +415,31 @@ def test_exact_trees_match_pmf_oracle():
         ref = weighted_bernoulli_pmf(weights[r], comp)
         assert root.shape == ref.shape
         np.testing.assert_allclose(root, ref, rtol=0, atol=1e-12)
+
+
+def test_pmf_tree_patch_matches_scratch_above_crossover():
+    """Dirty-path re-merges equal a scratch build node by node at a size
+    whose upper merges take the real-FFT branch of the merge rule."""
+    n = 8192
+    rng = np.random.default_rng(11)
+    weights = rng.integers(0, 4, n)
+    probs = rng.uniform(0.2, 0.8, n)
+    bounds = block_bounds(n, default_blocks(n))
+    levels = pmf_tree_build(weights, probs, bounds)
+    # The root merge is a lone pair: FFT above 4 * _FFT_MIN entries.
+    assert min(len(node) for node in levels[-2]) > 4 * _FFT_MIN
+    for _ in range(3):
+        cols = np.sort(rng.choice(n, size=6, replace=False))
+        probs = probs.copy()
+        weights = weights.copy()
+        probs[cols] = rng.uniform(0.2, 0.8, cols.size)
+        weights[cols[:3]] = rng.integers(0, 4, 3)
+        pmf_tree_delta(levels, weights, probs, bounds, cols)
+        scratch = _reference_pmf_tree_delta(weights, probs, bounds)
+        assert [len(level) for level in levels] == [len(level) for level in scratch]
+        for got, want in zip(levels, scratch):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 # -- estimates, cache, adaptive -------------------------------------------

@@ -18,6 +18,7 @@ from repro.delegation.graph import SELF, DelegationGraph
 from repro.voting.exact import (
     _reference_poisson_binomial_pmf,
     _reference_weighted_bernoulli_pmf,
+    direct_voting_probability,
     poisson_binomial_pmf,
     weighted_bernoulli_pmf,
 )
@@ -38,6 +39,19 @@ def test_poisson_binomial_faster_than_reference():
     ref = _median_seconds(lambda: _reference_poisson_binomial_pmf(p))
     # Measured ~6.5x; require a conservative 2x so CI noise cannot flake.
     assert ref / fast >= 2.0, f"PB speedup only {ref / fast:.2f}x"
+
+
+def test_direct_voting_scales_subquadratically():
+    # 8x the voters: ~8x times a log-squared factor for the FFT merge
+    # ladder (measured ~10x), up to 64x for a quadratic finish (measured
+    # 45-57x before the ladder).
+    rng = np.random.default_rng(2)
+    small = rng.uniform(0.0, 1.0, size=10_000)
+    large = rng.uniform(0.0, 1.0, size=80_000)
+    t_small = _median_seconds(lambda: direct_voting_probability(small))
+    t_large = _median_seconds(lambda: direct_voting_probability(large))
+    ratio = t_large / t_small
+    assert ratio < 24.0, f"n=8e4 / n=1e4 time ratio {ratio:.1f} (quadratic ~64)"
 
 
 def test_weighted_bernoulli_faster_than_reference():

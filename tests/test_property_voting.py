@@ -6,7 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.voting.exact import (
+    _FFT_MIN,
     DirectVotingTerm,
+    _reference_poisson_binomial_pmf,
+    _reference_weighted_bernoulli_pmf,
     direct_voting_probability,
     poisson_binomial_pmf,
     tail_from_pmf,
@@ -79,6 +82,80 @@ class TestWeightedPmfProperties:
         forward = weighted_bernoulli_pmf(weights, probs)
         backward = weighted_bernoulli_pmf(weights[::-1], probs[::-1])
         assert np.allclose(forward, backward, atol=1e-9)
+
+
+def _edge_vector(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` competencies of one shape: uniform, {0, ½, 1}-heavy, or near-degenerate."""
+    if kind == "uniform":
+        return rng.random(n)
+    if kind == "edges":
+        p = rng.random(n)
+        mask = rng.random(n) < 0.5
+        p[mask] = rng.choice([0.0, 0.5, 1.0], size=int(mask.sum()))
+        return p
+    tiny = 10.0 ** rng.uniform(-15, -3, n)
+    return tiny if kind == "near0" else 1.0 - tiny
+
+
+class TestMergeLadderAccuracy:
+    """The FFT merge ladder against the quadratic ``_reference_*`` oracles.
+
+    Sizes span :data:`repro.voting.exact._FFT_MIN` (where ladder levels
+    switch from direct to real-FFT convolution) up to 2·10^4 voters.
+    """
+
+    kinds = st.sampled_from(["uniform", "edges", "near0", "near1"])
+
+    @staticmethod
+    def _check(pmf: np.ndarray, ref: np.ndarray) -> None:
+        assert pmf.shape == ref.shape
+        assert np.abs(pmf - ref).max() <= 1e-12
+        assert pmf.min() >= 0.0
+        assert abs(pmf.sum() - 1.0) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 20_000), kinds, st.integers(0, 2**32 - 1))
+    @example(2 * _FFT_MIN + 1, "edges", 0)
+    @example(4 * _FFT_MIN, "near0", 1)
+    @example(20_000, "uniform", 2)
+    @example(20_000, "near1", 3)
+    def test_poisson_binomial_matches_reference(self, n, kind, seed):
+        probs = _edge_vector(kind, n, np.random.default_rng(seed))
+        self._check(poisson_binomial_pmf(probs), _reference_poisson_binomial_pmf(probs))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 8_000), kinds, st.integers(0, 2**32 - 1))
+    @example(2 * _FFT_MIN + 1, "edges", 0)
+    @example(8_000, "uniform", 1)
+    @example(8_000, "near1", 2)
+    def test_weighted_bernoulli_matches_reference(self, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        probs = _edge_vector(kind, n, rng)
+        # Mostly weight 1 (a forest's sinks), a tail up to 5, a few zeros.
+        weights = np.minimum(rng.geometric(0.6, n), 5) * (rng.random(n) > 0.02)
+        self._check(
+            weighted_bernoulli_pmf(weights, probs),
+            _reference_weighted_bernoulli_pmf(weights, probs),
+        )
+
+    @pytest.mark.slow
+    def test_tail_at_1e5_matches_reference(self):
+        n = 100_000
+        probs = np.random.default_rng(5).random(n)
+        pmf = poisson_binomial_pmf(probs)
+        ref = _reference_poisson_binomial_pmf(probs)
+        for policy in TiePolicy:
+            assert abs(tail_from_pmf(pmf, n, policy) - tail_from_pmf(ref, n, policy)) <= 1e-12
+
+    @pytest.mark.slow
+    def test_mass_and_mean_at_1e6(self):
+        n = 1_000_000
+        probs = np.random.default_rng(6).random(n)
+        pmf = poisson_binomial_pmf(probs)
+        assert pmf.min() >= 0.0
+        assert abs(pmf.sum() - 1.0) <= 1e-11
+        mean = float(np.arange(n + 1) @ pmf)
+        assert abs(mean - probs.sum()) <= 1e-9 * probs.sum()
 
 
 class TestTailProperties:

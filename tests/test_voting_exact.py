@@ -101,6 +101,50 @@ class TestWeightedBernoulliPmf:
             weighted_bernoulli_pmf([-1], [0.5])
 
 
+class TestDegenerateElectorates:
+    """Voters with ``p ∈ {0, 1}`` are an exact shift, not ladder input.
+
+    ``N`` is far above the FFT crossover (``_FFT_MIN``), so a degenerate
+    voter left in the ladder would surface as roundoff; every value here
+    is exact.
+    """
+
+    N = 20_000
+
+    @staticmethod
+    def _pmfs(probs, weights):
+        """Both kernels on one electorate: unit weights and ``weights``."""
+        yield poisson_binomial_pmf(probs), len(probs)
+        yield weighted_bernoulli_pmf(np.ones(len(probs), dtype=np.int64), probs), len(probs)
+        yield weighted_bernoulli_pmf(weights, probs), int(np.sum(weights))
+
+    def _weights(self):
+        # 1, 2, 3, 1, 2, 3, ... restarted at the half: equal half weights.
+        return np.arange(self.N) % (self.N // 2) % 3 + 1
+
+    def test_all_zero(self):
+        for pmf, total in self._pmfs(np.zeros(self.N), self._weights()):
+            assert pmf[0] == 1.0 and not pmf[1:].any()
+            for policy in TiePolicy:
+                assert tail_from_pmf(pmf, total, policy) == 0.0
+
+    def test_all_one(self):
+        for pmf, total in self._pmfs(np.ones(self.N), self._weights()):
+            assert pmf[-1] == 1.0 and not pmf[:-1].any()
+            for policy in TiePolicy:
+                assert tail_from_pmf(pmf, total, policy) == 1.0
+
+    def test_half_zero_half_one_tie(self):
+        probs = np.zeros(self.N)
+        probs[: self.N // 2] = 1.0
+        for pmf, total in self._pmfs(probs, self._weights()):
+            assert pmf[total // 2] == 1.0 and pmf.sum() == 1.0
+            assert tail_from_pmf(pmf, total, TiePolicy.INCORRECT) == 0.0
+            assert tail_from_pmf(pmf, total, TiePolicy.COIN_FLIP) == 0.5
+        assert direct_voting_probability(probs) == 0.0
+        assert direct_voting_probability(probs, TiePolicy.COIN_FLIP) == 0.5
+
+
 class TestTailFromPmf:
     def test_strict_majority_odd(self):
         pmf = poisson_binomial_pmf([0.5] * 3)
