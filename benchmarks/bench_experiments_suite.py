@@ -74,8 +74,7 @@ def _sweep(points, **kwargs):
     t0 = time.perf_counter()
     estimates = [
         estimate_correct_probability(
-            inst, mech, rounds=FIXED_ROUNDS, seed=SeedSequence(s),
-            engine="batch", **kwargs,
+            inst, mech, rounds=FIXED_ROUNDS, seed=SeedSequence(s), **kwargs,
         )
         for inst, mech, s in points
     ]
@@ -148,7 +147,7 @@ def test_end_to_end_suite_cold_vs_warm(experiment_record, tmp_path):
     ids = [eid for eid, _ in list_experiments()]
 
     def run_all():
-        cfg = ExperimentConfig(scale="smoke", engine="batch", cache_dir=cache_dir)
+        cfg = ExperimentConfig(scale="smoke", cache_dir=cache_dir)
         return [get_experiment(eid)(cfg) for eid in ids]
 
     t0 = time.perf_counter()

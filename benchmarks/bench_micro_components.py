@@ -31,7 +31,13 @@ from repro.voting.exact import (
     tail_from_pmf,
     weighted_bernoulli_pmf,
 )
-from repro.voting.montecarlo import BatchEstimator, estimate_correct_probability
+from repro._util.rng import as_seed_sequence
+from repro.voting.montecarlo import (
+    BatchEstimator,
+    _reference_batch_rounds,
+    estimate_correct_probability,
+)
+from repro.voting.outcome import TiePolicy
 
 N = 2048
 
@@ -111,7 +117,7 @@ def test_batch_estimation_400_rounds_2048(benchmark, instance, mechanism):
     est = benchmark.pedantic(
         estimate_correct_probability,
         args=(instance, mechanism),
-        kwargs={"rounds": 400, "seed": 0, "engine": "batch"},
+        kwargs={"rounds": 400, "seed": 0},
         rounds=3,
         iterations=1,
     )
@@ -160,6 +166,14 @@ def _best_of(fn, repeats):
     return best
 
 
+def _reference_rounds(inst, mech, rounds):
+    """Per-round values of the ``_reference_batch_rounds`` oracle, seed 0."""
+    return _reference_batch_rounds(
+        inst, mech, as_seed_sequence(0), 0, rounds, TiePolicy.INCORRECT,
+        True, 512,
+    )
+
+
 def test_batched_engine_speedup_vs_reference(micro_record, capsys):
     """Assert this PR's headline: the compiled/batched estimation path is
     >= 3x faster than the PR-1 batch engine on the e2e workload.
@@ -180,7 +194,7 @@ def test_batched_engine_speedup_vs_reference(micro_record, capsys):
 
     # Warm the one-time structures (approval CSR, compiled instance).
     BatchEstimator().estimate(inst, mech, rounds=4, seed=0)
-    BatchEstimator(use_reference=True).estimate(inst, mech, rounds=4, seed=0)
+    _reference_rounds(inst, mech, 4)
 
     best_new = best_ref = float("inf")
     for _ in range(3):
@@ -188,12 +202,11 @@ def test_batched_engine_speedup_vs_reference(micro_record, capsys):
         new = BatchEstimator().estimate(inst, mech, rounds=400, seed=0)
         best_new = min(best_new, time.perf_counter() - start)
         start = time.perf_counter()
-        ref = BatchEstimator(use_reference=True).estimate(
-            inst, mech, rounds=400, seed=0
-        )
+        ref = _reference_rounds(inst, mech, 400)
         best_ref = min(best_ref, time.perf_counter() - start)
-    gap = abs(new.probability - ref.probability)
-    assert gap < 6 * (new.std_error + ref.std_error) + 1e-9
+    ref_se = ref.std(ddof=1) / np.sqrt(len(ref))
+    gap = abs(new.probability - ref.mean())
+    assert gap < 6 * (new.std_error + ref_se) + 1e-9
 
     micro_record("batch_estimator_400_rounds", n, best_new, best_ref)
     speedup = best_ref / best_new
@@ -221,9 +234,7 @@ def test_kernel_speedup_demonstration(instance, mechanism, micro_record, capsys)
     instance.approval_structure()
     threshold_fn = lambda d: max(1.0, d ** (1.0 / 3.0))  # noqa: E731
     start = time.perf_counter()
-    estimate_correct_probability(
-        instance, mechanism, rounds=400, seed=0, engine="batch"
-    )
+    estimate_correct_probability(instance, mechanism, rounds=400, seed=0)
     fast_est = time.perf_counter() - start
     start = time.perf_counter()
     _seed_pipeline_estimate(instance, threshold_fn, mechanism, 400, 0)

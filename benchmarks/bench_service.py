@@ -78,7 +78,7 @@ def test_coalesced_server_2x_sequential(service_record):
     expected = {
         seed: estimate_correct_probability(
             instance, build_mechanism(MECH_SPEC),
-            rounds=ROUNDS, seed=seed, engine="batch", n_jobs=1,
+            rounds=ROUNDS, seed=seed, n_jobs=1,
         )
         for seed in DISTINCT_SEEDS
     }

@@ -74,7 +74,7 @@ def _instance() -> ProblemInstance:
 def _direct(instance, seed: int, rounds: int = ROUNDS):
     return estimate_correct_probability(
         instance, build_mechanism(MECH_SPEC),
-        rounds=rounds, seed=seed, engine="batch", n_jobs=1,
+        rounds=rounds, seed=seed, n_jobs=1,
     )
 
 

@@ -50,19 +50,21 @@ def spawn_generators(seed: SeedLike, count: int) -> List[np.random.Generator]:
 def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
     """Coerce ``seed`` into a :class:`numpy.random.SeedSequence`.
 
-    Used by the batched Monte Carlo engine, which needs a *spawnable*
-    root rather than a live generator so that per-round child streams
-    can be re-derived identically inside worker processes.
+    Used by the Monte Carlo estimator and the delta sessions, which need
+    a *spawnable* root rather than a live generator so that per-round
+    child streams can be re-derived identically inside worker processes.
+
+    A live ``Generator`` is *consumed*: the root's entropy is drawn from
+    its stream, so two calls sharing one generator get independent
+    roots (as consecutive draws would), and the generator's
+    bit-generator state at call time fully determines the root.
     """
     if isinstance(seed, np.random.SeedSequence):
         return seed
     if isinstance(seed, np.random.Generator):
-        seq = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
-        if not isinstance(seq, np.random.SeedSequence):  # pragma: no cover
-            raise TypeError(
-                "generator's bit generator does not expose a SeedSequence"
-            )
-        return seq
+        return np.random.SeedSequence(
+            [int(word) for word in seed.integers(2**63, size=4)]
+        )
     return np.random.SeedSequence(seed)
 
 

@@ -83,7 +83,6 @@ def monte_carlo_gain(
     rounds: int = 400,
     seed: SeedLike = None,
     tie_policy: TiePolicy = TiePolicy.INCORRECT,
-    engine: str = "serial",
     n_jobs: int = 1,
     target_se: Optional[float] = None,
     max_rounds: Optional[int] = None,
@@ -92,8 +91,8 @@ def monte_carlo_gain(
     """Rao–Blackwellised gain estimate over mechanism randomness.
 
     Direct voting is exact; only the forest distribution is sampled, so
-    ``std_error`` reflects purely the mechanism's randomness.  ``engine``
-    and ``n_jobs`` select the Monte Carlo engine, ``target_se`` /
+    ``std_error`` reflects purely the mechanism's randomness.  ``n_jobs``
+    sets the estimator's process-pool workers, ``target_se`` /
     ``max_rounds`` adaptive precision and ``cache`` on-disk persistence,
     see :func:`repro.voting.montecarlo.estimate_correct_probability`.
     ``rounds`` on the returned estimate is the count actually evaluated
@@ -105,7 +104,6 @@ def monte_carlo_gain(
         rounds=rounds,
         seed=seed,
         tie_policy=tie_policy,
-        engine=engine,
         n_jobs=n_jobs,
         target_se=target_se,
         max_rounds=max_rounds,

@@ -21,7 +21,7 @@ the semantics of a component invalidates old entries wholesale):
 * **seed** — the integer / ``SeedSequence`` identity, or for a live
   ``Generator`` its bit-generator state *at call time*;
 * **estimator params** — estimator name, rounds, adaptive knobs,
-  effective engine, tie policy, ``exact_conditional``.  ``n_jobs`` is
+  tie policy, ``exact_conditional``.  ``n_jobs`` is
   deliberately excluded: estimates are ``n_jobs``-invariant, so entries
   are shared across worker counts.
 
@@ -63,10 +63,10 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 """Bumped whenever digest components, the entry layout or the bits an
 estimate is computed with change (2: exact PMFs through the FFT merge
-ladder)."""
+ladder; 3: one Monte Carlo engine, live generators consumed)."""
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 """Where estimates land unless the caller picks a directory."""
@@ -136,7 +136,8 @@ def seed_token(seed: Any) -> Optional[Any]:
     stream, so caching them would never hit and only pollute the store.
     A live :class:`~numpy.random.Generator` is identified by its
     bit-generator state at call time, which is exactly what determines
-    the estimate the serial engine produces.
+    the estimate: the estimator draws its root seed from that state
+    (:func:`repro._util.rng.as_seed_sequence`).
     """
     if seed is None:
         return None

@@ -72,12 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         "identical for any value)",
     )
     run.add_argument(
-        "--engine",
-        choices=("serial", "batch"),
-        default="serial",
-        help="Monte Carlo engine (default: serial)",
-    )
-    run.add_argument(
         "--map-engine",
         choices=("thread", "process"),
         default="thread",
@@ -126,9 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--title", default="Liquid democracy reproduction report"
     )
     report.add_argument("--jobs", type=int, default=1)
-    report.add_argument(
-        "--engine", choices=("serial", "batch"), default="serial"
-    )
     report.add_argument(
         "--map-engine", choices=("thread", "process"), default="thread"
     )
@@ -290,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="process-pool workers inside one batch-engine estimate "
+        help="process-pool workers inside one estimate "
         "(default: 1; results are identical for any value)",
     )
     serve.add_argument(
@@ -432,7 +423,6 @@ def _config_from(args) -> ExperimentConfig:
     return ExperimentConfig(
         seed=args.seed,
         scale=args.scale,
-        engine=args.engine,
         n_jobs=args.jobs,
         map_engine=args.map_engine,
         target_se=args.target_se,

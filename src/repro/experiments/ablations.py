@@ -149,13 +149,11 @@ def run_estimator_ablation(config: ExperimentConfig = ExperimentConfig()) -> Exp
         # errors, so the adaptive target_se knob is not forwarded.
         exact = estimate_correct_probability(
             inst, mech, rounds=rounds, seed=gens[2 * idx],
-            exact_conditional=True, engine=config.engine,
-            cache=config.estimate_cache(),
+            exact_conditional=True, cache=config.estimate_cache(),
         )
         naive = estimate_correct_probability(
             inst, mech, rounds=rounds, seed=gens[2 * idx + 1],
-            exact_conditional=False, engine=config.engine,
-            cache=config.estimate_cache(),
+            exact_conditional=False, cache=config.estimate_cache(),
         )
         # Uncertainty via the 95% CI half-width: the naive estimator's
         # sample variance degenerates to 0 when all rounds agree (e.g.

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro._util.tables import render_table
-from repro.voting.montecarlo import ENGINES
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -23,10 +22,8 @@ class ExperimentConfig:
 
     ``scale`` selects the parameter grid: ``"smoke"`` runs in seconds for
     CI/benchmarks, ``"default"`` in tens of seconds, ``"full"`` is the
-    EXPERIMENTS.md configuration.  ``engine`` and ``n_jobs`` select the
-    Monte Carlo engine (see
-    :func:`repro.voting.montecarlo.estimate_correct_probability`) and how
-    many grid points the runners evaluate concurrently;  ``map_engine``
+    EXPERIMENTS.md configuration.  ``n_jobs`` selects how many grid
+    points the runners evaluate concurrently;  ``map_engine``
     picks the ``parallel_map`` backend (threads by default, a process
     pool for sweeps whose grid-point function pickles).  Every grid point
     derives its stream from its *index*, so results are identical for
@@ -42,7 +39,6 @@ class ExperimentConfig:
 
     seed: int = 0
     scale: str = "default"
-    engine: str = "serial"
     n_jobs: int = 1
     map_engine: str = "thread"
     target_se: Optional[float] = None
@@ -52,10 +48,6 @@ class ExperimentConfig:
         if self.scale not in ("smoke", "default", "full"):
             raise ValueError(
                 f"scale must be smoke/default/full, got {self.scale!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
@@ -88,11 +80,11 @@ class ExperimentConfig:
     def estimator_kwargs(self) -> Dict[str, Any]:
         """The Monte Carlo knobs runners forward to every estimate.
 
-        Bundles ``engine``, the adaptive ``target_se`` and the
-        persistent cache so that each grid point's estimate call is
+        Bundles the adaptive ``target_se`` and the persistent cache so
+        that each grid point's estimate call is
         ``estimate(..., **config.estimator_kwargs())``.
         """
-        kwargs: Dict[str, Any] = {"engine": self.engine}
+        kwargs: Dict[str, Any] = {}
         if self.target_se is not None:
             kwargs["target_se"] = self.target_se
         cache = self.estimate_cache()

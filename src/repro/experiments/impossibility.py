@@ -64,8 +64,7 @@ def run_impossibility(config: ExperimentConfig = ExperimentConfig()) -> Experime
         p[0] = 5.0 / 8.0
         trap = ProblemInstance(star_graph(n), p, alpha=0.01)
         trap_est = monte_carlo_gain(
-            trap, mechanism, rounds=1, seed=gen, engine=config.engine,
-            cache=config.estimate_cache(),
+            trap, mechanism, rounds=1, seed=gen, cache=config.estimate_cache(),
         )
         rows.append([n, benign_est.gain, trap_est.gain])
     result = ExperimentResult(

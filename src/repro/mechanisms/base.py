@@ -325,7 +325,8 @@ class LocalDelegationMechanism(DelegationMechanism):
         ``(view, u)`` is what lets the batched kernel and the per-voter
         reference consume *the same* uniforms and be compared forest by
         forest, bit for bit.  (The rng-based :meth:`decide` keeps its own
-        draw order untouched — serial-engine streams are pinned by tests.)
+        draw order untouched — per-round fallback streams are pinned by
+        tests.)
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no uniform-based decision kernel"

@@ -195,7 +195,6 @@ class ServiceClient:
         rounds: int,
         seed: int,
         tie_policy: str,
-        engine: str,
         target_se: Optional[float],
         max_rounds: Optional[int],
         exact_conditional: Optional[bool],
@@ -208,7 +207,6 @@ class ServiceClient:
             "rounds": rounds,
             "seed": seed,
             "tie_policy": tie_policy,
-            "engine": engine,
         }
         if exact_conditional is not None:
             body["exact_conditional"] = exact_conditional
@@ -229,14 +227,13 @@ class ServiceClient:
         seed: int = 0,
         tie_policy: str = "INCORRECT",
         exact_conditional: bool = True,
-        engine: str = "batch",
         target_se: Optional[float] = None,
         max_rounds: Optional[int] = None,
     ) -> CorrectnessEstimate:
         """Served :func:`~repro.voting.montecarlo.estimate_correct_probability`."""
         body = self._estimate_body(
             "estimate", instance, mechanism, rounds, seed, tie_policy,
-            engine, target_se, max_rounds, exact_conditional,
+            target_se, max_rounds, exact_conditional,
         )
         data = self._request("POST", "/v1/estimate", body)
         return estimate_from_payload(data["result"])
@@ -250,14 +247,13 @@ class ServiceClient:
         seed: int = 0,
         tie_policy: str = "INCORRECT",
         exact_conditional: bool = True,
-        engine: str = "batch",
         target_se: Optional[float] = None,
         max_rounds: Optional[int] = None,
     ) -> Tuple[float, CorrectnessEstimate, float]:
         """Served :func:`~repro.voting.montecarlo.estimate_gain` triple."""
         body = self._estimate_body(
             "gain", instance, mechanism, rounds, seed, tie_policy,
-            engine, target_se, max_rounds, exact_conditional,
+            target_se, max_rounds, exact_conditional,
         )
         result = self._request("POST", "/v1/gain", body)["result"]
         try:
@@ -279,14 +275,13 @@ class ServiceClient:
         rounds: int = 400,
         seed: int = 0,
         tie_policy: str = "INCORRECT",
-        engine: str = "batch",
         target_se: Optional[float] = None,
         max_rounds: Optional[int] = None,
     ) -> CorrectnessEstimate:
         """Served :func:`~repro.voting.montecarlo.estimate_ballot_probability`."""
         body = self._estimate_body(
             "ballot", instance, mechanism, rounds, seed, tie_policy,
-            engine, target_se, max_rounds, exact_conditional=None,
+            target_se, max_rounds, exact_conditional=None,
         )
         data = self._request("POST", "/v1/ballot", body)
         return estimate_from_payload(data["result"])
@@ -297,7 +292,6 @@ class ServiceClient:
         *,
         scale: str = "default",
         seed: int = 0,
-        engine: str = "batch",
         target_se: Optional[float] = None,
     ) -> Dict[str, Any]:
         """Run a registered experiment table server-side.
@@ -312,7 +306,6 @@ class ServiceClient:
             "experiment": experiment,
             "scale": scale,
             "seed": seed,
-            "engine": engine,
         }
         if target_se is not None:
             body["target_se"] = target_se
@@ -328,7 +321,6 @@ class ServiceClient:
         rounds: int = 400,
         tie_policy: str = "INCORRECT",
         exact_conditional: bool = True,
-        engine: str = "batch",
         target_se: Optional[float] = None,
         max_rounds: Optional[int] = None,
         indices: Optional[Sequence[int]] = None,
@@ -347,7 +339,7 @@ class ServiceClient:
         """
         body = self._estimate_body(
             "sweep", instance, mechanism, rounds, 0, tie_policy,
-            engine, target_se, max_rounds,
+            target_se, max_rounds,
             None if point_op == "ballot" else exact_conditional,
         )
         del body["seed"]
@@ -424,7 +416,6 @@ class ServiceClient:
         rounds: int = 400,
         tie_policy: str = "INCORRECT",
         exact_conditional: bool = True,
-        engine: str = "batch",
         target_se: Optional[float] = None,
         max_rounds: Optional[int] = None,
     ) -> List[Any]:
@@ -437,7 +428,7 @@ class ServiceClient:
         for index, result in self.iter_sweep(
             instance, mechanism, seeds=seeds, point_op=point_op,
             rounds=rounds, tie_policy=tie_policy,
-            exact_conditional=exact_conditional, engine=engine,
+            exact_conditional=exact_conditional,
             target_se=target_se, max_rounds=max_rounds,
         ):
             results[index] = result

@@ -60,7 +60,7 @@ from repro.mechanisms import (
     RandomApproved,
     SampledNeighbourhood,
 )
-from repro.voting.montecarlo import CorrectnessEstimate
+from repro.voting.montecarlo import CorrectnessEstimate, _check_engine
 from repro.voting.outcome import TiePolicy
 
 PROTOCOL_VERSION = 1
@@ -72,7 +72,6 @@ MAX_PAYLOAD_BYTES = 8 * 1024 * 1024
 OPS = ("estimate", "gain", "ballot", "experiment", "sweep", "delta", "attack")
 """Recognised operations (each served at ``POST /v1/<op>``)."""
 
-ENGINES = ("serial", "batch")
 DELTA_ENGINES = ("mc", "exact")
 SCALES = ("smoke", "default", "full")
 TIE_POLICIES = ("INCORRECT", "COIN_FLIP")
@@ -187,6 +186,14 @@ def _get_choice(
     if value not in choices:
         raise _bad(f"{key!r} must be one of {list(choices)}, got {value!r}")
     return value
+
+
+def _check_mc_engine(data: Mapping[str, Any]) -> None:
+    """The Monte Carlo ``engine`` key is still accepted, as ``"batch"`` only."""
+    try:
+        _check_engine(data.get("engine", "batch"))
+    except ValueError as exc:
+        raise _bad(str(exc)) from None
 
 
 def _get_float(
@@ -479,7 +486,6 @@ class EstimateRequest:
     seed: int
     tie_policy: TiePolicy
     exact_conditional: bool
-    engine: str
     target_se: Optional[float]
     max_rounds: Optional[int]
     via: Optional[str] = None
@@ -500,7 +506,6 @@ class EstimateRequest:
             "fn": _OP_FN[self.op],
             "rounds": self.rounds,
             "tie_policy": self.tie_policy.name,
-            "engine": self.engine,
             "target_se": self.target_se,
             "max_rounds": None if self.target_se is None else cap,
         }
@@ -560,7 +565,6 @@ class ExperimentRequest:
     experiment: str
     scale: str
     seed: int
-    engine: str
     target_se: Optional[float]
 
     op: str = "experiment"
@@ -571,7 +575,6 @@ class ExperimentRequest:
             "experiment": self.experiment,
             "scale": self.scale,
             "seed": self.seed,
-            "engine": self.engine,
             "target_se": self.target_se,
         }
         return _sha256_hex(_canonical_json(payload).encode())
@@ -606,7 +609,6 @@ class SweepRequest:
     seeds: Tuple[int, ...]
     tie_policy: TiePolicy
     exact_conditional: bool
-    engine: str
     target_se: Optional[float]
     max_rounds: Optional[int]
     indices: Optional[Tuple[int, ...]] = None
@@ -623,7 +625,6 @@ class SweepRequest:
             seed=self.seeds[index],
             tie_policy=self.tie_policy,
             exact_conditional=self.exact_conditional,
-            engine=self.engine,
             target_se=self.target_se,
             max_rounds=self.max_rounds,
             via="sweep",
@@ -903,6 +904,7 @@ def parse_request(
     op = data["op"]
     if op == "experiment":
         _check_keys(data, _EXPERIMENT_KEYS)
+        _check_mc_engine(data)
         experiment = data.get("experiment")
         if not isinstance(experiment, str) or not experiment:
             raise _bad("'experiment' must be a non-empty experiment id string")
@@ -910,7 +912,6 @@ def parse_request(
             experiment=experiment,
             scale=_get_choice(data, "scale", "default", SCALES),
             seed=_get_int(data, "seed", 0, 0, MAX_SEED),
-            engine=_get_choice(data, "engine", "batch", ENGINES),
             target_se=_get_target_se(data),
         )
     if op == "sweep":
@@ -950,7 +951,7 @@ def parse_request(
         _get_choice(data, "tie_policy", "INCORRECT", TIE_POLICIES)
     ]
     exact_conditional = _get_bool(data, "exact_conditional", True)
-    engine = _get_choice(data, "engine", "batch", ENGINES)
+    _check_mc_engine(data)
     if op == "sweep":
         return SweepRequest(
             point_op=_get_choice(
@@ -962,7 +963,6 @@ def parse_request(
             seeds=_get_seeds(data),
             tie_policy=tie_policy,
             exact_conditional=exact_conditional,
-            engine=engine,
             target_se=target_se,
             max_rounds=max_rounds,
             indices=_get_indices(data),
@@ -975,7 +975,6 @@ def parse_request(
         seed=_get_int(data, "seed", 0, 0, MAX_SEED),
         tie_policy=tie_policy,
         exact_conditional=exact_conditional,
-        engine=engine,
         target_se=target_se,
         max_rounds=max_rounds,
     )

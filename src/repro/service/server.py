@@ -268,12 +268,12 @@ def _with_default_target_se(request: Request, default: Optional[float]) -> Reque
 class ServerConfig:
     """Everything the server runtime is parameterised by.
 
-    ``n_jobs`` is the process-pool fan-out *inside* one batch-engine
-    estimate (results are ``n_jobs``-invariant); ``workers`` is the
-    thread pool bridging the event loop to those (blocking) library
-    calls.  ``share_estimators=False`` disables the warm per-group
-    estimator pool — the un-coalesced baseline the service benchmark
-    measures against.  ``sweep_window`` caps how many points of one
+    ``n_jobs`` is the process-pool fan-out *inside* one estimate
+    (results are ``n_jobs``-invariant); ``workers`` is the thread pool
+    bridging the event loop to those (blocking) library calls.
+    ``share_estimators=False`` disables the warm per-group estimator
+    pool — the un-coalesced baseline the service benchmark measures
+    against.  ``sweep_window`` caps how many points of one
     streaming sweep may be in flight at once, keeping grid-sized
     requests from monopolising the batcher queue.
     """
@@ -708,23 +708,17 @@ class EstimationServer:
             config = ExperimentConfig(
                 seed=request.seed,
                 scale=request.scale,
-                engine=request.engine,
                 n_jobs=self.config.n_jobs,
                 map_engine=self.config.map_engine,
                 target_se=request.target_se,
                 cache_dir=self.config.cache_dir,
             )
             return result_to_dict(runner(config))
-        # Serial-engine requests must stay serial (their stream is the
-        # contract); estimates are n_jobs-invariant only within the
-        # batch engine.
-        batch = request.engine == "batch"
         kwargs: Dict[str, Any] = dict(
             rounds=request.rounds,
             seed=request.seed,
             tie_policy=request.tie_policy,
-            engine=request.engine,
-            n_jobs=self.config.n_jobs if batch else 1,
+            n_jobs=self.config.n_jobs,
             target_se=request.target_se,
             max_rounds=request.max_rounds,
             cache=self.cache,
@@ -736,7 +730,7 @@ class EstimationServer:
                 )
             )
         kwargs["exact_conditional"] = request.exact_conditional
-        kwargs["estimator"] = estimator if batch else None
+        kwargs["estimator"] = estimator
         if request.op == "gain":
             gain, est, direct = estimate_gain(
                 request.instance, request.mechanism, **kwargs

@@ -9,21 +9,17 @@ Two estimators:
 * ``exact_conditional=False`` — the naive full simulation (sample forest
   and votes, record the 0/1 outcome), kept for validation of the exact DP.
 
-Two engines:
+One engine, :class:`BatchEstimator`: round ``r`` draws its forest from
+its own child seed (absolute spawn keys, see
+:func:`repro._util.rng.child_seed_sequence`), identical sink-weight
+profiles are deduplicated through an LRU cache, and rounds optionally
+fan out over a process pool.  Results are identical for a fixed seed
+regardless of ``n_jobs``, chunking or worker partitioning.  A live
+``Generator`` seed is consumed to draw the root seed
+(:func:`repro._util.rng.as_seed_sequence`), so consecutive estimates
+sharing one generator are independent.
 
-* ``engine="serial"`` — the original per-round loop threading one
-  generator through all rounds.  Bit-identical to the seed
-  implementation; the recorded experiment tables depend on its stream.
-* ``engine="batch"`` — :class:`BatchEstimator`: draws every round's
-  forest from its own child seed (absolute spawn keys, see
-  :func:`repro._util.rng.child_seed_sequence`), deduplicates identical
-  sink-weight profiles through an LRU cache, and optionally fans
-  rounds out over a process pool.  Results are identical for a fixed
-  seed regardless of ``n_jobs`` or worker partitioning (the two engines
-  draw different — equally valid — streams, so their estimates differ
-  within Monte Carlo error).
-
-The batch engine samples whole ``(rounds, n)`` delegate matrices through
+The engine samples whole ``(rounds, n)`` delegate matrices through
 the mechanisms' vectorised uniform kernels
 (:meth:`~repro.mechanisms.base.DelegationMechanism.sample_delegations_batch`),
 resolves them with one pointer-doubling pass
@@ -31,11 +27,11 @@ resolves them with one pointer-doubling pass
 all uncached sink-weight profiles in one spectral tail computation
 (:func:`~repro.voting.exact.weighted_tails_batch`).  Mechanisms without
 a kernel transparently fall back to per-round sampling on the same
-child seeds.  The per-round engine of the previous revision survives as
-``_reference_batch_rounds`` / ``BatchEstimator(use_reference=True)``
-for benchmarking and equivalence testing.
+child seeds.  The per-round engine of an earlier revision survives as
+the oracle ``_reference_batch_rounds`` for benchmarking and
+equivalence testing.
 
-On top of either engine, ``target_se`` selects *adaptive precision*
+On top of the engine, ``target_se`` selects *adaptive precision*
 (geometric round batches until the standard error meets the target —
 deterministic stopping, see :func:`_adaptive_estimate`) and ``cache``
 persists estimates on disk (:mod:`repro.cache`), keyed by a digest of
@@ -53,16 +49,10 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 import numpy as np
 
 from repro._util.mathx import LRUCache, wilson_interval
-from repro._util.rng import (
-    SeedLike,
-    as_generator,
-    as_seed_sequence,
-    child_seed_sequence,
-)
+from repro._util.rng import SeedLike, as_seed_sequence, child_seed_sequence
 from repro.core.instance import ProblemInstance
 from repro.delegation.graph import resolve_forests_batch
 from repro.voting.exact import (
-    forest_correct_probability,
     tail_from_pmf,
     weighted_bernoulli_pmf,
     weighted_tails_batch,
@@ -71,9 +61,6 @@ from repro.voting.outcome import TiePolicy, majority_correct
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.mechanisms.base import DelegationMechanism
-
-ENGINES = ("serial", "batch")
-"""Recognised Monte Carlo engines."""
 
 ADAPTIVE_START = 64
 """First geometric batch size of the adaptive stopping rule."""
@@ -428,11 +415,10 @@ def _adaptive_estimate(
 
     ``eval_range(start, stop)`` evaluates rounds ``start .. stop-1`` and
     must be *extension-consistent*: evaluating ``[0, a)`` then ``[a, b)``
-    yields the same values as ``[0, b)`` in one call.  Both engines
-    satisfy this — the batch engine pins round ``r`` to absolute child
-    seed ``r``, the serial engine threads one generator forward — so the
-    stopping round is a deterministic function of the seed alone,
-    independent of ``n_jobs`` and of worker partitioning.
+    yields the same values as ``[0, b)`` in one call.  Pinning round
+    ``r`` to absolute child seed ``r`` guarantees this, so the stopping
+    round is a deterministic function of the seed alone, independent of
+    ``n_jobs`` and of worker partitioning.
     """
     chunks: List[np.ndarray] = []
     done = 0
@@ -506,6 +492,65 @@ def _cached(
     return est
 
 
+def _check_engine(engine: str) -> None:
+    """Validate the legacy ``engine`` argument: only ``"batch"`` remains."""
+    if engine != "batch":
+        raise ValueError(
+            f"engine={engine!r} is not supported: the serial Monte Carlo "
+            "engine was removed and every estimate runs on the batch "
+            "engine (omit engine, or pass 'batch')"
+        )
+
+
+def _picklable(
+    instance: ProblemInstance, mechanism: "DelegationMechanism"
+) -> bool:
+    try:
+        pickle.dumps((instance, mechanism))
+        return True
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        warnings.warn(
+            f"falling back to in-process batch estimation: {exc}",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        return False
+
+
+def _pooled_rounds(
+    fn: Callable[..., np.ndarray],
+    n_jobs: int,
+    instance: ProblemInstance,
+    mechanism: "DelegationMechanism",
+    root: np.random.SeedSequence,
+    start: int,
+    stop: int,
+    *args,
+) -> Optional[np.ndarray]:
+    """Fan rounds ``start .. stop-1`` out over a process pool.
+
+    Each of ``min(n_jobs, stop - start)`` workers evaluates
+    ``fn(instance, mechanism, root, a, b, *args)`` on one contiguous
+    slice ``[a, b)``; slices are concatenated in round order.  Since
+    round ``r`` is pinned to child seed ``r``, the result equals one
+    in-process call.  Returns ``None`` — the caller evaluates in
+    process — when one worker suffices or the inputs cannot be pickled
+    (e.g. a lambda threshold; a ``RuntimeWarning`` says so).
+    """
+    workers = min(n_jobs, stop - start)
+    if workers < 2 or not _picklable(instance, mechanism):
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = np.linspace(start, stop, workers + 1).astype(int).tolist()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(fn, instance, mechanism, root, a, b, *args)
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+        return np.concatenate([future.result() for future in futures])
+
+
 @dataclass
 class BatchEstimator:
     """Batched Monte Carlo engine for ``P^M(G)``.
@@ -518,17 +563,10 @@ class BatchEstimator:
 
     Determinism contract: round ``r`` derives its generator from the
     absolute child seed ``r`` of the root seed, so for a fixed ``seed``
-    the estimate is identical for every ``n_jobs`` (and identical to the
-    same-seed serial run of this engine).  If the instance or mechanism
-    cannot be pickled (e.g. a lambda threshold), the estimator falls
-    back to in-process evaluation with a warning — same result, no pool.
-
-    ``use_reference=True`` routes everything through the per-round
-    engine of the previous revision (``_reference_batch_rounds``) — the
-    baseline the benchmark suite measures speedups against.  Both paths
-    obey the same determinism contract but consume different uniform
-    streams for kernel mechanisms, so their estimates differ within
-    Monte Carlo error.
+    the estimate is identical for every ``n_jobs``.  If the instance or
+    mechanism cannot be pickled (e.g. a lambda threshold), the estimator
+    falls back to in-process evaluation with a warning — same result,
+    no pool.
 
     ``chunk_rounds`` bounds the streaming row-block size: rounds are
     sampled, resolved and evaluated ``chunk_rounds`` at a time (default
@@ -539,7 +577,6 @@ class BatchEstimator:
 
     n_jobs: int = 1
     cache_size: int = 512
-    use_reference: bool = False
     chunk_rounds: Optional[int] = None
     _cache: LRUCache = field(init=False, repr=False)
 
@@ -606,76 +643,29 @@ class BatchEstimator:
         exact_conditional: bool,
     ) -> np.ndarray:
         """Evaluate the child-seed rounds ``start .. stop-1``."""
-        count = stop - start
-        rounds_fn = _reference_batch_rounds if self.use_reference else _batch_rounds
-        workers = min(self.n_jobs, count)
-        if workers > 1 and self._picklable(instance, mechanism):
-            from concurrent.futures import ProcessPoolExecutor
-
-            bounds = np.linspace(start, stop, workers + 1).astype(int)
-            map_args = [
-                [instance] * workers,
-                [mechanism] * workers,
-                [root] * workers,
-                bounds[:-1].tolist(),
-                bounds[1:].tolist(),
-                [tie_policy] * workers,
-                [exact_conditional] * workers,
-                [self.cache_size] * workers,
-            ]
-            if not self.use_reference:
-                map_args.append([self.chunk_rounds] * workers)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunks = pool.map(rounds_fn, *map_args)
-                return np.concatenate(list(chunks))
+        pooled = _pooled_rounds(
+            _batch_rounds, self.n_jobs, instance, mechanism, root, start,
+            stop, tie_policy, exact_conditional, self.cache_size,
+            self.chunk_rounds,
+        )
+        if pooled is not None:
+            return pooled
         if not exact_conditional:
-            if self.use_reference:
-                return rounds_fn(
-                    instance, mechanism, root, start, stop, tie_policy,
-                    False, self.cache_size,
-                )
             return _batch_rounds(
                 instance, mechanism, root, start, stop, tie_policy, False,
                 self.cache_size, self.chunk_rounds,
             )
-        # In-process paths share the estimator's cache across calls.
-        if self.use_reference:
-            comp = instance.competencies
-            profiles: List[Tuple[np.ndarray, np.ndarray]] = []
-            for r in range(start, stop):
-                rng = np.random.default_rng(child_seed_sequence(root, r))
-                forest = mechanism.sample_delegations(instance, rng)
-                profiles.append(
-                    (forest.sink_weight_array, comp[forest.sink_indices])
-                )
-            return _conditional_values(
-                instance, profiles, tie_policy, self._cache
-            )
+        # In-process evaluation shares the estimator's cache across calls.
         return _streamed_rounds(
             instance, mechanism, root, start, stop, tie_policy, True,
             self._cache, self.chunk_rounds,
         )
 
-    @staticmethod
-    def _picklable(
-        instance: ProblemInstance, mechanism: "DelegationMechanism"
-    ) -> bool:
-        try:
-            pickle.dumps((instance, mechanism))
-            return True
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            warnings.warn(
-                f"falling back to in-process batch estimation: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return False
-
 
 def _summarise_values(
     values: np.ndarray, rounds: int, exact_conditional: bool
 ) -> CorrectnessEstimate:
-    """Shared mean/CI bookkeeping for both engines."""
+    """Shared mean/CI bookkeeping of every estimator."""
     mean = float(values.mean())
     if exact_conditional:
         se = float(values.std(ddof=1) / np.sqrt(rounds)) if rounds > 1 else 0.0
@@ -697,7 +687,7 @@ def estimate_correct_probability(
     seed: SeedLike = None,
     tie_policy: TiePolicy = TiePolicy.INCORRECT,
     exact_conditional: bool = True,
-    engine: str = "serial",
+    engine: str = "batch",
     n_jobs: int = 1,
     target_se: Optional[float] = None,
     max_rounds: Optional[int] = None,
@@ -706,9 +696,9 @@ def estimate_correct_probability(
 ) -> CorrectnessEstimate:
     """Estimate ``P^M(G)`` over ``rounds`` independent mechanism draws.
 
-    ``engine="serial"`` reproduces the seed implementation's stream;
-    ``engine="batch"`` (or any ``n_jobs > 1``, which implies it) uses
-    :class:`BatchEstimator`.
+    Runs on :class:`BatchEstimator` (``n_jobs`` process-pool workers).
+    ``engine`` survives for existing callers and accepts only
+    ``"batch"``; the serial engine was removed.
 
     ``target_se`` switches on adaptive precision: rounds grow in
     geometric batches until the standard error reaches the target or
@@ -718,63 +708,35 @@ def estimate_correct_probability(
     estimate on disk keyed by instance/mechanism/seed/params, so
     repeated sweeps skip already-computed points.
 
-    ``estimator`` — an existing :class:`BatchEstimator` — selects the
-    batch engine and reuses that estimator's warm profile cache instead
-    of constructing a fresh one.  The estimate is bit-identical either
-    way (profile-cache entries are exact values); callers serving many
-    related estimates — the estimation service groups requests sharing
-    an instance/mechanism — pass one estimator per group so repeated
-    sink-weight profiles skip their DP across calls, not just within
-    one.
+    ``estimator`` — an existing :class:`BatchEstimator` — is used
+    instead of a fresh one, reusing its warm profile cache.  The
+    estimate is bit-identical either way (profile-cache entries are
+    exact values); callers serving many related estimates — the
+    estimation service groups requests sharing an instance/mechanism —
+    pass one estimator per group so repeated sink-weight profiles skip
+    their DP across calls, not just within one.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    _check_engine(engine)
     cap = _resolve_adaptive(rounds, target_se, max_rounds)
-    use_batch = engine == "batch" or n_jobs > 1 or estimator is not None
+    runner = estimator if estimator is not None else BatchEstimator(n_jobs=n_jobs)
 
     def compute() -> CorrectnessEstimate:
-        if use_batch:
-            runner = (
-                estimator if estimator is not None else BatchEstimator(n_jobs=n_jobs)
-            )
-            return runner.estimate(
-                instance,
-                mechanism,
-                rounds=rounds,
-                seed=seed,
-                tie_policy=tie_policy,
-                exact_conditional=exact_conditional,
-                target_se=target_se,
-                max_rounds=max_rounds,
-            )
-        rng = as_generator(seed)
-
-        def eval_range(start: int, stop: int) -> np.ndarray:
-            values = np.empty(stop - start)
-            for i in range(stop - start):
-                if exact_conditional:
-                    forest = mechanism.sample_delegations(instance, rng)
-                    values[i] = forest_correct_probability(
-                        forest, instance.competencies, tie_policy
-                    )
-                else:
-                    values[i] = sample_outcome(
-                        instance, mechanism, rng, tie_policy
-                    )
-            return values
-
-        if cap is None:
-            return _summarise_values(
-                eval_range(0, rounds), rounds, exact_conditional
-            )
-        return _adaptive_estimate(eval_range, target_se, cap, exact_conditional)
+        return runner.estimate(
+            instance,
+            mechanism,
+            rounds=rounds,
+            seed=seed,
+            tie_policy=tie_policy,
+            exact_conditional=exact_conditional,
+            target_se=target_se,
+            max_rounds=max_rounds,
+        )
 
     params = {
         "fn": "estimate_correct_probability",
         "rounds": rounds,
         "tie_policy": tie_policy.name,
         "exact_conditional": bool(exact_conditional),
-        "engine": "batch" if use_batch else "serial",
         "target_se": target_se,
         "max_rounds": None if target_se is None else cap,
     }
@@ -812,7 +774,7 @@ def estimate_ballot_probability(
     rounds: int = 400,
     seed: SeedLike = None,
     tie_policy: TiePolicy = TiePolicy.INCORRECT,
-    engine: str = "serial",
+    engine: str = "batch",
     n_jobs: int = 1,
     target_se: Optional[float] = None,
     max_rounds: Optional[int] = None,
@@ -823,60 +785,31 @@ def estimate_ballot_probability(
     Uses :meth:`~repro.mechanisms.base.DelegationMechanism.sample_ballot`
     and the abstention-aware exact conditional probability, so it agrees
     with :func:`estimate_correct_probability` for never-abstaining
-    mechanisms.  Shares its siblings' parameter surface:
-    ``engine="serial"`` threads one generator through all rounds (the
-    seed stream); ``engine="batch"`` (or ``n_jobs > 1``) pins round
-    ``r`` to absolute child seed ``r`` and optionally fans rounds out
-    over a process pool; ``target_se``/``max_rounds`` select adaptive
-    precision and ``cache`` persists the result.
+    mechanisms.  Shares its siblings' parameter surface: round ``r``
+    draws from absolute child seed ``r`` (the per-round stream of
+    ``_reference_batch_rounds``), ``n_jobs`` fans rounds out over a
+    process pool, ``target_se``/``max_rounds`` select adaptive
+    precision and ``cache`` persists the result.  ``engine`` accepts
+    only ``"batch"``.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    _check_engine(engine)
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     cap = _resolve_adaptive(rounds, target_se, max_rounds)
-    use_batch = engine == "batch" or n_jobs > 1
 
     def compute() -> CorrectnessEstimate:
-        if use_batch:
-            root = as_seed_sequence(seed)
+        root = as_seed_sequence(seed)
 
-            def eval_range(start: int, stop: int) -> np.ndarray:
-                workers = min(n_jobs, stop - start)
-                if workers > 1 and BatchEstimator._picklable(
-                    instance, mechanism
-                ):
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    bounds = np.linspace(start, stop, workers + 1).astype(int)
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        chunks = pool.map(
-                            _ballot_values,
-                            [instance] * workers,
-                            [mechanism] * workers,
-                            [root] * workers,
-                            bounds[:-1].tolist(),
-                            bounds[1:].tolist(),
-                            [tie_policy] * workers,
-                        )
-                        return np.concatenate(list(chunks))
-                return _ballot_values(
-                    instance, mechanism, root, start, stop, tie_policy
-                )
-
-        else:
-            from repro.voting.ballots import ballot_correct_probability
-
-            rng = as_generator(seed)
-
-            def eval_range(start: int, stop: int) -> np.ndarray:
-                values = np.empty(stop - start)
-                for i in range(stop - start):
-                    ballot = mechanism.sample_ballot(instance, rng)
-                    values[i] = ballot_correct_probability(
-                        ballot, instance.competencies, tie_policy
-                    )
-                return values
+        def eval_range(start: int, stop: int) -> np.ndarray:
+            pooled = _pooled_rounds(
+                _ballot_values, n_jobs, instance, mechanism, root, start,
+                stop, tie_policy,
+            )
+            if pooled is not None:
+                return pooled
+            return _ballot_values(
+                instance, mechanism, root, start, stop, tie_policy
+            )
 
         if cap is None:
             return _summarise_values(eval_range(0, rounds), rounds, True)
@@ -886,7 +819,6 @@ def estimate_ballot_probability(
         "fn": "estimate_ballot_probability",
         "rounds": rounds,
         "tie_policy": tie_policy.name,
-        "engine": "batch" if use_batch else "serial",
         "target_se": target_se,
         "max_rounds": None if target_se is None else cap,
     }
@@ -900,7 +832,7 @@ def estimate_gain(
     seed: SeedLike = None,
     tie_policy: TiePolicy = TiePolicy.INCORRECT,
     exact_conditional: bool = True,
-    engine: str = "serial",
+    engine: str = "batch",
     n_jobs: int = 1,
     target_se: Optional[float] = None,
     max_rounds: Optional[int] = None,

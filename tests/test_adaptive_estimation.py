@@ -19,6 +19,7 @@ from repro.mechanisms.threshold import ApprovalThreshold
 from repro.voting.montecarlo import (
     ADAPTIVE_START,
     BatchEstimator,
+    _reference_batch_rounds,
     estimate_ballot_probability,
     estimate_correct_probability,
     estimate_gain,
@@ -47,7 +48,7 @@ class TestAdaptiveStopping:
         assert runs[0] == runs[1]
         assert runs[0].rounds in {64, 128, 256, 512}
 
-    @pytest.mark.parametrize("engine", ["serial", "batch"])
+    @pytest.mark.parametrize("engine", ["batch"])
     def test_geometric_schedule_starts_at_adaptive_start(self, engine):
         est = estimate_correct_probability(
             _instance(), MECH, rounds=400, seed=SeedSequence(1),
@@ -68,7 +69,7 @@ class TestAdaptiveStopping:
         )
         assert baseline == fanned
 
-    @pytest.mark.parametrize("engine", ["serial", "batch"])
+    @pytest.mark.parametrize("engine", ["batch"])
     def test_target_met_or_cap_hit(self, engine):
         inst = _instance()
         easy = estimate_correct_probability(
@@ -85,7 +86,7 @@ class TestAdaptiveStopping:
         assert hard.rounds == 100
         assert hard.std_error > 1e-3
 
-    @pytest.mark.parametrize("engine", ["serial", "batch"])
+    @pytest.mark.parametrize("engine", ["batch"])
     def test_adaptive_prefix_matches_fixed_run(self, engine):
         """Truncating the fixed run at the stop round is the adaptive run."""
         inst = _instance()
@@ -103,7 +104,7 @@ class TestAdaptiveStopping:
             and not adaptive.converged
         )
 
-    @pytest.mark.parametrize("engine", ["serial", "batch"])
+    @pytest.mark.parametrize("engine", ["batch"])
     def test_target_se_none_reproduces_fixed_rounds(self, engine):
         inst = _instance()
         plain = estimate_correct_probability(
@@ -171,7 +172,7 @@ class TestAdaptiveSiblings:
         assert est.rounds < 512
         assert gain == pytest.approx(est.probability - direct)
 
-    @pytest.mark.parametrize("engine", ["serial", "batch"])
+    @pytest.mark.parametrize("engine", ["batch"])
     def test_ballot_adaptive(self, engine):
         est = estimate_ballot_probability(
             _instance(), MECH, rounds=400, seed=SeedSequence(8),
@@ -194,27 +195,16 @@ class TestAdaptiveSiblings:
     def test_ballot_matches_forest_estimate_for_never_abstaining(self):
         """Ballots of non-abstaining mechanisms equal the forest estimate.
 
-        Serial engines share one generator stream, so the agreement is
-        exact; the batch ballot path samples per-round forests on child
-        seeds — the reference engine's stream — so it is pinned against
-        ``BatchEstimator(use_reference=True)``.
+        The ballot path samples per-round forests on child seeds — the
+        reference engine's stream — so it is pinned against the
+        ``_reference_batch_rounds`` oracle.
         """
         inst = _instance()
-        serial_ballot = estimate_ballot_probability(
-            inst, MECH, rounds=32, seed=SeedSequence(12), engine="serial"
-        )
-        serial_forest = estimate_correct_probability(
-            inst, MECH, rounds=32, seed=SeedSequence(12), engine="serial"
-        )
-        assert serial_ballot.probability == pytest.approx(
-            serial_forest.probability
-        )
         batch_ballot = estimate_ballot_probability(
             inst, MECH, rounds=32, seed=SeedSequence(12), engine="batch"
         )
-        reference = BatchEstimator(use_reference=True).estimate(
-            inst, MECH, rounds=32, seed=SeedSequence(12)
+        reference = _reference_batch_rounds(
+            inst, MECH, SeedSequence(12), 0, 32, TiePolicy.INCORRECT, True,
+            512,
         )
-        assert batch_ballot.probability == pytest.approx(
-            reference.probability
-        )
+        assert batch_ballot.probability == pytest.approx(reference.mean())

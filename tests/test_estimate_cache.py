@@ -34,7 +34,6 @@ PARAMS = {
     "rounds": 40,
     "tie_policy": "INCORRECT",
     "exact_conditional": True,
-    "engine": "batch",
     "target_se": None,
     "max_rounds": None,
 }
@@ -191,8 +190,7 @@ class TestEstimateCache:
         def run():
             gen = np.random.default_rng(123)
             est = estimate_correct_probability(
-                _instance(), MECH, rounds=40, seed=gen, engine="serial",
-                cache=cache,
+                _instance(), MECH, rounds=40, seed=gen, cache=cache,
             )
             return est, gen.random(4)
 
@@ -234,11 +232,10 @@ class TestSweepResume:
 
     def test_experiment_rerun_with_cache_is_identical(self, tmp_path):
         cfg = ExperimentConfig(
-            seed=3, scale="smoke", engine="batch",
-            cache_dir=str(tmp_path / "store"),
+            seed=3, scale="smoke", cache_dir=str(tmp_path / "store"),
         )
         uncached = get_experiment("T2")(
-            ExperimentConfig(seed=3, scale="smoke", engine="batch")
+            ExperimentConfig(seed=3, scale="smoke")
         )
         cold = get_experiment("T2")(cfg)
         warm = get_experiment("T2")(cfg)

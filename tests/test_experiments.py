@@ -57,10 +57,10 @@ class TestParallelMap:
         assert sorted(seen) == [1, 2, 3]
 
     def test_estimator_kwargs_bundle(self, tmp_path):
-        plain = ExperimentConfig(engine="batch").estimator_kwargs()
-        assert plain == {"engine": "batch"}
+        plain = ExperimentConfig().estimator_kwargs()
+        assert plain == {}
         full = ExperimentConfig(
-            engine="batch", target_se=0.01, cache_dir=str(tmp_path)
+            target_se=0.01, cache_dir=str(tmp_path)
         ).estimator_kwargs()
         assert full["target_se"] == 0.01
         assert full["cache"] is not None

@@ -317,15 +317,17 @@ def test_estimate_engine_dispatch(pool_instance):
         )
 
 
-def test_estimate_serial_engine_unchanged(pool_instance):
-    # The default engine must reproduce the seed implementation's stream:
-    # passing n_jobs=1/engine="serial" explicitly changes nothing.
+def test_estimate_serial_engine_rejected(pool_instance):
+    # The serial engine is gone: asking for it names the removal, and
+    # the default is the batch engine.
     mech = ApprovalThreshold(5)
+    with pytest.raises(ValueError, match="serial Monte Carlo engine was removed"):
+        estimate_correct_probability(
+            pool_instance, mech, rounds=4, seed=0, engine="serial"
+        )
     a = estimate_correct_probability(pool_instance, mech, rounds=24, seed=3)
-    b = estimate_correct_probability(
-        pool_instance, mech, rounds=24, seed=3, engine="serial", n_jobs=1
-    )
-    assert a.probability == b.probability
+    b = BatchEstimator().estimate(pool_instance, mech, rounds=24, seed=3)
+    assert a == b
 
 
 def test_batch_estimator_rejects_bad_args(pool_instance):

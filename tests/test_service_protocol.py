@@ -129,7 +129,10 @@ class TestParseRequest:
         req = parse_request(parse_body(_raw()))
         assert isinstance(req, EstimateRequest)
         assert req.rounds == 40 and req.seed == 1
-        assert req.engine == "batch" and req.exact_conditional is True
+        assert req.exact_conditional is True
+        # Existing callers still send the Monte Carlo engine key.
+        legacy = parse_request(parse_body(_raw(engine="batch")))
+        assert legacy.coalesce_key() == req.coalesce_key()
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ServiceError) as excinfo:
@@ -209,7 +212,6 @@ class TestDeterminismKeys:
             "rounds": 40,
             "tie_policy": "INCORRECT",
             "exact_conditional": True,
-            "engine": "batch",
             "target_se": None,
             "max_rounds": None,
         }

@@ -2,7 +2,7 @@
 
 The load-bearing test is the determinism contract: an estimate served
 over HTTP is *bit-identical* to the same call made directly against the
-library API, for both engines, cache-cold and cache-warm.  The rest
+library API, cache-cold and cache-warm.  The rest
 exercises the failure surface the issue pins down: malformed JSON,
 unknown schema version, oversized payloads, queue-full rejection and
 mid-request shutdown must all come back as typed errors while the
@@ -25,6 +25,7 @@ import pytest
 from repro.cache import EstimateCache
 from repro.core.competencies import bounded_uniform_competencies
 from repro.core.instance import ProblemInstance
+from repro.experiments import ExperimentConfig, get_experiment
 from repro.graphs.generators import complete_graph
 from repro.io import instance_to_dict
 from repro.service import (
@@ -75,7 +76,7 @@ def client(server):
 
 
 class TestDeterminism:
-    """Served == direct, bitwise, both engines, cold and warm."""
+    """Served == direct, bitwise, cold and warm."""
 
     def test_estimate_batch_engine(self, client):
         served = client.estimate(_instance(), MECH_SPEC, rounds=60, seed=7)
@@ -85,15 +86,35 @@ class TestDeterminism:
         )
         assert served == direct
 
-    def test_estimate_serial_engine(self, client):
-        served = client.estimate(
-            _instance(), MECH_SPEC, rounds=60, seed=7, engine="serial"
-        )
-        direct = estimate_correct_probability(
-            _instance(), build_mechanism(MECH_SPEC),
-            rounds=60, seed=7, engine="serial",
-        )
-        assert served == direct
+    def test_estimate_serial_engine_rejected(self, server):
+        """The removed serial engine is a typed error, naming the removal."""
+        for op in ("estimate", "sweep", "experiment"):
+            body = {
+                "v": PROTOCOL_VERSION,
+                "op": op,
+                "instance": instance_to_dict(_instance()),
+                "mechanism": MECH_SPEC,
+                "engine": "serial",
+            }
+            if op == "sweep":
+                body["seeds"] = [0]
+            if op == "experiment":
+                body = {"v": PROTOCOL_VERSION, "op": op, "experiment": "T2",
+                        "scale": "smoke", "engine": "serial"}
+            status, data = _post_raw(
+                server.port, f"/v1/{op}", json.dumps(body).encode()
+            )
+            assert status == 400
+            assert data["error"]["code"] == "bad_request"
+            assert "serial Monte Carlo engine was removed" in (
+                data["error"]["message"]
+            )
+
+    def test_experiment_matches_direct(self, client):
+        served = client.experiment("T2", scale="smoke", seed=0)
+        direct = get_experiment("T2")(ExperimentConfig(seed=0, scale="smoke"))
+        assert served["rows"] == [list(row) for row in direct.rows]
+        assert served["observations"] == direct.observations
 
     def test_gain(self, client):
         served = client.gain(_instance(), MECH_SPEC, rounds=40, seed=3)

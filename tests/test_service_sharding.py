@@ -111,7 +111,6 @@ class TestRoutingKeys:
             seeds=tuple(seeds),
             tie_policy=TiePolicy.INCORRECT,
             exact_conditional=True,
-            engine="batch",
             target_se=None,
             max_rounds=None,
         )

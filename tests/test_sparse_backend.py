@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro._util.rng import as_seed_sequence
 from repro.core.approval_graph import (
     _approval_in_degrees,
     _longest_chain,
@@ -31,7 +32,8 @@ from repro.mechanisms.fraction import FractionApproved
 from repro.mechanisms.greedy import GreedyBest
 from repro.mechanisms.sampled import SampledNeighbourhood
 from repro.mechanisms.threshold import ApprovalThreshold, RandomApproved
-from repro.voting.montecarlo import BatchEstimator
+from repro.voting.montecarlo import BatchEstimator, _reference_batch_rounds
+from repro.voting.outcome import TiePolicy
 
 # The four non-complete topology families the scale work targets, small
 # enough that the dense (edge-tuple) twin is cheap to build.
@@ -75,7 +77,19 @@ def test_csr_vs_dense_bit_identity(topo, build, mech, make, use_reference):
     forests_sparse = mechanism.sample_delegations_batch(sparse, 6, seed=3)
     assert np.array_equal(forests_dense, forests_sparse)
     assert forests_dense.dtype == forests_sparse.dtype
-    est = BatchEstimator(use_reference=use_reference)
+    if use_reference:
+        # The per-round oracle: equal per-round values imply equal
+        # estimates and standard errors.
+        a, b = (
+            _reference_batch_rounds(
+                twin, mechanism, as_seed_sequence(9), 0, 12,
+                TiePolicy.INCORRECT, True, 512,
+            )
+            for twin in (dense, sparse)
+        )
+        assert np.array_equal(a, b)
+        return
+    est = BatchEstimator()
     a = est.estimate(dense, mechanism, rounds=12, seed=9)
     b = est.estimate(sparse, mechanism, rounds=12, seed=9)
     assert a.probability == b.probability

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.competencies import bounded_uniform_competencies
 from repro.core.instance import ProblemInstance
 from repro.graphs.generators import barabasi_albert_graph, complete_graph
 from repro.mechanisms.direct import DirectVoting
@@ -140,3 +141,37 @@ class TestNaiveBatchPinned:
             exact_conditional=False,
         )
         assert (est.probability, est.std_error) == _NAIVE_PINS[seed]
+
+
+class TestGeneratorSeeds:
+    """A live ``Generator`` seed is consumed; its state fixes the estimate."""
+
+    @pytest.fixture(scope="class")
+    def random_instance(self):
+        comp = bounded_uniform_competencies(24, 0.35, seed=0)
+        return ProblemInstance(complete_graph(24), comp, alpha=0.05)
+
+    def test_shared_generator_advances_between_calls(self, random_instance):
+        gen = np.random.default_rng(5)
+        before = gen.bit_generator.state
+        a = estimate_correct_probability(
+            random_instance, ApprovalThreshold(2), rounds=20, seed=gen
+        )
+        after = gen.bit_generator.state
+        assert after != before
+        b = estimate_correct_probability(
+            random_instance, ApprovalThreshold(2), rounds=20, seed=gen
+        )
+        assert gen.bit_generator.state != after
+        assert a != b
+
+    def test_equal_states_give_equal_estimates(self, random_instance):
+        gen = np.random.default_rng(5)
+        gen.random(3)
+        twin = np.random.default_rng(99)
+        twin.bit_generator.state = gen.bit_generator.state
+        for estimator in (estimate_correct_probability, estimate_ballot_probability):
+            a = estimator(random_instance, ApprovalThreshold(2), rounds=20, seed=gen)
+            b = estimator(random_instance, ApprovalThreshold(2), rounds=20, seed=twin)
+            assert a == b
+            assert gen.bit_generator.state == twin.bit_generator.state
