@@ -293,3 +293,252 @@ class TestMechanismSpecs:
                 }
             )
         assert excinfo.value.code == "bad_request"
+
+
+# -- wire identity ---------------------------------------------------------
+
+
+def _pin_bodies():
+    """One fixed body per op; every digest derived from them is pinned."""
+    instance = instance_to_dict(_instance(n=8, seed=5))
+    mechanism = {"name": "approval_threshold", "params": {"threshold": 2}}
+    base = {"v": PROTOCOL_VERSION, "instance": instance, "mechanism": mechanism}
+    return {
+        "estimate": dict(
+            base, op="estimate", rounds=40, seed=1, tie_policy="COIN_FLIP",
+            exact_conditional=False,
+        ),
+        "gain": dict(
+            base, op="gain", rounds=64, seed=2, target_se=0.02, max_rounds=256,
+        ),
+        "ballot": dict(base, op="ballot", rounds=30, seed=3),
+        "sweep": dict(
+            base, op="sweep", rounds=20, seeds=[4, 5, 4], point_op="gain",
+            indices=[2, 0],
+        ),
+        "experiment": {
+            "v": PROTOCOL_VERSION, "op": "experiment", "experiment": "T2",
+            "scale": "smoke", "seed": 6,
+        },
+        "delta": dict(
+            base, op="delta", rounds=16, seed=7, engine="exact",
+            edits=[[{"kind": "competency", "voter": 1, "competency": 0.6}]],
+        ),
+        "attack": dict(
+            base, op="attack", rounds=32, seed=8, scenario={"name": "misreport"},
+            budget=3, min_harm=0.1, margin=1.5, max_steps=4,
+        ),
+    }
+
+
+_PIN_KEYS = {
+    "estimate": {
+        "coalesce": (
+            "estimate:371fedd993e57fa37258946b8d623ee2"
+            "4188ad309c0c86a1f9ed8b3339d6a50d"
+        ),
+        "group": (
+            "2d70b2e1bcc62a0122a8fa0f84b76bf0"
+            "1ad7f5bfcd9d3fa743cf54a1850985ba"
+        ),
+        "routing": (
+            "estimate:371fedd993e57fa37258946b8d623ee2"
+            "4188ad309c0c86a1f9ed8b3339d6a50d"
+        ),
+    },
+    "gain": {
+        "coalesce": (
+            "gain:aee6db643397c35924d2d4311c56fb42"
+            "66d74884d4dfbe21ebc14e21eb0d1c03"
+        ),
+        "group": (
+            "2d70b2e1bcc62a0122a8fa0f84b76bf0"
+            "1ad7f5bfcd9d3fa743cf54a1850985ba"
+        ),
+        "routing": (
+            "gain:aee6db643397c35924d2d4311c56fb42"
+            "66d74884d4dfbe21ebc14e21eb0d1c03"
+        ),
+    },
+    "ballot": {
+        "coalesce": (
+            "ballot:d19cc964e5e4b3757ac7a8cb62033fc1"
+            "58bdcc23d085c8e97cf111fde041408e"
+        ),
+        "group": (
+            "2d70b2e1bcc62a0122a8fa0f84b76bf0"
+            "1ad7f5bfcd9d3fa743cf54a1850985ba"
+        ),
+        "routing": (
+            "ballot:d19cc964e5e4b3757ac7a8cb62033fc1"
+            "58bdcc23d085c8e97cf111fde041408e"
+        ),
+    },
+    "sweep": {
+        "points": [
+            "gain:fde6248288a410cd9d04fbbdb5674605"
+            "7be9e530a24639330562d3a9cbfe0c7c",
+            "gain:9a81ce2dbbf33ff0f8f09e1e41816d11"
+            "2485885c08205461ee557aa619b2be4d",
+            "gain:fde6248288a410cd9d04fbbdb5674605"
+            "7be9e530a24639330562d3a9cbfe0c7c",
+        ],
+        "coalesce": (
+            "gain:9a81ce2dbbf33ff0f8f09e1e41816d11"
+            "2485885c08205461ee557aa619b2be4d"
+        ),
+        "group": (
+            "2d70b2e1bcc62a0122a8fa0f84b76bf0"
+            "1ad7f5bfcd9d3fa743cf54a1850985ba"
+        ),
+        "routing": (
+            "gain:9a81ce2dbbf33ff0f8f09e1e41816d11"
+            "2485885c08205461ee557aa619b2be4d"
+        ),
+    },
+    "experiment": {
+        "coalesce": (
+            "cc66b20d6fdba821e3f1005e7d09c433"
+            "3d32bfd1272b9ac6b6c6f18752a27858"
+        ),
+        "group": (
+            "cc66b20d6fdba821e3f1005e7d09c433"
+            "3d32bfd1272b9ac6b6c6f18752a27858"
+        ),
+        "routing": (
+            "cc66b20d6fdba821e3f1005e7d09c433"
+            "3d32bfd1272b9ac6b6c6f18752a27858"
+        ),
+    },
+    "delta": {
+        "coalesce": (
+            "delta:87bea9657f1718e8cda85314b50d69f6"
+            "f0d715171439ee88b64296082476691e"
+        ),
+        "group": (
+            "5c4647db0052aacce55d955dcdc17472"
+            "ff4ada4ee8e961661cd334bee06a27c6"
+        ),
+        "routing": (
+            "delta:5c4647db0052aacce55d955dcdc17472"
+            "ff4ada4ee8e961661cd334bee06a27c6"
+        ),
+        "session": (
+            "5c4647db0052aacce55d955dcdc17472"
+            "ff4ada4ee8e961661cd334bee06a27c6"
+        ),
+    },
+    "attack": {
+        "coalesce": (
+            "attack:9cd2173b10b0eb0b59d390946fa96613"
+            "629ead59de07db0e0a897946d205238f"
+        ),
+        "group": (
+            "1df521a640f1239f0b10eb2ae7643428"
+            "f0375773b6fd4564f63b27709327fce0"
+        ),
+        "routing": (
+            "attack:1df521a640f1239f0b10eb2ae7643428"
+            "f0375773b6fd4564f63b27709327fce0"
+        ),
+        "base": (
+            "1df521a640f1239f0b10eb2ae7643428"
+            "f0375773b6fd4564f63b27709327fce0"
+        ),
+    },
+}
+
+
+# Every top-level key each op accepts.  A body carrying all of them (with
+# valid values) parses; adding any other key is a ``bad_request``.
+# ballot's ``exact_conditional`` is checked by the bad-request cases.
+_ACCEPTED_KEYS = {
+    "estimate": {
+        "v", "op", "instance", "mechanism", "rounds", "seed", "tie_policy",
+        "exact_conditional", "engine", "target_se", "max_rounds",
+    },
+    "gain": {
+        "v", "op", "instance", "mechanism", "rounds", "seed", "tie_policy",
+        "exact_conditional", "engine", "target_se", "max_rounds",
+    },
+    "ballot": {
+        "v", "op", "instance", "mechanism", "rounds", "seed", "tie_policy",
+        "engine", "target_se", "max_rounds",
+    },
+    "sweep": {
+        "v", "op", "instance", "mechanism", "rounds", "seeds", "tie_policy",
+        "exact_conditional", "engine", "target_se", "max_rounds", "point_op",
+        "indices",
+    },
+    "experiment": {"v", "op", "experiment", "scale", "seed", "engine", "target_se"},
+    "delta": {
+        "v", "op", "instance", "mechanism", "rounds", "seed", "tie_policy",
+        "engine", "target_se", "max_rounds", "edits",
+    },
+    "attack": {
+        "v", "op", "instance", "mechanism", "scenario", "budget", "rounds",
+        "seed", "tie_policy", "engine", "min_harm", "margin", "max_steps",
+    },
+}
+
+_FULL_VALUES = {
+    "rounds": 16, "seed": 1, "tie_policy": "INCORRECT",
+    "exact_conditional": True, "target_se": 0.05, "max_rounds": 32,
+    "seeds": [1, 2], "point_op": "estimate", "indices": [1],
+    "experiment": "T2", "scale": "smoke", "edits": [],
+    "scenario": {"name": "misreport"}, "budget": 2, "min_harm": 0.1,
+    "margin": 1.0, "max_steps": 3,
+}
+
+
+def _full_body(op):
+    body = {"v": PROTOCOL_VERSION, "op": op}
+    for key in sorted(_ACCEPTED_KEYS[op] - {"v", "op"}):
+        if key == "instance":
+            body[key] = instance_to_dict(_instance(n=8))
+        elif key == "mechanism":
+            body[key] = {"name": "approval_threshold", "params": {"threshold": 2}}
+        elif key == "engine":
+            body[key] = "mc" if op in ("delta", "attack") else "batch"
+        else:
+            body[key] = _FULL_VALUES[key]
+    return body
+
+
+class TestWireIdentityPin:
+    """Cache entries and shard routing are keyed by these digests: a
+    change to any literal below re-keys every stored estimate and moves
+    traffic between shards, so they must only change on purpose."""
+
+    @pytest.mark.parametrize("op", sorted(_pin_bodies()))
+    def test_wire_identity_pin(self, op):
+        req = parse_request(parse_body(json.dumps(_pin_bodies()[op]).encode()))
+        expected = _PIN_KEYS[op]
+        if op == "sweep":
+            # A sweep has no identity of its own: each point routes and
+            # coalesces as the single estimate it expands to.
+            assert list(req.point_routing_keys()) == expected["points"]
+            req = req.point(1)
+        assert req.coalesce_key() == expected["coalesce"]
+        assert req.group_key() == expected["group"]
+        assert req.routing_key() == expected["routing"]
+        if op == "delta":
+            assert req.session_token() == expected["session"]
+        if op == "attack":
+            assert req.base_token() == expected["base"]
+
+    @pytest.mark.parametrize("op", sorted(_ACCEPTED_KEYS))
+    def test_accepted_keys(self, op):
+        body = _full_body(op)
+        assert set(body) == _ACCEPTED_KEYS[op]
+        parse_request(parse_body(json.dumps(body).encode()))
+        others = set().union(*_ACCEPTED_KEYS.values()) | {"surprise"}
+        others -= _ACCEPTED_KEYS[op]
+        if op == "ballot":
+            others.discard("exact_conditional")
+        for key in sorted(others):
+            with pytest.raises(ServiceError) as excinfo:
+                parse_request(parse_body(json.dumps(dict(body, **{key: 1})).encode()))
+            assert excinfo.value.code == "bad_request"
+            assert "unknown field" in excinfo.value.message
+            assert key in excinfo.value.message
