@@ -72,14 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         "identical for any value)",
     )
     run.add_argument(
-        "--map-engine",
-        choices=("thread", "process"),
-        default="thread",
-        help="parallel_map backend for concurrent grid points "
-        "(default: thread; 'process' needs picklable grid functions and "
-        "falls back to threads otherwise)",
-    )
-    run.add_argument(
         "--target-se",
         type=float,
         default=None,
@@ -120,9 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--title", default="Liquid democracy reproduction report"
     )
     report.add_argument("--jobs", type=int, default=1)
-    report.add_argument(
-        "--map-engine", choices=("thread", "process"), default="thread"
-    )
     report.add_argument("--target-se", type=float, default=None, metavar="SE")
     report.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=False
@@ -291,12 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="request-serving worker threads (default: 4)",
     )
     serve.add_argument(
-        "--map-engine",
-        choices=("thread", "process"),
-        default="thread",
-        help="parallel_map backend for served experiment tables",
-    )
-    serve.add_argument(
         "--max-batch",
         type=int,
         default=32,
@@ -424,7 +407,6 @@ def _config_from(args) -> ExperimentConfig:
         seed=args.seed,
         scale=args.scale,
         n_jobs=args.jobs,
-        map_engine=args.map_engine,
         target_se=args.target_se,
         cache_dir=args.cache_dir if args.cache else None,
     )
@@ -645,7 +627,6 @@ def _cmd_serve(args, out) -> int:
             port=args.port,
             n_jobs=args.jobs,
             workers=args.workers,
-            map_engine=args.map_engine,
             max_batch=args.max_batch,
             max_delay=args.max_delay,
             max_queue=args.max_queue,

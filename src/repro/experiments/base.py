@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -12,10 +10,6 @@ from repro._util.tables import render_table
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-MAP_ENGINES = ("thread", "process")
-"""Recognised ``parallel_map`` backends."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared experiment knobs.
@@ -23,11 +17,9 @@ class ExperimentConfig:
     ``scale`` selects the parameter grid: ``"smoke"`` runs in seconds for
     CI/benchmarks, ``"default"`` in tens of seconds, ``"full"`` is the
     EXPERIMENTS.md configuration.  ``n_jobs`` selects how many grid
-    points the runners evaluate concurrently;  ``map_engine``
-    picks the ``parallel_map`` backend (threads by default, a process
-    pool for sweeps whose grid-point function pickles).  Every grid point
-    derives its stream from its *index*, so results are identical for
-    every ``n_jobs`` and either backend.
+    points the runners evaluate concurrently on a thread pool.  Every
+    grid point derives its stream from its *index*, so results are
+    identical for every ``n_jobs``.
 
     ``target_se`` switches every estimate the runners take to adaptive
     precision (see :func:`repro.voting.montecarlo.
@@ -40,7 +32,6 @@ class ExperimentConfig:
     seed: int = 0
     scale: str = "default"
     n_jobs: int = 1
-    map_engine: str = "thread"
     target_se: Optional[float] = None
     cache_dir: Optional[str] = None
 
@@ -51,10 +42,6 @@ class ExperimentConfig:
             )
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        if self.map_engine not in MAP_ENGINES:
-            raise ValueError(
-                f"map_engine must be one of {MAP_ENGINES}, got {self.map_engine!r}"
-            )
         if self.target_se is not None and not self.target_se > 0:
             raise ValueError(
                 f"target_se must be positive, got {self.target_se}"
@@ -97,39 +84,15 @@ class ExperimentConfig:
     ) -> List[_R]:
         """Map ``fn`` over ``items`` concurrently when ``n_jobs > 1``.
 
-        Results keep input order.  The default backend is threads —
-        grid points spend their time inside NumPy kernels that release
-        the GIL, and any local function works.  ``map_engine="process"``
-        schedules chunked batches over a ``ProcessPoolExecutor`` for
-        sweeps dominated by Python-level work; it requires ``fn`` and
-        the items to pickle, and falls back to threads (same results,
-        with a ``RuntimeWarning``) when they don't — experiment runners
-        built on local closures keep working under either setting.
-        ``fn`` must not share mutable state across items.  With
-        ``n_jobs == 1`` this is a plain loop, so the sequential path has
-        zero overhead and identical tracebacks.
+        Results keep input order.  Threads suffice: grid points spend
+        their time inside NumPy kernels that release the GIL, and any
+        local function works.  ``fn`` must not share mutable state across
+        items.  With ``n_jobs == 1`` this is a plain loop, so the
+        sequential path has zero overhead and identical tracebacks.
         """
         if self.n_jobs == 1 or len(items) <= 1:
             return [fn(item) for item in items]
         workers = min(self.n_jobs, len(items))
-        if self.map_engine == "process":
-            try:
-                pickle.dumps((fn, list(items)))
-            except Exception as exc:
-                warnings.warn(
-                    f"process map_engine falling back to threads: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                from concurrent.futures import ProcessPoolExecutor
-
-                # Chunked scheduling: a few batches per worker amortise
-                # IPC without serialising the whole sweep behind one
-                # slow chunk; map() preserves input order.
-                chunksize = max(1, len(items) // (workers * 4))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    return list(pool.map(fn, items, chunksize=chunksize))
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:

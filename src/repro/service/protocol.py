@@ -34,7 +34,7 @@ Two digests drive the server's coalescing micro-batcher (see
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro._util.mathx import LRUCache
@@ -149,74 +149,173 @@ def _bad(message: str) -> ServiceError:
     return ServiceError("bad_request", message)
 
 
-# -- field validation ------------------------------------------------------
+# -- field readers ---------------------------------------------------------
 
 
-def _check_keys(data: Mapping[str, Any], allowed: Tuple[str, ...]) -> None:
+def _check_keys(data: Mapping[str, Any], allowed) -> None:
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise _bad(f"unknown field(s) {unknown}; allowed: {sorted(allowed)}")
 
 
-def _get_int(
-    data: Mapping[str, Any], key: str, default: Optional[int],
-    low: int, high: int,
-) -> int:
-    value = data.get(key, default)
-    if value is None:
-        raise _bad(f"{key!r} is required")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _bad(f"{key!r} must be an integer, got {type(value).__name__}")
-    if not low <= value <= high:
-        raise _bad(f"{key!r} must be in [{low}, {high}], got {value}")
+@dataclass(frozen=True)
+class Field:
+    """One top-level request field: its reader, default and bounds.
+
+    ``read(key, value, field, parsed)`` validates the wire ``value`` (the
+    ``default`` when the key is absent) and returns the parsed value;
+    ``parsed`` holds the fields read before it, in table order.  A field
+    with no default that is not ``required`` is optional: absent or
+    ``null`` reads as ``None``.  ``wire_only`` fields are validated and
+    then dropped (the legacy Monte Carlo ``engine`` key).
+    """
+
+    read: Callable[[str, Any, "Field", "Parsed"], Any]
+    default: Any = None
+    low: Any = None
+    high: Any = None
+    choices: Tuple[str, ...] = ()
+    required: bool = False
+    wire_only: bool = False
+
+
+Parsed = Dict[str, Any]
+"""The fields read so far, by name."""
+
+
+def _given(key: str, value: Any, field: Field, parsed: Parsed) -> Any:
     return value
 
 
-def _get_bool(data: Mapping[str, Any], key: str, default: bool) -> bool:
-    value = data.get(key, default)
+def _int(key: str, value: Any, field: Field, parsed: Parsed) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _bad(f"{key!r} must be an integer, got {type(value).__name__}")
+    if not field.low <= value <= field.high:
+        raise _bad(f"{key!r} must be in [{field.low}, {field.high}], got {value}")
+    return value
+
+
+def _float(key: str, value: Any, field: Field, parsed: Parsed) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _bad(f"{key!r} must be a number, got {type(value).__name__}")
+    if not field.low <= float(value) <= field.high:
+        raise _bad(
+            f"{key!r} must be in [{field.low:g}, {field.high:g}], got {value}"
+        )
+    return float(value)
+
+
+def _positive(key: str, value: Any, field: Field, parsed: Parsed) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _bad(f"{key!r} must be a number, got {type(value).__name__}")
+    if not value > 0:
+        raise _bad(f"{key!r} must be positive, got {value}")
+    return float(value)
+
+
+def _bool(key: str, value: Any, field: Field, parsed: Parsed) -> bool:
     if not isinstance(value, bool):
         raise _bad(f"{key!r} must be a boolean, got {type(value).__name__}")
     return value
 
 
-def _get_choice(
-    data: Mapping[str, Any], key: str, default: str, choices: Tuple[str, ...]
-) -> str:
-    value = data.get(key, default)
-    if value not in choices:
-        raise _bad(f"{key!r} must be one of {list(choices)}, got {value!r}")
+def _choice(key: str, value: Any, field: Field, parsed: Parsed) -> str:
+    if value not in field.choices:
+        raise _bad(f"{key!r} must be one of {list(field.choices)}, got {value!r}")
     return value
 
 
-def _check_mc_engine(data: Mapping[str, Any]) -> None:
+def _tie_policy(key: str, value: Any, field: Field, parsed: Parsed) -> TiePolicy:
+    return TiePolicy[_choice(key, value, field, parsed)]
+
+
+def _mc_engine(key: str, value: Any, field: Field, parsed: Parsed) -> str:
     """The Monte Carlo ``engine`` key is still accepted, as ``"batch"`` only."""
     try:
-        _check_engine(data.get("engine", "batch"))
+        _check_engine(value)
     except ValueError as exc:
         raise _bad(str(exc)) from None
+    return value
 
 
-def _get_float(
-    data: Mapping[str, Any], key: str, default: float,
-    low: float, high: float,
-) -> float:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _bad(f"{key!r} must be a number, got {type(value).__name__}")
-    if not low <= float(value) <= high:
-        raise _bad(f"{key!r} must be in [{low:g}, {high:g}], got {value}")
-    return float(value)
+def _capped_rounds(key: str, value: Any, field: Field, parsed: Parsed) -> int:
+    if parsed.get("target_se") is None:
+        raise _bad(f"{key!r} requires 'target_se'")
+    return _int(key, value, field, parsed)
 
 
-def _get_target_se(data: Mapping[str, Any]) -> Optional[float]:
-    value = data.get("target_se")
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _bad(f"'target_se' must be a number, got {type(value).__name__}")
-    if not value > 0:
-        raise _bad(f"'target_se' must be positive, got {value}")
-    return float(value)
+def _experiment_id(key: str, value: Any, field: Field, parsed: Parsed) -> str:
+    if not isinstance(value, str) or not value:
+        raise _bad(f"{key!r} must be a non-empty experiment id string")
+    return value
+
+
+def _int_list(
+    key: str, value: Any, field: Field, limit: int
+) -> Tuple[int, ...]:
+    if not isinstance(value, list):
+        raise _bad(f"{key!r} must be a list of integers")
+    if len(value) > limit:
+        raise _bad(f"{key!r} has {len(value)} entries (limit {limit})")
+    return tuple(
+        _int(f"{key}[{i}]", entry, field, {}) for i, entry in enumerate(value)
+    )
+
+
+def _seeds(key: str, value: Any, field: Field, parsed: Parsed) -> Tuple[int, ...]:
+    seeds = _int_list(key, value, field, MAX_SWEEP_POINTS)
+    if not seeds:
+        raise _bad(f"{key!r} must be a non-empty list of integers")
+    return seeds
+
+
+def _indices(key: str, value: Any, field: Field, parsed: Parsed) -> Tuple[int, ...]:
+    count = len(parsed["seeds"])
+    indices = _int_list(key, value, replace(field, high=count - 1), count)
+    if len(set(indices)) != len(indices):
+        raise _bad(f"{key!r} entries must be distinct point indices")
+    return indices
+
+
+def _edits(key: str, value: Any, field: Field, parsed: Parsed) -> Tuple[Tuple[Edit, ...], ...]:
+    if not isinstance(value, list):
+        raise _bad(f"{key!r} must be a list of edit batches")
+    if len(value) > MAX_DELTA_EDIT_BATCHES:
+        raise _bad(
+            f"{key!r} has {len(value)} batches "
+            f"(limit {MAX_DELTA_EDIT_BATCHES}); open a fresh session"
+        )
+    batches = []
+    total = 0
+    for index, batch in enumerate(value):
+        if not isinstance(batch, list):
+            raise _bad(f"edit batch {index} must be a list of edit objects")
+        total += len(batch)
+        if total > MAX_DELTA_EDITS:
+            raise _bad(
+                f"{key!r} carries over {MAX_DELTA_EDITS} edits; "
+                "open a fresh session"
+            )
+        parsed_batch = []
+        for edit in batch:
+            try:
+                parsed_batch.append(edit_from_dict(edit))
+            except ValueError as exc:
+                raise _bad(f"invalid edit in batch {index}: {exc}") from None
+        batches.append(tuple(parsed_batch))
+    return tuple(batches)
+
+
+def _scenario(key: str, value: Any, field: Field, parsed: Parsed) -> Any:
+    from repro.attacks.scenarios import build_scenario
+
+    if not isinstance(value, dict):
+        raise _bad(f"{key!r} must be a scenario spec object")
+    try:
+        build_scenario(value)
+    except ValueError as exc:
+        raise _bad(f"invalid scenario spec: {exc}") from None
+    return value
 
 
 # -- mechanism specs -------------------------------------------------------
@@ -449,30 +548,21 @@ def mechanism_pool(maxsize: int = 64) -> InternPool:
 # -- requests --------------------------------------------------------------
 
 
-_ESTIMATE_KEYS = (
-    "v", "op", "instance", "mechanism", "rounds", "seed", "tie_policy",
-    "exact_conditional", "engine", "target_se", "max_rounds",
-)
-_EXPERIMENT_KEYS = ("v", "op", "experiment", "scale", "seed", "engine", "target_se")
-_SWEEP_KEYS = (
-    "v", "op", "instance", "mechanism", "rounds", "seeds", "tie_policy",
-    "exact_conditional", "engine", "target_se", "max_rounds", "point_op",
-    "indices",
-)
-_DELTA_KEYS = (
-    "v", "op", "instance", "mechanism", "rounds", "seed", "tie_policy",
-    "engine", "target_se", "max_rounds", "edits",
-)
-_ATTACK_KEYS = (
-    "v", "op", "instance", "mechanism", "scenario", "budget", "rounds",
-    "seed", "tie_policy", "engine", "min_harm", "margin", "max_steps",
-)
-
 _OP_FN = {
     "estimate": "estimate_correct_probability",
     "gain": "estimate_correct_probability",
     "ballot": "estimate_ballot_probability",
 }
+
+
+def _mechanism_token(mechanism: DelegationMechanism, instance: ProblemInstance) -> Any:
+    """The mechanism's cache token on ``instance``, or ``None``."""
+    token_fn = getattr(mechanism, "cache_token", None)
+    return token_fn(instance) if token_fn is not None else None
+
+
+def _digest(payload: Any) -> str:
+    return _sha256_hex(_canonical_json(payload).encode())
 
 
 @dataclass(frozen=True)
@@ -485,9 +575,10 @@ class EstimateRequest:
     rounds: int
     seed: int
     tie_policy: TiePolicy
-    exact_conditional: bool
     target_se: Optional[float]
     max_rounds: Optional[int]
+    exact_conditional: bool = True
+    """Unused by ``ballot``, which rejects the wire key."""
     via: Optional[str] = None
     """The enclosing operation, when this request is a derived point
     (``"sweep"`` for sweep fanout points).  Server-side metadata only —
@@ -524,15 +615,12 @@ class EstimateRequest:
 
     def group_key(self) -> Optional[str]:
         """Identity of the (instance, mechanism) pair for micro-batching."""
-        token_fn = getattr(self.mechanism, "cache_token", None)
-        mtoken = token_fn(self.instance) if token_fn is not None else None
+        mtoken = _mechanism_token(self.mechanism, self.instance)
         if mtoken is None:
             return None
-        payload = {
-            "instance": instance_token(self.instance),
-            "mechanism": mtoken,
-        }
-        return _sha256_hex(_canonical_json(payload).encode())
+        return _digest(
+            {"instance": instance_token(self.instance), "mechanism": mtoken}
+        )
 
     def routing_key(self) -> str:
         """The shard-routing identity of this request.
@@ -549,13 +637,14 @@ class EstimateRequest:
         key = self.coalesce_key()
         if key is not None:
             return key
-        payload = {
-            "op": self.op,
-            "instance": instance_token(self.instance),
-            "seed": self.seed,
-            "params": self.estimator_params(),
-        }
-        return _sha256_hex(_canonical_json(payload).encode())
+        return _digest(
+            {
+                "op": self.op,
+                "instance": instance_token(self.instance),
+                "seed": self.seed,
+                "params": self.estimator_params(),
+            }
+        )
 
 
 @dataclass(frozen=True)
@@ -570,14 +659,15 @@ class ExperimentRequest:
     op: str = "experiment"
 
     def coalesce_key(self) -> str:
-        payload = {
-            "op": self.op,
-            "experiment": self.experiment,
-            "scale": self.scale,
-            "seed": self.seed,
-            "target_se": self.target_se,
-        }
-        return _sha256_hex(_canonical_json(payload).encode())
+        return _digest(
+            {
+                "op": self.op,
+                "experiment": self.experiment,
+                "scale": self.scale,
+                "seed": self.seed,
+                "target_se": self.target_se,
+            }
+        )
 
     # Experiments don't share estimator state; each runs as its own
     # batch so distinct experiments spread across the worker pool.
@@ -608,9 +698,9 @@ class SweepRequest:
     rounds: int
     seeds: Tuple[int, ...]
     tie_policy: TiePolicy
-    exact_conditional: bool
     target_se: Optional[float]
     max_rounds: Optional[int]
+    exact_conditional: bool = True
     indices: Optional[Tuple[int, ...]] = None
 
     op: str = "sweep"
@@ -647,39 +737,86 @@ class SweepRequest:
         """
         params = self.point(0).estimator_params()
         itoken = instance_token(self.instance)
-        token_fn = getattr(self.mechanism, "cache_token", None)
-        mtoken = token_fn(self.instance) if token_fn is not None else None
-        keys = []
-        for seed in self.seeds:
-            if mtoken is not None:
-                # Mirrors repro.cache.estimate_digest composed into
-                # EstimateRequest.coalesce_key.
-                payload: Dict[str, Any] = {
+        mtoken = _mechanism_token(self.mechanism, self.instance)
+        if mtoken is None:
+            # Mirrors EstimateRequest.routing_key's untokenisable fallback.
+            return tuple(
+                _digest(
+                    {
+                        "op": self.point_op,
+                        "instance": itoken,
+                        "seed": seed,
+                        "params": params,
+                    }
+                )
+                for seed in self.seeds
+            )
+        # Mirrors repro.cache.estimate_digest composed into
+        # EstimateRequest.coalesce_key.
+        return tuple(
+            f"{self.point_op}:"
+            + _digest(
+                {
                     "schema": SCHEMA_VERSION,
                     "instance": itoken,
                     "mechanism": mtoken,
                     "seed": seed_token(seed),
                     "params": params,
                 }
-                keys.append(
-                    f"{self.point_op}:"
-                    + _sha256_hex(_canonical_json(payload).encode())
-                )
-            else:
-                # Mirrors EstimateRequest.routing_key's untokenisable
-                # fallback.
-                payload = {
-                    "op": self.point_op,
-                    "instance": itoken,
-                    "seed": seed,
-                    "params": params,
-                }
-                keys.append(_sha256_hex(_canonical_json(payload).encode()))
-        return tuple(keys)
+            )
+            for seed in self.seeds
+        )
+
+
+class _BaseStateRequest:
+    """Identity shared by requests acting on a *base* state (delta, attack).
+
+    The base payload is the instance, mechanism token, seed and
+    ``estimator_params()``; :meth:`base_token` digests it.  The **routing
+    key is the base digest only**, so every request on one base state
+    consistent-hashes onto the same shard, whose warm state serves them
+    all.  The coalesce key adds :meth:`_work_payload` (the edit chain, or
+    the scenario and search knobs): only identical work shares a
+    computation.
+    """
+
+    def _base_payload(self) -> Dict[str, Any]:
+        mtoken = _mechanism_token(self.mechanism, self.instance)
+        if mtoken is None:
+            # Untokenisable mechanisms lose cross-process coalescing but
+            # must still route deterministically (C303): fall back to
+            # the mechanism's declared name.
+            mtoken = ["name", getattr(self.mechanism, "name", type(self.mechanism).__name__)]
+        return {
+            "schema": SCHEMA_VERSION,
+            "op": self.op,
+            "instance": instance_token(self.instance),
+            "mechanism": mtoken,
+            "seed": seed_token(self.seed),
+            "params": self.estimator_params(),
+        }
+
+    def base_token(self) -> str:
+        """Content identity of the base state (no edits, no scenario)."""
+        return _digest(self._base_payload())
+
+    def coalesce_key(self) -> str:
+        """Identity of this exact computation: base state + its work."""
+        payload = self._base_payload()
+        payload.update(self._work_payload())
+        return f"{self.op}:" + _digest(payload)
+
+    def group_key(self) -> str:
+        """One batch group per base state, so its work runs in order."""
+        return self.base_token()
+
+    def routing_key(self) -> str:
+        """Shard identity — base digest only, colocating a base's work."""
+        return f"{self.op}:" + self.base_token()
 
 
 @dataclass(frozen=True)
-class DeltaRequest:
+class DeltaRequest(_BaseStateRequest):
     """A validated delta-session request: base state plus an edit chain.
 
     The wire form of one :class:`~repro.incremental.session.DeltaSession`
@@ -689,15 +826,8 @@ class DeltaRequest:
     state.  Clients resend the whole chain each time (idempotent, so a
     shard restart costs one rebuild, never a wrong answer); the server
     keeps warm sessions keyed by :meth:`session_token` and patches only
-    the suffix it has not seen.
-
-    Key derivations follow the coalescing contract with one deliberate
-    twist: the **routing key omits the edit chain** — it is derived from
-    the base digest only — so every request of one session consistent-
-    hashes onto the same shard, where that shard's warm session state
-    makes the patch path (ISSUE: "sharding colocates a session's
-    edits").  The coalesce key *does* include the chain digest: only
-    byte-identical chains may share a computation.
+    the suffix it has not seen.  Routing on the base digest colocates a
+    session's edits on the shard holding its warm state.
     """
 
     instance: ProblemInstance
@@ -734,44 +864,16 @@ class DeltaRequest:
         """Content digest of the edit chain."""
         return edit_chain_digest([list(batch) for batch in self.edits])
 
-    def _session_payload(self) -> Dict[str, Any]:
-        token_fn = getattr(self.mechanism, "cache_token", None)
-        mtoken = token_fn(self.instance) if token_fn is not None else None
-        if mtoken is None:
-            # Untokenisable mechanisms lose cross-process coalescing but
-            # must still route deterministically (C303): fall back to
-            # the mechanism's declared name.
-            mtoken = ["name", getattr(self.mechanism, "name", type(self.mechanism).__name__)]
-        return {
-            "schema": SCHEMA_VERSION,
-            "op": self.op,
-            "instance": instance_token(self.instance),
-            "mechanism": mtoken,
-            "seed": seed_token(self.seed),
-            "params": self.estimator_params(),
-        }
+    def _work_payload(self) -> Dict[str, Any]:
+        return {"edits": self.chain_digest()}
 
     def session_token(self) -> str:
         """Content identity of the session's *base* state (no edits)."""
-        return _sha256_hex(_canonical_json(self._session_payload()).encode())
-
-    def coalesce_key(self) -> str:
-        """Identity of this exact computation: base state + edit chain."""
-        payload = self._session_payload()
-        payload["edits"] = self.chain_digest()
-        return "delta:" + _sha256_hex(_canonical_json(payload).encode())
-
-    def group_key(self) -> str:
-        """One batch group per session, so its edits execute in order."""
-        return self.session_token()
-
-    def routing_key(self) -> str:
-        """Shard identity — base digest only, colocating a session's edits."""
-        return "delta:" + self.session_token()
+        return self.base_token()
 
 
 @dataclass(frozen=True)
-class AttackRequest:
+class AttackRequest(_BaseStateRequest):
     """A validated attack-search request: base state plus a scenario.
 
     The wire form of one :class:`~repro.attacks.search.AttackSearch`
@@ -781,15 +883,9 @@ class AttackRequest:
     ``max_steps`` steer the search.  The response is the search's
     :class:`~repro.attacks.search.AttackResult` wire dict — including,
     when a violation is found, the full
-    :class:`~repro.attacks.certificates.ViolationCertificate`.
-
-    Key derivations mirror :class:`DeltaRequest`: the **routing key is
-    the base digest only** (no scenario, no search params), so every
-    attack on one electorate consistent-hashes onto the same shard —
-    that shard's interned instance and warm delta-session state serve
-    all scenarios probing it.  The coalesce key *does* include the
-    scenario and search parameters: only identical searches share a
-    computation.
+    :class:`~repro.attacks.certificates.ViolationCertificate`.  Routing
+    on the base digest keeps one electorate's interned instance and warm
+    state on one shard for every scenario probing it.
     """
 
     instance: ProblemInstance
@@ -816,48 +912,101 @@ class AttackRequest:
             "tie_policy": self.tie_policy.name,
         }
 
-    def _base_payload(self) -> Dict[str, Any]:
-        token_fn = getattr(self.mechanism, "cache_token", None)
-        mtoken = token_fn(self.instance) if token_fn is not None else None
-        if mtoken is None:
-            mtoken = ["name", getattr(self.mechanism, "name", type(self.mechanism).__name__)]
+    def _work_payload(self) -> Dict[str, Any]:
         return {
-            "schema": SCHEMA_VERSION,
-            "op": self.op,
-            "instance": instance_token(self.instance),
-            "mechanism": mtoken,
-            "seed": seed_token(self.seed),
-            "params": self.estimator_params(),
+            "scenario": self.scenario,
+            "search": {
+                "budget": self.budget,
+                "min_harm": self.min_harm,
+                "margin": self.margin,
+                "max_steps": self.max_steps,
+            },
         }
-
-    def base_token(self) -> str:
-        """Content identity of the attacked base state (no scenario)."""
-        return _sha256_hex(_canonical_json(self._base_payload()).encode())
-
-    def coalesce_key(self) -> str:
-        """Identity of this exact search: base state + scenario + knobs."""
-        payload = self._base_payload()
-        payload["scenario"] = self.scenario
-        payload["search"] = {
-            "budget": self.budget,
-            "min_harm": self.min_harm,
-            "margin": self.margin,
-            "max_steps": self.max_steps,
-        }
-        return "attack:" + _sha256_hex(_canonical_json(payload).encode())
-
-    def group_key(self) -> str:
-        """One batch group per attacked base state."""
-        return self.base_token()
-
-    def routing_key(self) -> str:
-        """Shard identity — base digest only, colocating a base's attacks."""
-        return "attack:" + self.base_token()
 
 
 Request = Union[
     EstimateRequest, ExperimentRequest, SweepRequest, DeltaRequest, AttackRequest
 ]
+
+
+# -- the field table -------------------------------------------------------
+
+
+_REQUIRED = Field(_given, required=True)
+_SEED = Field(_int, 0, 0, MAX_SEED)
+_TIE_POLICY = Field(_tie_policy, "INCORRECT", choices=TIE_POLICIES)
+_MC_ENGINE = Field(_mc_engine, "batch", wire_only=True)
+_TARGET_SE = Field(_positive)
+
+_MC_FIELDS = {
+    "instance": _REQUIRED,
+    "mechanism": _REQUIRED,
+    "rounds": Field(_int, 400, 1, MAX_ROUNDS),
+    "seed": _SEED,
+    "tie_policy": _TIE_POLICY,
+    "engine": _MC_ENGINE,
+    "target_se": _TARGET_SE,
+    "max_rounds": Field(_capped_rounds, None, 1, MAX_ROUNDS),
+}
+
+_SESSION_FIELDS = dict(
+    _MC_FIELDS,
+    rounds=Field(_int, 64, 1, MAX_DELTA_ROUNDS),
+    engine=Field(_choice, "mc", choices=DELTA_ENGINES),
+    max_rounds=Field(_capped_rounds, None, 1, MAX_DELTA_ROUNDS),
+)
+
+FIELDS: Dict[str, Dict[str, Field]] = {
+    "estimate": dict(_MC_FIELDS, exact_conditional=Field(_bool, True)),
+    "gain": dict(_MC_FIELDS, exact_conditional=Field(_bool, True)),
+    "ballot": _MC_FIELDS,
+    "experiment": {
+        "experiment": Field(_experiment_id, required=True),
+        "scale": Field(_choice, "default", choices=SCALES),
+        "seed": _SEED,
+        "engine": _MC_ENGINE,
+        "target_se": _TARGET_SE,
+    },
+    "delta": dict(_SESSION_FIELDS, edits=Field(_edits, [])),
+    "attack": {
+        **{
+            key: field for key, field in _SESSION_FIELDS.items()
+            if key not in ("target_se", "max_rounds")
+        },
+        "scenario": Field(_scenario, required=True),
+        "budget": Field(_int, 8, 1, MAX_ATTACK_BUDGET),
+        "min_harm": Field(_float, 0.05, 0.0, 1.0),
+        "margin": Field(_float, 2.0, 0.0, 100.0),
+        "max_steps": Field(_int, None, 1, MAX_ATTACK_STEPS),
+    },
+}
+"""Op → field name → :class:`Field`: every top-level key an op accepts
+(besides ``v`` and ``op``), with its default and bounds.  Table order is
+read order: a field may depend on those read before it."""
+
+POINT_OPS = ("estimate", "gain", "ballot")
+
+_SWEEP_FIELDS = {
+    point_op: {
+        **{key: field for key, field in FIELDS[point_op].items() if key != "seed"},
+        "seeds": Field(_seeds, low=0, high=MAX_SEED, required=True),
+        "point_op": Field(_choice, "estimate", choices=POINT_OPS),
+        "indices": Field(_indices, low=0),
+    }
+    for point_op in POINT_OPS
+}
+"""A sweep accepts its point op's fields, with ``seeds`` for ``seed``."""
+FIELDS["sweep"] = _SWEEP_FIELDS["estimate"]
+
+_REQUEST_TYPES = {
+    "estimate": EstimateRequest,
+    "gain": EstimateRequest,
+    "ballot": EstimateRequest,
+    "experiment": ExperimentRequest,
+    "sweep": SweepRequest,
+    "delta": DeltaRequest,
+    "attack": AttackRequest,
+}
 
 
 def parse_body(raw: bytes, max_bytes: int = MAX_PAYLOAD_BYTES) -> Dict[str, Any]:
@@ -897,232 +1046,48 @@ def parse_request(
 ) -> Request:
     """Validate an envelope-checked body into a typed request.
 
-    ``instances``/``mechanisms`` intern deserialised objects across
-    requests (see :class:`InternPool`); omitted, every call builds
-    fresh objects — same results, colder caches.
+    Every op reads its fields through :data:`FIELDS`.  ``instances``/
+    ``mechanisms`` intern deserialised objects across requests (see
+    :class:`InternPool`); omitted, every call builds fresh objects —
+    same results, colder caches.
     """
     op = data["op"]
-    if op == "experiment":
-        _check_keys(data, _EXPERIMENT_KEYS)
-        _check_mc_engine(data)
-        experiment = data.get("experiment")
-        if not isinstance(experiment, str) or not experiment:
-            raise _bad("'experiment' must be a non-empty experiment id string")
-        return ExperimentRequest(
-            experiment=experiment,
-            scale=_get_choice(data, "scale", "default", SCALES),
-            seed=_get_int(data, "seed", 0, 0, MAX_SEED),
-            target_se=_get_target_se(data),
+    fields = FIELDS[op]
+    if op == "sweep" and data.get("point_op") in POINT_OPS:
+        fields = _SWEEP_FIELDS[data["point_op"]]
+    _check_keys(data, ("v", "op", *fields))
+    values: Dict[str, Any] = {}
+    for key, field in fields.items():
+        value = data.get(key, field.default)
+        if value is None:
+            if field.required or field.default is not None:
+                raise _bad(f"{key!r} is required")
+            values[key] = None
+        elif field.wire_only:
+            field.read(key, value, field, values)
+        else:
+            values[key] = field.read(key, value, field, values)
+    if "instance" in values:
+        raw = values["instance"]
+        values["instance"] = (
+            instances.get(raw) if instances is not None else _build_instance(raw)
         )
-    if op == "sweep":
-        _check_keys(data, _SWEEP_KEYS)
-    elif op == "delta":
-        _check_keys(data, _DELTA_KEYS)
-    elif op == "attack":
-        _check_keys(data, _ATTACK_KEYS)
-    else:
-        _check_keys(data, _ESTIMATE_KEYS)
-    if "instance" not in data:
-        raise _bad("'instance' is required")
-    if "mechanism" not in data:
-        raise _bad("'mechanism' is required")
-    instance = (
-        instances.get(data["instance"])
-        if instances is not None
-        else _build_instance(data["instance"])
-    )
-    mechanism = (
-        mechanisms.get(data["mechanism"])
-        if mechanisms is not None
-        else build_mechanism(data["mechanism"])
-    )
-    if op == "delta":
-        return _parse_delta_request(data, instance, mechanism)
+        raw = values["mechanism"]
+        values["mechanism"] = (
+            mechanisms.get(raw) if mechanisms is not None else build_mechanism(raw)
+        )
+    if op in ("delta", "attack"):
+        mechanism = values["mechanism"]
+        if not isinstance(mechanism, LocalDelegationMechanism) or not (
+            mechanism.supports_batch_sampling
+        ):
+            raise _bad(
+                f"{op!r} requires a local mechanism with a batch kernel, "
+                f"got {getattr(mechanism, 'name', type(mechanism).__name__)!r}"
+            )
     if op == "attack":
-        return _parse_attack_request(data, instance, mechanism)
-    rounds = _get_int(data, "rounds", 400, 1, MAX_ROUNDS)
-    target_se = _get_target_se(data)
-    max_rounds = data.get("max_rounds")
-    if max_rounds is not None:
-        if target_se is None:
-            raise _bad("'max_rounds' requires 'target_se'")
-        max_rounds = _get_int(data, "max_rounds", None, 1, MAX_ROUNDS)
-    tie_policy = TiePolicy[
-        _get_choice(data, "tie_policy", "INCORRECT", TIE_POLICIES)
-    ]
-    exact_conditional = _get_bool(data, "exact_conditional", True)
-    _check_mc_engine(data)
-    if op == "sweep":
-        return SweepRequest(
-            point_op=_get_choice(
-                data, "point_op", "estimate", ("estimate", "gain", "ballot")
-            ),
-            instance=instance,
-            mechanism=mechanism,
-            rounds=rounds,
-            seeds=_get_seeds(data),
-            tie_policy=tie_policy,
-            exact_conditional=exact_conditional,
-            target_se=target_se,
-            max_rounds=max_rounds,
-            indices=_get_indices(data),
-        )
-    return EstimateRequest(
-        op=op,
-        instance=instance,
-        mechanism=mechanism,
-        rounds=rounds,
-        seed=_get_int(data, "seed", 0, 0, MAX_SEED),
-        tie_policy=tie_policy,
-        exact_conditional=exact_conditional,
-        target_se=target_se,
-        max_rounds=max_rounds,
-    )
-
-
-def _parse_delta_request(
-    data: Mapping[str, Any],
-    instance: ProblemInstance,
-    mechanism: DelegationMechanism,
-) -> DeltaRequest:
-    if not isinstance(mechanism, LocalDelegationMechanism) or not (
-        mechanism.supports_batch_sampling
-    ):
-        raise _bad(
-            "'delta' requires a local mechanism with a batch kernel, "
-            f"got {getattr(mechanism, 'name', type(mechanism).__name__)!r}"
-        )
-    target_se = _get_target_se(data)
-    max_rounds = data.get("max_rounds")
-    if max_rounds is not None:
-        if target_se is None:
-            raise _bad("'max_rounds' requires 'target_se'")
-        max_rounds = _get_int(data, "max_rounds", None, 1, MAX_DELTA_ROUNDS)
-    return DeltaRequest(
-        instance=instance,
-        mechanism=mechanism,
-        rounds=_get_int(data, "rounds", 64, 1, MAX_DELTA_ROUNDS),
-        seed=_get_int(data, "seed", 0, 0, MAX_SEED),
-        tie_policy=TiePolicy[
-            _get_choice(data, "tie_policy", "INCORRECT", TIE_POLICIES)
-        ],
-        engine=_get_choice(data, "engine", "mc", DELTA_ENGINES),
-        target_se=target_se,
-        max_rounds=max_rounds,
-        edits=_get_edits(data),
-    )
-
-
-def _parse_attack_request(
-    data: Mapping[str, Any],
-    instance: ProblemInstance,
-    mechanism: DelegationMechanism,
-) -> AttackRequest:
-    from repro.attacks.scenarios import build_scenario
-
-    if not isinstance(mechanism, LocalDelegationMechanism) or not (
-        mechanism.supports_batch_sampling
-    ):
-        raise _bad(
-            "'attack' requires a local mechanism with a batch kernel "
-            "(the search's delta inner loop), "
-            f"got {getattr(mechanism, 'name', type(mechanism).__name__)!r}"
-        )
-    scenario = data.get("scenario")
-    if not isinstance(scenario, dict):
-        raise _bad("'scenario' must be a scenario spec object")
-    try:
-        build_scenario(scenario)
-    except ValueError as exc:
-        raise _bad(f"invalid scenario spec: {exc}") from None
-    budget = _get_int(data, "budget", 8, 1, MAX_ATTACK_BUDGET)
-    max_steps = data.get("max_steps")
-    if max_steps is not None:
-        max_steps = _get_int(data, "max_steps", None, 1, MAX_ATTACK_STEPS)
-    return AttackRequest(
-        instance=instance,
-        mechanism=mechanism,
-        mechanism_data=data["mechanism"],
-        scenario=scenario,
-        budget=budget,
-        rounds=_get_int(data, "rounds", 64, 1, MAX_DELTA_ROUNDS),
-        seed=_get_int(data, "seed", 0, 0, MAX_SEED),
-        tie_policy=TiePolicy[
-            _get_choice(data, "tie_policy", "INCORRECT", TIE_POLICIES)
-        ],
-        engine=_get_choice(data, "engine", "mc", DELTA_ENGINES),
-        min_harm=_get_float(data, "min_harm", 0.05, 0.0, 1.0),
-        margin=_get_float(data, "margin", 2.0, 0.0, 100.0),
-        max_steps=max_steps,
-    )
-
-
-def _get_edits(data: Mapping[str, Any]) -> Tuple[Tuple[Edit, ...], ...]:
-    edits = data.get("edits", [])
-    if not isinstance(edits, list):
-        raise _bad("'edits' must be a list of edit batches")
-    if len(edits) > MAX_DELTA_EDIT_BATCHES:
-        raise _bad(
-            f"'edits' has {len(edits)} batches "
-            f"(limit {MAX_DELTA_EDIT_BATCHES}); open a fresh session"
-        )
-    batches = []
-    total = 0
-    for index, batch in enumerate(edits):
-        if not isinstance(batch, list):
-            raise _bad(f"edit batch {index} must be a list of edit objects")
-        total += len(batch)
-        if total > MAX_DELTA_EDITS:
-            raise _bad(
-                f"'edits' carries over {MAX_DELTA_EDITS} edits; "
-                "open a fresh session"
-            )
-        parsed = []
-        for edit in batch:
-            try:
-                parsed.append(edit_from_dict(edit))
-            except ValueError as exc:
-                raise _bad(f"invalid edit in batch {index}: {exc}") from None
-        batches.append(tuple(parsed))
-    return tuple(batches)
-
-
-def _get_seeds(data: Mapping[str, Any]) -> Tuple[int, ...]:
-    seeds = data.get("seeds")
-    if not isinstance(seeds, list) or not seeds:
-        raise _bad("'seeds' must be a non-empty list of integers")
-    if len(seeds) > MAX_SWEEP_POINTS:
-        raise _bad(
-            f"'seeds' has {len(seeds)} points (limit {MAX_SWEEP_POINTS}); "
-            "split the sweep"
-        )
-    out = []
-    for value in seeds:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise _bad("'seeds' entries must be integers")
-        if not 0 <= value <= MAX_SEED:
-            raise _bad(f"'seeds' entries must be in [0, {MAX_SEED}], got {value}")
-        out.append(value)
-    return tuple(out)
-
-
-def _get_indices(data: Mapping[str, Any]) -> Optional[Tuple[int, ...]]:
-    indices = data.get("indices")
-    if indices is None:
-        return None
-    if not isinstance(indices, list):
-        raise _bad("'indices' must be a list of point indices")
-    count = len(data.get("seeds") or ())
-    out = []
-    for value in indices:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise _bad("'indices' entries must be integers")
-        if not 0 <= value < count:
-            raise _bad(
-                f"'indices' entries must be in [0, {count}), got {value}"
-            )
-        out.append(value)
-    return tuple(out)
+        values["mechanism_data"] = data["mechanism"]
+    return _REQUEST_TYPES[op](op=op, **values)
 
 
 # -- result payloads -------------------------------------------------------

@@ -39,8 +39,8 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.cache import EstimateCache, label_cache_ops
 from repro.incremental.edits import batch_digest
@@ -178,16 +178,17 @@ async def _write_chunk(writer, data: bytes) -> None:
 
 
 async def _http_connection_loop(
-    reader, writer, max_payload: int, serve_one, metrics=None
+    reader, writer, max_payload: int, serve_one, fail
 ) -> None:
     """The keep-alive request loop one connection runs until it dies.
 
     Framing-level failures (oversized head, bad Content-Length, bodies
     past ``max_payload``) are answered with typed errors and close the
-    connection — it cannot be resynced after them.  Each well-framed
-    request goes to ``serve_one(method, path, headers, body, writer,
-    keep) -> bool``, which writes its own response and returns whether
-    the connection is still usable.
+    connection — it cannot be resynced after them; an oversized body
+    goes through ``fail(writer, error, keep)``, the server's counted
+    error path.  Each well-framed request goes to ``serve_one(method,
+    path, headers, body, writer, keep) -> bool``, which writes its own
+    response and returns whether the connection is still usable.
     """
     try:
         while True:
@@ -218,15 +219,11 @@ async def _http_connection_loop(
             if length > max_payload:
                 # Typed 413 without reading (or buffering) the body;
                 # the connection cannot be resynced, so close it.
-                if metrics is not None:
-                    metrics.record_error("payload_too_large")
                 error = ServiceError(
                     "payload_too_large",
                     f"request body is {length} bytes (limit {max_payload})",
                 )
-                await _write_json(
-                    writer, error.http_status, error.payload(), keep=False
-                )
+                await fail(writer, error, False)
                 break
             try:
                 body = await reader.readexactly(length) if length else b""
@@ -244,24 +241,6 @@ async def _http_connection_loop(
             await writer.wait_closed()
         except (Exception, asyncio.CancelledError):
             pass
-
-
-def _with_default_target_se(request: Request, default: Optional[float]) -> Request:
-    """Fill a server-level ``target_se`` default into a bare request.
-
-    Applied before coalesce/routing keys are computed, so an explicit
-    ``target_se=x`` and an omitted one under default ``x`` coalesce
-    with each other, share cache entries, and route to the same shard.
-    """
-    if (
-        default is None
-        or not hasattr(request, "target_se")  # attack searches run fixed-rounds
-        or request.target_se is not None
-    ):
-        return request
-    from dataclasses import replace
-
-    return replace(request, target_se=default)
 
 
 @dataclass
@@ -282,7 +261,6 @@ class ServerConfig:
     port: int = 8577
     n_jobs: int = 1
     workers: int = 4
-    map_engine: str = "thread"
     max_batch: int = 32
     max_delay: float = 0.002
     max_queue: int = 512
@@ -326,49 +304,40 @@ class ServerConfig:
         )
 
 
-class EstimationServer:
-    """The serving runtime; see the module docstring for the contract."""
+def _error_from_payload(status: int, payload: bytes) -> ServiceError:
+    """Rebuild a typed error from a relayed JSON error body."""
+    try:
+        error = json.loads(payload)["error"]
+        return ServiceError(error["code"], str(error.get("message", "")))
+    except (KeyError, TypeError, ValueError):
+        return ServiceError("shard_unavailable", f"worker returned HTTP {status}")
 
-    def __init__(self, config: Optional[ServerConfig] = None) -> None:
-        self.config = config or ServerConfig()
+
+class _FrontDoor:
+    """What both servers share: the listener, admission and accounting.
+
+    Every request arrives through :meth:`_serve_one`.  POSTs are
+    admitted by :meth:`_admit`, failures of any kind leave through
+    :meth:`_fail` as typed errors, and successes are counted by
+    :meth:`_complete` — so ``/metrics`` means the same thing on a
+    standalone server and on a sharded front-end.  Subclasses supply the
+    work: :meth:`_run_single` (one sized response) and
+    :meth:`_sweep_lines` (a sweep's NDJSON lines), plus the ``/healthz``
+    and ``/metrics`` payloads.
+    """
+
+    def __init__(self, config: ServerConfig) -> None:
+        self.config = config
         self.metrics = ServiceMetrics()
-        self.cache = (
-            EstimateCache(
-                self.config.cache_dir, max_entries=self.config.cache_max_entries
-            )
-            if self.config.cache_dir is not None
-            else None
-        )
-        self._instances = instance_pool(self.config.intern_pool_size)
-        self._mechanisms = mechanism_pool(self.config.intern_pool_size)
-        self._estimators: "OrderedDict[str, Any]" = OrderedDict()
-        self._estimators_lock = threading.Lock()
-        # Warm DeltaSession pool: session token -> (applied batch digests,
-        # session).  Checkout is exclusive (pop), like the estimator pool.
-        self._delta_sessions: "OrderedDict[str, Tuple[Tuple[str, ...], Any]]" = (
-            OrderedDict()
-        )
-        self._delta_lock = threading.Lock()
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._batcher: Optional[CoalescingBatcher] = None
+        self._instances = instance_pool(config.intern_pool_size)
+        self._mechanisms = mechanism_pool(config.intern_pool_size)
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: set = set()
         self._closing = False
         self._port: Optional[int] = None
 
-    # -- lifecycle ---------------------------------------------------------
-
-    async def start(self) -> None:
-        """Bind the listening socket (port 0 picks a free port)."""
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers, thread_name_prefix="repro-service"
-        )
-        self._batcher = CoalescingBatcher(
-            self.config.batch_policy(),
-            self._execute_group,
-            self._executor,
-            metrics=self.metrics,
-        )
+    async def _listen(self) -> None:
+        """Bind the public port (port 0 picks a free one)."""
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -392,6 +361,195 @@ class EstimationServer:
             await self._server.serve_forever()
         except asyncio.CancelledError:  # normal shutdown path
             pass
+
+    async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._conn_tasks.add(task)
+        try:
+            await _http_connection_loop(
+                reader, writer, self.config.max_payload, self._serve_one,
+                self._fail,
+            )
+        finally:
+            self._conn_tasks.discard(task)
+
+    # -- admission and accounting -----------------------------------------
+
+    def _admit(self, op: str, path: str, body: bytes) -> Tuple[Request, Dict[str, Any]]:
+        """The admission sequence every POST runs before any work.
+
+        Counts the arrival, refuses work while draining, decodes the
+        envelope, checks the body's op against the route, parses the
+        request and fills in the server-level ``target_se`` default —
+        before any coalesce or routing key is computed, so an explicit
+        ``target_se=x`` and an omitted one under default ``x`` coalesce,
+        share cache entries and route to the same shard.  Returns the
+        request and its decoded body.
+        """
+        self.metrics.record_request(op)
+        if self._closing:
+            raise ServiceError(
+                "shutting_down", "server is draining and not accepting work"
+            )
+        data = parse_body(body, self.config.max_payload)
+        if data["op"] != op:
+            raise ServiceError(
+                "bad_request",
+                f"body op {data['op']!r} does not match route {path!r}",
+            )
+        request = parse_request(data, self._instances, self._mechanisms)
+        default = self.config.default_target_se
+        # Attack searches run fixed-rounds and have no target_se.
+        if default is not None and getattr(request, "target_se", default) is None:
+            request = replace(request, target_se=default)
+        return request, data
+
+    def _typed(self, exc: BaseException) -> ServiceError:
+        """``exc`` as a typed error (``internal`` unless it is one), counted."""
+        if not isinstance(exc, ServiceError):
+            # Defensive: never leak a traceback.
+            exc = ServiceError("internal", f"{type(exc).__name__}: {exc}")
+        self.metrics.record_error(exc.code)
+        return exc
+
+    async def _fail(self, writer, exc: BaseException, keep: bool) -> bool:
+        """The error path: count ``exc``'s typed code and write its response."""
+        error = self._typed(exc)
+        await _write_json(writer, error.http_status, error.payload(), keep=keep)
+        return keep
+
+    def _complete(self, op: str, start: float, result: Any = None) -> None:
+        """Count one successful response (and, for attacks, its outcome)."""
+        self.metrics.record_completed(op, time.perf_counter() - start)
+        if op == "attack" and isinstance(result, dict):
+            self.metrics.record_attack(
+                str(result.get("scenario")), bool(result.get("found"))
+            )
+
+    # -- request handling --------------------------------------------------
+
+    async def _serve_one(
+        self, method: str, path: str, headers: Dict[str, str],
+        body: bytes, writer, keep: bool,
+    ) -> bool:
+        if method == "GET" and path == "/healthz":
+            await _write_json(writer, 200, await self._healthz_payload(), keep=keep)
+            return keep
+        if method == "GET" and path == "/metrics":
+            await _write_json(writer, 200, await self._metrics_payload(), keep=keep)
+            return keep
+        op = ROUTES.get(path)
+        if op is None or method != "POST":
+            error = ServiceError("not_found", f"no route for {method} {path}")
+            return await self._fail(writer, error, keep)
+        start = time.perf_counter()
+        try:
+            request, data = self._admit(op, path, body)
+            if op == "sweep":
+                lines, count, tasks = self._sweep_lines(request, data)
+            else:
+                status, payload, result = await self._run_single(
+                    op, path, request, body
+                )
+        except Exception as exc:
+            return await self._fail(writer, exc, keep)
+        if op == "sweep":
+            return await self._stream(writer, keep, lines, count, tasks, start)
+        if status == 200:
+            self._complete(op, start, result)
+        else:  # a relayed error keeps its typed code
+            self.metrics.record_error(_error_from_payload(status, payload).code)
+        await _write_raw(writer, status, payload, keep=keep)
+        return keep
+
+    async def _stream(
+        self, writer, keep: bool, lines: AsyncIterator[bytes], count: int,
+        tasks: List[asyncio.Future], start: float,
+    ) -> bool:
+        """Write a sweep's lines as one chunked NDJSON stream.
+
+        Lines go out as they complete — completion order, not index
+        order; clients reassemble by the ``i`` field — followed by a
+        ``{"done": true, "n": count}`` terminator whose absence signals a
+        truncated stream.  Returns whether the connection is still
+        usable for keep-alive.
+        """
+        intact = True
+        try:
+            await _write_stream_head(writer, keep=keep)
+            async for line in lines:
+                await _write_chunk(writer, line)
+            await _write_chunk(
+                writer, _ndjson({"v": PROTOCOL_VERSION, "done": True, "n": count})
+            )
+            await _write_chunk(writer, b"")  # terminal chunk
+        except (ConnectionResetError, BrokenPipeError):
+            intact = False  # client went away mid-stream
+        finally:
+            for task in tasks:
+                task.cancel()
+            if tasks:
+                await asyncio.gather(*tasks, return_exceptions=True)
+        if intact:
+            self._complete("sweep", start)
+        return keep and intact
+
+    async def _run_single(
+        self, op: str, path: str, request: Request, body: bytes
+    ) -> Tuple[int, bytes, Any]:
+        """Serve one admitted request: (HTTP status, body, result or None)."""
+        raise NotImplementedError
+
+    def _sweep_lines(
+        self, request: SweepRequest, data: Dict[str, Any]
+    ) -> Tuple[AsyncIterator[bytes], int, List[asyncio.Future]]:
+        """Start an admitted sweep: (its lines, point count, tasks to reap)."""
+        raise NotImplementedError
+
+    async def _healthz_payload(self) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    async def _metrics_payload(self) -> Dict[str, Any]:
+        raise NotImplementedError
+
+
+class EstimationServer(_FrontDoor):
+    """The serving runtime; see the module docstring for the contract."""
+
+    def __init__(self, config: Optional[ServerConfig] = None) -> None:
+        super().__init__(config or ServerConfig())
+        self.cache = (
+            EstimateCache(
+                self.config.cache_dir, max_entries=self.config.cache_max_entries
+            )
+            if self.config.cache_dir is not None
+            else None
+        )
+        self._estimators: "OrderedDict[str, Any]" = OrderedDict()
+        self._estimators_lock = threading.Lock()
+        # Warm DeltaSession pool: session token -> (applied batch digests,
+        # session).  Checkout is exclusive (pop), like the estimator pool.
+        self._delta_sessions: "OrderedDict[str, Tuple[Tuple[str, ...], Any]]" = (
+            OrderedDict()
+        )
+        self._delta_lock = threading.Lock()
+        self._executor: Optional[ThreadPoolExecutor] = None
+        self._batcher: Optional[CoalescingBatcher] = None
+
+    # -- lifecycle ---------------------------------------------------------
+
+    async def start(self) -> None:
+        """Bind the listening socket (port 0 picks a free port)."""
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.config.workers, thread_name_prefix="repro-service"
+        )
+        self._batcher = CoalescingBatcher(
+            self.config.batch_policy(),
+            self._execute_group,
+            self._executor,
+            metrics=self.metrics,
+        )
+        await self._listen()
 
     async def shutdown(self, timeout: Optional[float] = None) -> None:
         """Graceful stop: drain in-flight work, then close connections.
@@ -422,195 +580,73 @@ class EstimationServer:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
 
-    # -- HTTP plumbing -----------------------------------------------------
+    # -- request dispatch --------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
+    async def _submit(self, request: Request, what: str) -> Any:
+        """Run ``request`` through the coalescing batcher, under the deadline."""
+        future = self._batcher.submit(
+            request, request.coalesce_key(), request.group_key()
+        )
         try:
-            await _http_connection_loop(
-                reader, writer, self.config.max_payload, self._serve_one,
-                metrics=self.metrics,
+            return await asyncio.wait_for(
+                asyncio.shield(future), self.config.request_timeout
             )
-        finally:
-            self._conn_tasks.discard(task)
+        except asyncio.TimeoutError:
+            raise ServiceError(
+                "timeout",
+                f"{what} exceeded {self.config.request_timeout}s "
+                "(the computation keeps running; an identical retry "
+                "coalesces onto it)",
+            ) from None
 
-    async def _serve_one(
-        self, method: str, path: str, headers: Dict[str, str],
-        body: bytes, writer, keep: bool,
-    ) -> bool:
-        if method == "POST" and path == "/v1/sweep":
-            return await self._handle_sweep(writer, body, keep)
-        status, payload = await self._dispatch(method, path, body)
-        await _write_json(writer, status, payload, keep=keep)
-        return keep
+    async def _run_single(
+        self, op: str, path: str, request: Request, body: bytes
+    ) -> Tuple[int, bytes, Any]:
+        result = await self._submit(request, "request")
+        return 200, json.dumps(ok_payload(result)).encode(), result
 
-    # -- sweep streaming ---------------------------------------------------
-
-    async def _handle_sweep(self, writer, body: bytes, keep: bool) -> bool:
-        """Serve one sweep as a chunked NDJSON stream.
+    def _sweep_lines(
+        self, request: SweepRequest, data: Dict[str, Any]
+    ) -> Tuple[AsyncIterator[bytes], int, List[asyncio.Future]]:
+        """One task per point, at most ``sweep_window`` in flight.
 
         Each point is an independent :class:`EstimateRequest` submitted
-        through the same coalescing batcher as single estimates, with at
-        most ``sweep_window`` points in flight (so a 10^5-point grid
-        cannot flood the queue).  One line is written per *completed*
-        point — completion order, not index order; clients reassemble by
-        the ``i`` field — followed by a ``{"done": true, "n": N}``
-        terminator whose absence signals a truncated stream.  Returns
-        whether the connection is still usable for keep-alive.
+        through the same coalescing batcher as single estimates; the
+        window keeps a 10^5-point grid from flooding the queue.
         """
-        start = time.perf_counter()
-        self.metrics.record_request("sweep")
-        try:
-            if self._closing:
-                raise ServiceError(
-                    "shutting_down", "server is draining and not accepting work"
-                )
-            data = parse_body(body, self.config.max_payload)
-            if data["op"] != "sweep":
-                raise ServiceError(
-                    "bad_request",
-                    f"body op {data['op']!r} does not match route '/v1/sweep'",
-                )
-            request = self._apply_defaults(
-                parse_request(data, self._instances, self._mechanisms)
-            )
-            indices = request.point_indices()
-        except ServiceError as error:
-            self.metrics.record_error(error.code)
-            await _write_json(writer, error.http_status, error.payload(), keep=keep)
-            return keep
-        except Exception as exc:  # defensive: never leak a traceback
-            error = ServiceError("internal", f"{type(exc).__name__}: {exc}")
-            self.metrics.record_error(error.code)
-            await _write_json(writer, error.http_status, error.payload(), keep=keep)
-            return keep
+        indices = request.point_indices()
         window = asyncio.Semaphore(self.config.sweep_window)
         tasks = [
             asyncio.ensure_future(self._run_point(request, index, window))
             for index in indices
         ]
-        intact = True
-        try:
-            await _write_stream_head(writer, keep=keep)
+
+        async def lines() -> AsyncIterator[bytes]:
             for done in asyncio.as_completed(tasks):
-                _index, line = await done
-                await _write_chunk(writer, line)
-            await _write_chunk(
-                writer,
-                _ndjson({"v": PROTOCOL_VERSION, "done": True, "n": len(indices)}),
-            )
-            await _write_chunk(writer, b"")  # terminal chunk
-        except (ConnectionResetError, BrokenPipeError):
-            intact = False  # client went away mid-stream
-        finally:
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-        if intact:
-            self.metrics.record_completed("sweep", time.perf_counter() - start)
-        return keep and intact
+                yield await done
+
+        return lines(), len(indices), tasks
 
     async def _run_point(
         self, request: SweepRequest, index: int, window: asyncio.Semaphore
-    ) -> Tuple[int, bytes]:
+    ) -> bytes:
         """One sweep point → its NDJSON line (errors become error lines)."""
         point = request.point(index)
         try:
             async with window:
-                future = self._batcher.submit(
-                    point, point.coalesce_key(), point.group_key()
-                )
-                result = await asyncio.wait_for(
-                    asyncio.shield(future), self.config.request_timeout
-                )
-        except asyncio.TimeoutError:
-            error = ServiceError(
-                "timeout",
-                f"sweep point {index} exceeded {self.config.request_timeout}s",
-            )
-            self.metrics.record_error(error.code)
-            return index, _error_line(index, error)
-        except ServiceError as error:
-            self.metrics.record_error(error.code)
-            return index, _error_line(index, error)
-        except Exception as exc:  # defensive: never leak a traceback
-            error = ServiceError("internal", f"{type(exc).__name__}: {exc}")
-            self.metrics.record_error(error.code)
-            return index, _error_line(index, error)
-        return index, _ndjson({"i": index, "ok": True, "result": result})
+                result = await self._submit(point, f"sweep point {index}")
+        except Exception as exc:
+            return _error_line(index, self._typed(exc))
+        return _ndjson({"i": index, "ok": True, "result": result})
 
-    # -- request dispatch --------------------------------------------------
+    async def _healthz_payload(self) -> Dict[str, Any]:
+        return {
+            "v": PROTOCOL_VERSION,
+            "ok": True,
+            "status": "shutting_down" if self._closing else "serving",
+        }
 
-    async def _dispatch(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
-        if method == "GET" and path == "/healthz":
-            return 200, {
-                "v": PROTOCOL_VERSION,
-                "ok": True,
-                "status": "shutting_down" if self._closing else "serving",
-            }
-        if method == "GET" and path == "/metrics":
-            return 200, self._metrics_payload()
-        op = ROUTES.get(path)
-        if op is None or method != "POST":
-            error = ServiceError(
-                "not_found", f"no route for {method} {path}"
-            )
-            self.metrics.record_error(error.code)
-            return error.http_status, error.payload()
-        start = time.perf_counter()
-        self.metrics.record_request(op)
-        try:
-            if self._closing:
-                raise ServiceError(
-                    "shutting_down", "server is draining and not accepting work"
-                )
-            data = parse_body(body, self.config.max_payload)
-            if data["op"] != op:
-                raise ServiceError(
-                    "bad_request",
-                    f"body op {data['op']!r} does not match route {path!r}",
-                )
-            request = self._apply_defaults(
-                parse_request(data, self._instances, self._mechanisms)
-            )
-            future = self._batcher.submit(
-                request, request.coalesce_key(), request.group_key()
-            )
-            result = await asyncio.wait_for(
-                asyncio.shield(future), self.config.request_timeout
-            )
-        except asyncio.TimeoutError:
-            error = ServiceError(
-                "timeout",
-                f"request exceeded {self.config.request_timeout}s "
-                "(the computation keeps running; an identical retry "
-                "coalesces onto it)",
-            )
-            self.metrics.record_error(error.code)
-            return error.http_status, error.payload()
-        except ServiceError as error:
-            self.metrics.record_error(error.code)
-            return error.http_status, error.payload()
-        except Exception as exc:  # defensive: never leak a traceback
-            error = ServiceError("internal", f"{type(exc).__name__}: {exc}")
-            self.metrics.record_error(error.code)
-            return error.http_status, error.payload()
-        self.metrics.record_completed(op, time.perf_counter() - start)
-        if op == "attack" and isinstance(result, dict):
-            self.metrics.record_attack(
-                str(result.get("scenario")), bool(result.get("found"))
-            )
-        return 200, ok_payload(result)
-
-    def _apply_defaults(self, request: Request) -> Request:
-        """Fill the server-level ``target_se`` default into bare requests."""
-        return _with_default_target_se(request, self.config.default_target_se)
-
-    def _metrics_payload(self) -> Dict[str, Any]:
+    async def _metrics_payload(self) -> Dict[str, Any]:
         snapshot = self.metrics.snapshot()
         snapshot["queue"] = {
             "depth": self._batcher.queue_depth if self._batcher else 0,
@@ -709,7 +745,6 @@ class EstimationServer:
                 seed=request.seed,
                 scale=request.scale,
                 n_jobs=self.config.n_jobs,
-                map_engine=self.config.map_engine,
                 target_se=request.target_se,
                 cache_dir=self.config.cache_dir,
             )

@@ -42,31 +42,21 @@ import asyncio
 import bisect
 import hashlib
 import json
-import time
 from dataclasses import replace
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
-from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    Request,
     ServiceError,
-    instance_pool,
-    mechanism_pool,
-    parse_body,
-    parse_request,
+    SweepRequest,
 )
 from repro.service.server import (
-    ROUTES,
     BackgroundServer,
     ServerConfig,
+    _error_from_payload,
     _error_line,
-    _http_connection_loop,
-    _ndjson,
-    _with_default_target_se,
-    _write_chunk,
-    _write_json,
-    _write_raw,
-    _write_stream_head,
+    _FrontDoor,
 )
 from repro.service.worker import WorkerProcess
 
@@ -253,19 +243,7 @@ class _ShardLink:
                 _close_quietly(writer)
 
 
-def _error_from_payload(status: int, payload: bytes) -> ServiceError:
-    """Rebuild a worker's typed error from its relayed JSON body."""
-    try:
-        data = json.loads(payload)
-        error = data["error"]
-        return ServiceError(error["code"], str(error.get("message", "")))
-    except (KeyError, TypeError, ValueError):
-        return ServiceError(
-            "shard_unavailable", f"worker returned HTTP {status}"
-        )
-
-
-class ShardedServer:
+class ShardedServer(_FrontDoor):
     """The consistent-hash front-end over a fleet of worker processes.
 
     Speaks the exact protocol of :class:`~repro.service.server.
@@ -283,18 +261,11 @@ class ShardedServer:
         shards: int = 2,
         vnodes: int = 64,
     ) -> None:
-        self.config = config or ServerConfig()
+        super().__init__(config or ServerConfig())
         self.shards = shards
         self.ring = HashRing(shards, vnodes)
-        self.metrics = ServiceMetrics()
-        self._instances = instance_pool(self.config.intern_pool_size)
-        self._mechanisms = mechanism_pool(self.config.intern_pool_size)
         self._workers: List[WorkerProcess] = []
         self._links: List[_ShardLink] = []
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: set = set()
-        self._closing = False
-        self._port: Optional[int] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -318,28 +289,7 @@ class ShardedServer:
         self._links = [
             _ShardLink("127.0.0.1", worker.port) for worker in self._workers
         ]
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
-
-    @property
-    def host(self) -> str:
-        return self.config.host
-
-    @property
-    def port(self) -> int:
-        if self._port is None:
-            raise RuntimeError("sharded server has not been started")
-        return self._port
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise RuntimeError("sharded server has not been started")
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:  # normal shutdown path
-            pass
+        await self._listen()
 
     def _stop_workers(self) -> None:
         for worker in self._workers:
@@ -375,93 +325,33 @@ class ShardedServer:
 
     # -- request handling --------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
+    async def _run_single(
+        self, op: str, path: str, request: Request, body: bytes
+    ) -> Tuple[int, bytes, Any]:
+        """Route one sized request to its shard; relay the bytes back.
+
+        An attack's result is decoded as well, so the fleet's attack
+        counters match the sum over its shards.
+        """
+        shard = self.ring.shard_for(request.routing_key())
+        self.metrics.record_routed(shard)
         try:
-            await _http_connection_loop(
-                reader, writer, self.config.max_payload, self._serve_one,
-                metrics=self.metrics,
-            )
-        finally:
-            self._conn_tasks.discard(task)
-
-    async def _serve_one(
-        self, method: str, path: str, headers: Dict[str, str],
-        body: bytes, writer, keep: bool,
-    ) -> bool:
-        if method == "GET" and path == "/healthz":
-            await _write_json(writer, 200, await self._healthz_payload(), keep=keep)
-            return keep
-        if method == "GET" and path == "/metrics":
-            await _write_json(writer, 200, await self._metrics_payload(), keep=keep)
-            return keep
-        op = ROUTES.get(path)
-        if op is None or method != "POST":
-            error = ServiceError("not_found", f"no route for {method} {path}")
-            self.metrics.record_error(error.code)
-            await _write_json(writer, error.http_status, error.payload(), keep=keep)
-            return keep
-        if op == "sweep":
-            return await self._relay_sweep(writer, body, keep)
-        return await self._relay_single(op, path, writer, body, keep)
-
-    def _parse(self, op: str, path: str, body: bytes):
-        if self._closing:
-            raise ServiceError(
-                "shutting_down", "server is draining and not accepting work"
-            )
-        data = parse_body(body, self.config.max_payload)
-        if data["op"] != op:
-            raise ServiceError(
-                "bad_request",
-                f"body op {data['op']!r} does not match route {path!r}",
-            )
-        request = _with_default_target_se(
-            parse_request(data, self._instances, self._mechanisms),
-            self.config.default_target_se,
-        )
-        return request, data
-
-    async def _relay_single(
-        self, op: str, path: str, writer, body: bytes, keep: bool
-    ) -> bool:
-        """Route one sized request to its shard and relay the bytes back."""
-        start = time.perf_counter()
-        self.metrics.record_request(op)
-        shard: Optional[int] = None
-        try:
-            request, _data = self._parse(op, path, body)
-            shard = self.ring.shard_for(request.routing_key())
-            self.metrics.record_routed(shard)
             status, payload = await self._links[shard].round_trip(
                 "POST", path, body
             )
-        except ServiceError as error:
-            self.metrics.record_error(error.code)
-            await _write_json(writer, error.http_status, error.payload(), keep=keep)
-            return keep
         except (OSError, asyncio.IncompleteReadError, ValueError) as exc:
-            error = ServiceError(
+            raise ServiceError(
                 "shard_unavailable",
                 f"shard {shard} is unreachable: {type(exc).__name__}: {exc}",
-            )
-            self.metrics.record_error(error.code)
-            await _write_json(writer, error.http_status, error.payload(), keep=keep)
-            return keep
-        except Exception as exc:  # defensive: never leak a traceback
-            error = ServiceError("internal", f"{type(exc).__name__}: {exc}")
-            self.metrics.record_error(error.code)
-            await _write_json(writer, error.http_status, error.payload(), keep=keep)
-            return keep
-        if status == 200:
-            self.metrics.record_completed(op, time.perf_counter() - start)
-        else:
-            self.metrics.record_error(f"upstream_{status}")
-        await _write_raw(writer, status, payload, keep=keep)
-        return keep
+            ) from None
+        result = None
+        if op == "attack" and status == 200:
+            result = json.loads(payload)["result"]
+        return status, payload, result
 
-    async def _relay_sweep(self, writer, body: bytes, keep: bool) -> bool:
+    def _sweep_lines(
+        self, request: SweepRequest, data: Dict[str, Any]
+    ) -> Tuple[AsyncIterator[bytes], int, List[asyncio.Future]]:
         """Fan a sweep out across shards and merge the streams.
 
         Each shard receives the original body with ``indices`` replaced
@@ -471,30 +361,13 @@ class ShardedServer:
         shard degrades to typed per-point error lines; the stream still
         ends with an honest ``done`` terminator.
         """
-        start = time.perf_counter()
-        self.metrics.record_request("sweep")
-        try:
-            request, data = self._parse("sweep", "/v1/sweep", body)
-            keys = request.point_routing_keys()
-            indices = request.point_indices()
-            by_shard: Dict[int, List[int]] = {}
-            for index in indices:
-                by_shard.setdefault(self.ring.shard_for(keys[index]), []).append(
-                    index
-                )
-            for shard, shard_indices in by_shard.items():
-                for _ in shard_indices:
-                    self.metrics.record_routed(shard)
-        except ServiceError as error:
-            self.metrics.record_error(error.code)
-            await _write_json(writer, error.http_status, error.payload(), keep=keep)
-            return keep
-        except Exception as exc:  # defensive: never leak a traceback
-            error = ServiceError("internal", f"{type(exc).__name__}: {exc}")
-            self.metrics.record_error(error.code)
-            await _write_json(writer, error.http_status, error.payload(), keep=keep)
-            return keep
-
+        keys = request.point_routing_keys()
+        indices = request.point_indices()
+        by_shard: Dict[int, List[int]] = {}
+        for index in indices:
+            shard = self.ring.shard_for(keys[index])
+            by_shard.setdefault(shard, []).append(index)
+            self.metrics.record_routed(shard)
         queue: asyncio.Queue = asyncio.Queue()
         tasks = [
             asyncio.ensure_future(
@@ -502,31 +375,17 @@ class ShardedServer:
             )
             for shard, shard_indices in sorted(by_shard.items())
         ]
-        active = len(tasks)
-        intact = True
-        try:
-            await _write_stream_head(writer, keep=keep)
+
+        async def lines() -> AsyncIterator[bytes]:
+            active = len(tasks)
             while active:
                 line = await queue.get()
                 if line is None:
                     active -= 1
-                    continue
-                await _write_chunk(writer, line)
-            await _write_chunk(
-                writer,
-                _ndjson({"v": PROTOCOL_VERSION, "done": True, "n": len(indices)}),
-            )
-            await _write_chunk(writer, b"")  # terminal chunk
-        except (ConnectionResetError, BrokenPipeError):
-            intact = False  # client went away mid-stream
-        finally:
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-        if intact:
-            self.metrics.record_completed("sweep", time.perf_counter() - start)
-        return keep and intact
+                else:
+                    yield line
+
+        return lines(), len(indices), tasks
 
     async def _pump_shard(
         self,
@@ -555,15 +414,13 @@ class ShardedServer:
         except asyncio.CancelledError:
             raise
         except Exception as exc:
-            if isinstance(exc, ServiceError):
-                error = exc
-            else:
-                error = ServiceError(
+            if not isinstance(exc, ServiceError):
+                exc = ServiceError(
                     "shard_unavailable",
                     f"shard {shard} failed mid-sweep: "
                     f"{type(exc).__name__}: {exc}",
                 )
-            self.metrics.record_error(error.code)
+            error = self._typed(exc)
             for index in shard_indices:
                 if index not in emitted:
                     await queue.put(_error_line(index, error))

@@ -27,34 +27,19 @@ class TestConfig:
 
 
 def _triple(x):
-    """Module-level so the process ``map_engine`` can pickle it."""
     return 3 * x
 
 
 class TestParallelMap:
-    def test_map_engine_validation(self):
-        with pytest.raises(ValueError, match="map_engine"):
-            ExperimentConfig(map_engine="fibers")
-
     def test_target_se_validation(self):
         with pytest.raises(ValueError, match="target_se"):
             ExperimentConfig(target_se=-0.1)
 
-    def test_process_engine_matches_serial(self):
+    def test_threads_match_serial(self):
         items = list(range(10))
         serial = ExperimentConfig(n_jobs=1).parallel_map(_triple, items)
-        procs = ExperimentConfig(
-            n_jobs=2, map_engine="process"
-        ).parallel_map(_triple, items)
-        assert procs == serial == [3 * x for x in items]
-
-    def test_process_engine_falls_back_on_unpicklable(self):
-        seen = []
-        cfg = ExperimentConfig(n_jobs=2, map_engine="process")
-        with pytest.warns(RuntimeWarning, match="falling back to threads"):
-            out = cfg.parallel_map(lambda x: seen.append(x) or -x, [1, 2, 3])
-        assert out == [-1, -2, -3]
-        assert sorted(seen) == [1, 2, 3]
+        threads = ExperimentConfig(n_jobs=2).parallel_map(_triple, items)
+        assert threads == serial == [3 * x for x in items]
 
     def test_estimator_kwargs_bundle(self, tmp_path):
         plain = ExperimentConfig().estimator_kwargs()

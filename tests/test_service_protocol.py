@@ -41,6 +41,10 @@ def _instance(n: int = 16, seed: int = 0) -> ProblemInstance:
     return ProblemInstance(complete_graph(n), comp, alpha=0.05)
 
 
+_DROP = object()
+"""An override value that removes the key from the body."""
+
+
 def _body(**overrides):
     body = {
         "v": PROTOCOL_VERSION,
@@ -51,7 +55,7 @@ def _body(**overrides):
         "seed": 1,
     }
     body.update(overrides)
-    return body
+    return {key: value for key, value in body.items() if value is not _DROP}
 
 
 def _raw(**overrides) -> bytes:
@@ -168,12 +172,45 @@ class TestParseRequest:
             {"mechanism": {"name": "mind_reader", "params": {}}},
             {"mechanism": {"name": "approval_threshold", "params": {}}},
             {"mechanism": {"name": "direct", "params": {"x": 1}}},
+            # estimate_ballot_probability has no exact_conditional.
+            {"op": "ballot", "exact_conditional": False},
+            {
+                "op": "sweep", "seed": _DROP, "seeds": [1, 2],
+                "point_op": "ballot", "exact_conditional": False,
+            },
+            # Each sweep point is computed and streamed once.
+            {"op": "sweep", "seed": _DROP, "seeds": [1, 2], "indices": [0, 0, 0]},
         ],
     )
     def test_invalid_fields_are_bad_request(self, overrides):
         with pytest.raises(ServiceError) as excinfo:
             parse_request(parse_body(_raw(**overrides)))
         assert excinfo.value.code == "bad_request"
+
+    @pytest.mark.parametrize(
+        "overrides, culprit",
+        [
+            ({"op": "ballot", "exact_conditional": True}, "exact_conditional"),
+            (
+                {
+                    "op": "sweep", "seed": _DROP, "seeds": [1, 2],
+                    "point_op": "ballot", "exact_conditional": True,
+                },
+                "exact_conditional",
+            ),
+            (
+                {"op": "sweep", "seed": _DROP, "seeds": [1, 2], "indices": [1, 0, 1]},
+                "indices",
+            ),
+        ],
+    )
+    def test_rejection_names_the_field(self, overrides, culprit):
+        with pytest.raises(ServiceError) as excinfo:
+            parse_request(parse_body(_raw(**overrides)))
+        assert excinfo.value.code == "bad_request"
+        assert culprit in excinfo.value.message
+        # The same body without the culprit is valid.
+        parse_request(parse_body(_raw(**dict(overrides, **{culprit: _DROP}))))
 
     def test_experiment_request(self):
         body = {

@@ -21,6 +21,7 @@ import urllib.request
 
 import pytest
 
+from repro.attacks import benign_star_instance
 from repro.core.competencies import bounded_uniform_competencies
 from repro.core.instance import ProblemInstance
 from repro.graphs.generators import complete_graph
@@ -33,7 +34,7 @@ from repro.service import (
     ServiceError,
     mechanism_spec,
 )
-from repro.service.protocol import SweepRequest, build_mechanism
+from repro.service.protocol import HTTP_STATUS, SweepRequest, build_mechanism
 from repro.voting.montecarlo import (
     estimate_ballot_probability,
     estimate_correct_probability,
@@ -265,3 +266,29 @@ class TestShardedOps:
             conn.close()
         assert response.status == 404
         assert data["error"]["code"] == "not_found"
+
+
+class TestFleetAccounting:
+    """The front-end's /metrics counts what its shards count."""
+
+    def test_relayed_errors_keep_their_typed_code(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.experiment("ZZ")
+        assert excinfo.value.code == "not_found"
+        errors = client.metrics()["errors"]
+        assert errors.get("not_found", 0) >= 1
+        assert set(errors) <= set(HTTP_STATUS)
+
+    def test_attack_counters_sum_over_shards(self, client):
+        result = client.attack(
+            benign_star_instance(9), {"name": "random_approved"},
+            {"name": "misreport"}, budget=1, rounds=16, seed=2,
+        )
+        metrics = client.metrics()
+        fleet = {"searches": {}, "violations": {}}
+        for shard in metrics["sharding"]["per_shard"]:
+            for kind, counts in shard["attacks"].items():
+                for scenario, count in counts.items():
+                    fleet[kind][scenario] = fleet[kind].get(scenario, 0) + count
+        assert metrics["attacks"] == fleet
+        assert fleet["searches"] == {result["scenario"]: 1}
