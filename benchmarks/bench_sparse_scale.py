@@ -14,7 +14,9 @@ Scales (``REPRO_BENCH_SCALE``):
 
 The RSS assertions are the executable form of the O(E + chunk·n) memory
 contract: a dense ``(n, max_degree)`` regression at n = 10^6 blows the
-ceiling immediately rather than slipping in as a slow constant.
+ceiling immediately rather than slipping in as a slow constant.  The two
+speed floors time BA generation and ``compiled()`` against their
+``_reference_`` oracles, best of :data:`FLOOR_REPEATS` interleaved runs.
 """
 
 import os
@@ -25,7 +27,11 @@ import pytest
 from repro._util.memory import peak_rss_mib, reset_peak_rss
 from repro.core.competencies import bounded_uniform_competencies
 from repro.core.instance import ProblemInstance
-from repro.graphs.generators import barabasi_albert_graph
+from repro.core.structure import ApprovalStructure
+from repro.graphs.generators import (
+    _reference_barabasi_albert_graph,
+    barabasi_albert_graph,
+)
 from repro.mechanisms.threshold import ApprovalThreshold
 from repro.voting.montecarlo import BatchEstimator
 
@@ -40,6 +46,13 @@ _PARAMS = {
 }
 
 N, M, ROUNDS, RSS_CEILING_MIB = _PARAMS.get(SCALE, _PARAMS["smoke"])
+
+#: Interleaved repetitions per speed floor; the best of each side counts.
+FLOOR_REPEATS = 3
+#: Speed floors over the ``_reference_`` oracles: half the ratios
+#: measured at n = 10^5 (BA ~3.4x, compile ~15x).
+BA_SPEEDUP_FLOOR = 1.7
+COMPILE_SPEEDUP_FLOOR = 7.5
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +133,64 @@ def test_ba_estimation_scale(ba_instance, sparse_record):
     )
     assert 0.0 <= estimate.probability <= 1.0
     assert peak_rss_mib() < RSS_CEILING_MIB
+
+
+def _interleaved_best(new, reference):
+    """Best-of-k wall times of two callables run alternately, so machine
+    noise hits both equally."""
+    best_new = best_ref = float("inf")
+    for _ in range(FLOOR_REPEATS):
+        start = time.perf_counter()
+        new()
+        best_new = min(best_new, time.perf_counter() - start)
+        start = time.perf_counter()
+        reference()
+        best_ref = min(best_ref, time.perf_counter() - start)
+    return best_new, best_ref
+
+
+def test_ba_generation_speedup_vs_reference(sparse_record, capsys):
+    """Incremental redraw sweeps beat the full-array oracle sweeps."""
+    was_reset = reset_peak_rss()
+    best_new, best_ref = _interleaved_best(
+        lambda: barabasi_albert_graph(N, M, seed=SEED + 1),
+        lambda: _reference_barabasi_albert_graph(N, M, seed=SEED + 1),
+    )
+    speedup = best_ref / best_new
+    sparse_record(
+        "ba_generation_vs_reference", N, best_new, was_reset,
+        reference_seconds=best_ref, speedup=speedup,
+    )
+    with capsys.disabled():
+        print(
+            f"\nBA generation n={N}: {best_new * 1e3:.0f} ms vs reference "
+            f"{best_ref * 1e3:.0f} ms = {speedup:.1f}x"
+        )
+    assert speedup >= BA_SPEEDUP_FLOOR, f"BA speedup only {speedup:.2f}x"
+
+
+def test_compile_speedup_vs_reference(ba_graph, sparse_record, capsys):
+    """``compiled()`` (the approved-CSR key sort) beats the per-voter
+    ``_reference_general_csr`` loop; fresh instances keep it cold."""
+    competencies = bounded_uniform_competencies(N, 0.35, seed=SEED)
+
+    def fresh():
+        return ProblemInstance(ba_graph, competencies, alpha=0.05)
+
+    reference_instance = fresh()
+    was_reset = reset_peak_rss()
+    best_new, best_ref = _interleaved_best(
+        lambda: fresh().compiled(),
+        lambda: ApprovalStructure._reference_general_csr(reference_instance),
+    )
+    speedup = best_ref / best_new
+    sparse_record(
+        "ba_compile_vs_reference", N, best_new, was_reset,
+        reference_seconds=best_ref, speedup=speedup,
+    )
+    with capsys.disabled():
+        print(
+            f"\ncompiled() n={N}: {best_new * 1e3:.0f} ms vs reference "
+            f"{best_ref * 1e3:.0f} ms = {speedup:.1f}x"
+        )
+    assert speedup >= COMPILE_SPEEDUP_FLOOR, f"compile speedup only {speedup:.2f}x"

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from repro.graphs.graph import csr_index_dtype
+from repro.graphs.graph import csr_index_dtype, sorted_pair_keys
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.instance import ProblemInstance
@@ -105,28 +105,32 @@ class ApprovalStructure:
         alpha`` — the same float comparison, voter by voter, that
         ``ProblemInstance.approved_neighbors`` evaluates, so the filter
         is bit-identical to the reference loop.  Each surviving segment
-        is then ordered competency-ascending (ties by vertex index) with
-        a single global lexsort keyed ``(src, p[dst], dst)``, matching
-        the per-voter ``lexsort((arr, p[arr]))`` of the reference.
+        is then ordered competency-ascending, ties by vertex index: with
+        ``rank`` the inverse of the stable argsort of ``p``, one
+        ``np.sort`` of the int64 keys ``src * n + rank[dst]`` orders the
+        entries exactly as the per-voter ``lexsort((arr, p[arr]))`` of
+        the reference does, and ``keys % n`` maps back through the
+        argsort to the neighbour ids.
         """
         n = graph.num_vertices
         g_indptr, g_indices = graph.adjacency_csr()
         degrees = np.diff(g_indptr).astype(np.int64)
         src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        dst = g_indices.astype(np.int64, copy=False)
         thresholds = p + alpha
-        keep = p[dst] >= thresholds[src]
+        keep = p[g_indices] >= thresholds[src]
         asrc = src[keep]
-        adst = dst[keep]
-        if adst.size:
-            order = np.lexsort((adst, p[adst], asrc))
-            adst = adst[order]
+        del src
+        by_competency = np.argsort(p, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_competency] = np.arange(n, dtype=np.int64)
+        keys = sorted_pair_keys(asrc, rank[g_indices[keep]], n)
+        keys %= n
         counts = np.bincount(asrc, minlength=n)
-        idx_dtype = csr_index_dtype(n, int(adst.size))
+        idx_dtype = csr_index_dtype(n, int(keys.size))
         indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(counts))
         ).astype(idx_dtype)
-        return indptr, adst.astype(idx_dtype)
+        return indptr, by_competency[keys].astype(idx_dtype)
 
     @staticmethod
     def _reference_general_csr(

@@ -22,7 +22,7 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from repro._util.rng import SeedLike, as_generator
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, sorted_pair_keys
 
 _BA_MAX_REDRAW_ROUNDS = 512
 """Safety cap on Barabási–Albert duplicate-target redraw sweeps."""
@@ -37,20 +37,27 @@ def _graph_from_edge_array(n: int, edges: np.ndarray) -> Graph:
 
     ``edges`` must be a ``(m, 2)`` integer array of distinct undirected
     edges with no self-loops (generators guarantee this by
-    construction).  The CSR is built in one ``bincount``/``lexsort``
-    pass and handed to :meth:`Graph.from_csr` with validation off, so no
-    per-edge tuples and no canonicalisation re-sort are ever
-    materialised.
+    construction).  Both directions of every edge become int64 keys
+    ``src * n + dst`` and one ``np.sort`` of those keys is the CSR
+    order (:func:`~repro.graphs.graph.sorted_pair_keys`); the edges are
+    distinct, so the result is what a ``lexsort((dst, src))`` gives.
+    ``keys % n`` is then the indices array, handed to
+    :meth:`Graph.from_csr` with validation off, so no per-edge tuples
+    and no canonicalisation re-sort are ever materialised.  Raises
+    ``ValueError`` when ``n * n`` overflows int64.
     """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.size == 0:
         return Graph(n)
-    src = np.concatenate((edges[:, 0], edges[:, 1]))
-    dst = np.concatenate((edges[:, 1], edges[:, 0]))
-    counts = np.bincount(src, minlength=n)
+    keys = sorted_pair_keys(
+        np.concatenate((edges[:, 0], edges[:, 1])),
+        np.concatenate((edges[:, 1], edges[:, 0])),
+        n,
+    )
+    keys %= n
+    counts = np.bincount(edges.ravel(), minlength=n)
     indptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))
-    order = np.lexsort((dst, src))
-    return Graph.from_csr(n, indptr, dst[order], validate=False)
+    return Graph.from_csr(n, indptr, keys, validate=False)
 
 
 def complete_graph(n: int) -> Graph:
@@ -198,6 +205,7 @@ def erdos_renyi_graph(n: int, p: float, seed: SeedLike = None) -> Graph:
     return _graph_from_edge_array(n, np.column_stack((iu[mask], ju[mask])))
 
 
+# reprolint: reference=_reference_barabasi_albert_graph
 def barabasi_albert_graph(n: int, m: int, seed: SeedLike = None) -> Graph:
     """Barabási–Albert preferential attachment graph.
 
@@ -207,18 +215,186 @@ def barabasi_albert_graph(n: int, m: int, seed: SeedLike = None) -> Graph:
     to ``m`` distinct existing vertices chosen proportionally to degree.
 
     The attachment pool ("each endpoint once per incident edge") is laid
-    out as a flat slot array whose final length is known up front: the
+    out as a flat cell array whose final length is known up front: the
     ``2m`` star endpoints, then per step ``m`` target slots and ``m``
     copies of the new vertex id.  Every step draws its ``m`` pool
-    positions in one batched call; positions pointing at earlier target
-    slots are resolved by pointer doubling, and steps whose ``m``
-    resolved targets collide redraw only the duplicate slots (first
-    occurrence kept) until every step is duplicate-free.  This replaces
-    the seed's per-step Python loop with ``O(log n)`` array sweeps, so
-    the generator stream differs from the original interleaved scalar
-    draws — seeded outputs are equally valid preferential-attachment
-    samples, not bit-identical to the old ones (same caveat as
-    :func:`watts_strogatz_graph`).
+    positions in one batched call; a position pointing at an earlier
+    target slot takes that slot's vertex, so targets are the roots of a
+    pointer forest whose static cells (star and new-vertex copies) are
+    fixpoints.  Steps whose ``m`` resolved targets collide redraw only
+    the duplicate slots (first occurrence kept, row-major draw order)
+    until every step is duplicate-free.
+
+    Each sweep does only the work that can change (:func:`_ba_targets`):
+    roots are found by pointer jumping over the still-unresolved target
+    slots only; after the first sweep only the redrawn slots and the
+    slots whose pointer chains pass through them (found through a
+    parent→children index) are re-resolved; and only their steps are
+    re-checked, with ``m(m-1)/2`` column comparisons.  The output is
+    bitwise that of :func:`_reference_barabasi_albert_graph`, the
+    full-array sweep it replaced, for every seed: both consume the
+    generator stream identically.  The stream differs from the original
+    interleaved scalar per-step draws, so seeded outputs are equally
+    valid preferential-attachment samples, not bit-identical to those
+    (same caveat as :func:`watts_strogatz_graph`).
+    """
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    if n < m + 1:
+        raise ValueError(f"need n >= m + 1 = {m + 1}, got n={n}")
+    rng = as_generator(seed)
+    star = np.column_stack(
+        (np.zeros(m, dtype=np.int64), np.arange(1, m + 1, dtype=np.int64))
+    )
+    if n == m + 1:
+        return _graph_from_edge_array(n, star)
+    # The sweep's pointer arrays die with _ba_targets, before the CSR
+    # assembly allocates its keys.
+    targets = _ba_targets(n, m, rng)
+    new_ids = np.arange(m + 1, n, dtype=np.int64)
+    edges = np.concatenate(
+        (star, np.column_stack((targets.ravel(), np.repeat(new_ids, m))))
+    )
+    del targets
+    return _graph_from_edge_array(n, edges)
+
+
+def _ba_targets(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The ``(n - m - 1, m)`` duplicate-free attachment targets per step.
+
+    Cell layout as in :func:`barabasi_albert_graph`: with ``slot = 2m``,
+    step ``s`` owns cells ``slot * (s + 1) + j``; ``j < m`` are its
+    target slots, the rest hold vertex ``m + 1 + s``.
+    """
+    steps = n - m - 1
+    slot = 2 * m
+    total = slot * (steps + 1)
+    ptr_dtype = np.int64 if total > np.iinfo(np.int32).max else np.int32
+    bases = slot + slot * np.arange(steps, dtype=np.int64)
+    tg = (bases[:, None] + np.arange(m, dtype=np.int64)[None, :]).astype(ptr_dtype)
+    ptr = np.arange(total, dtype=ptr_dtype)
+    # Step s draws from the pool prefix of length bases[s] (everything
+    # appended by earlier steps plus the star) — degree-proportional by
+    # the pool invariant.
+    ptr[tg] = rng.integers(0, bases[:, None], size=(steps, m), dtype=ptr_dtype)
+    roots = ptr.copy()
+    _jump_to_static(roots, tg.ravel(), slot, m)
+    targets = _cell_vertex(roots[tg], slot, m)
+    rows, cols = np.nonzero(_earlier_duplicates(targets))
+    children = None
+    moved_ever = np.empty(0, dtype=ptr_dtype)
+    for _ in range(_BA_MAX_REDRAW_ROUNDS):
+        if not rows.size:
+            break
+        if children is None:
+            children = _ChildIndex(ptr, tg.ravel(), slot, m)
+        moved = tg[rows, cols]
+        ptr[moved] = rng.integers(0, bases[rows], dtype=ptr_dtype)
+        moved_ever = np.union1d(moved_ever, moved)
+        # Re-resolve the moved slots and every slot whose chain passes
+        # through one; all other roots are unchanged.
+        changed = [moved]
+        frontier = moved
+        while frontier.size:
+            frontier = children.of(frontier, ptr, moved_ever)
+            changed.append(frontier)
+        cells = np.unique(np.concatenate(changed))
+        roots[cells] = ptr[cells]
+        _jump_to_static(roots, cells, slot, m)
+        # Only the steps owning a changed slot can have gained or lost a
+        # duplicate; rows ascend, so the redraws stay in row-major order.
+        touched = np.unique(cells // slot - 1)
+        targets[touched] = _cell_vertex(roots[tg[touched]], slot, m)
+        sub_rows, cols = np.nonzero(_earlier_duplicates(targets[touched]))
+        rows = touched[sub_rows]
+    else:
+        raise RuntimeError(
+            "Barabási–Albert target redraw failed to converge "
+            f"after {_BA_MAX_REDRAW_ROUNDS} sweeps"
+        )
+    return targets
+
+
+def _is_target_cell(cells: np.ndarray, slot: int, m: int) -> np.ndarray:
+    """Whether each cell is a target slot (not a static pool cell)."""
+    return (cells >= slot) & (cells % slot < m)
+
+
+def _cell_vertex(cells: np.ndarray, slot: int, m: int) -> np.ndarray:
+    """Vertex held by each static cell: star cells alternate ``0, k``;
+    step ``s``'s new-vertex cells hold ``m + 1 + s``."""
+    cells = cells.astype(np.int64)
+    return np.where(cells < slot, (cells & 1) * ((cells + 1) >> 1), m + cells // slot)
+
+
+def _jump_to_static(roots: np.ndarray, cells: np.ndarray, slot: int, m: int) -> None:
+    """Pointer-jump ``roots[cells]`` in place until each is a static cell.
+
+    Only cells still pointing at a target slot take part in a jump, so
+    the work shrinks with the frontier; static cells are fixpoints.
+    """
+    active = cells[_is_target_cell(roots[cells], slot, m)]
+    while active.size:
+        hop = roots[roots[active]]
+        roots[active] = hop
+        active = active[_is_target_cell(hop, slot, m)]
+
+
+def _earlier_duplicates(targets: np.ndarray) -> np.ndarray:
+    """Mask of entries equal to an earlier entry of the same row.
+
+    The first occurrence of each value is kept; ``m(m-1)/2`` column
+    comparisons instead of a per-row stable argsort.
+    """
+    dup = np.zeros(targets.shape, dtype=bool)
+    for j in range(1, targets.shape[1]):
+        column = targets[:, j]
+        for i in range(j):
+            dup[:, j] |= column == targets[:, i]
+    return dup
+
+
+class _ChildIndex:
+    """Parent→children lookup over the BA pointer forest.
+
+    Built once from the pointers at hand: the target slots that point at
+    another target slot, sorted by that parent.  Slots redrawn later are
+    looked up through ``moved_ever`` with their current pointer, and
+    their stale entries here are dropped by re-checking ``ptr``.
+    """
+
+    def __init__(self, ptr: np.ndarray, slots: np.ndarray, slot: int, m: int):
+        parents = ptr[slots]
+        keep = _is_target_cell(parents, slot, m)
+        total = ptr.shape[0]
+        keys = sorted_pair_keys(parents[keep], slots[keep], total)
+        self._parents = (keys // total).astype(ptr.dtype)
+        self._children = (keys % total).astype(ptr.dtype)
+
+    def of(
+        self, frontier: np.ndarray, ptr: np.ndarray, moved_ever: np.ndarray
+    ) -> np.ndarray:
+        """Sorted unique slots whose current pointer is in ``frontier``."""
+        # Probes in the index's dtype: mixed dtypes copy the whole index.
+        frontier = frontier.astype(self._parents.dtype, copy=False)
+        lo = np.searchsorted(self._parents, frontier, side="left")
+        hi = np.searchsorted(self._parents, frontier, side="right")
+        counts = hi - lo
+        offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        kids = self._children[offsets + np.arange(int(counts.sum()))]
+        kids = kids[ptr[kids] == np.repeat(frontier, counts)]
+        moved = moved_ever[np.isin(ptr[moved_ever], frontier)]
+        return np.unique(np.concatenate((kids, moved)))
+
+
+def _reference_barabasi_albert_graph(
+    n: int, m: int, seed: SeedLike = None
+) -> Graph:
+    """Full-array redraw sweeps: the oracle for :func:`barabasi_albert_graph`.
+
+    Every sweep pointer-doubles the whole pool and re-checks every step
+    with a per-row stable argsort.  Kept for the bitwise equivalence
+    tests and the speed floor in ``benchmarks/bench_sparse_scale.py``.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")

@@ -44,6 +44,10 @@ TUPLE_VIEW_LIMIT = 1 << 20
 
 _INT32_MAX = np.iinfo(np.int32).max
 
+#: Largest ``n`` whose pair keys ``row * n + col`` (at most ``n*n - 1``)
+#: fit in int64: ``isqrt(2**63 - 1)``.
+PAIR_KEY_MAX_N = 3_037_000_499
+
 _TUPLE_VIEWS_ALLOWED: contextvars.ContextVar[bool] = contextvars.ContextVar(
     "repro_graph_tuple_views_allowed", default=False
 )
@@ -76,6 +80,26 @@ def csr_index_dtype(num_vertices: int, nnz: int) -> np.dtype:
     if num_vertices <= _INT32_MAX and nnz <= _INT32_MAX:
         return np.dtype(np.int32)
     return np.dtype(np.int64)
+
+
+def sorted_pair_keys(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The ``(row, col)`` pairs as ascending int64 keys ``row * n + col``.
+
+    One ``np.sort`` of a single integer key orders the pairs exactly as
+    ``np.lexsort((cols, rows))`` does (both entries lie in ``[0, n)``),
+    at a fraction of the cost.  Decode with ``keys // n`` (rows) and
+    ``keys % n`` (cols).  Raises ``ValueError`` when ``n > PAIR_KEY_MAX_N``,
+    where the keys would wrap around.
+    """
+    if n > PAIR_KEY_MAX_N:
+        raise ValueError(
+            f"pair keys row * n + col overflow int64 for n = {n} "
+            f"(at most {PAIR_KEY_MAX_N})"
+        )
+    keys = np.multiply(rows, n, dtype=np.int64)
+    keys += cols
+    keys.sort()
+    return keys
 
 
 def _as_edge_array(edges: Iterable[Edge]) -> np.ndarray:
@@ -128,26 +152,30 @@ class Graph:
             lo = np.minimum(arr[:, 0], arr[:, 1])
             hi = np.maximum(arr[:, 0], arr[:, 1])
             self._validate(arr, lo, hi)
-            order = np.lexsort((hi, lo))
-            canon = np.column_stack((lo[order], hi[order]))
+            canon = np.column_stack(
+                np.divmod(sorted_pair_keys(lo, hi, self._n), self._n)
+            )
+            # CSR adjacency: each undirected edge contributes both
+            # directions; the sorted (src, dst) keys mod n are the rows'
+            # neighbours in order.
+            src = np.concatenate((canon[:, 0], canon[:, 1]))
+            dst = np.concatenate((canon[:, 1], canon[:, 0]))
+            indices = sorted_pair_keys(src, dst, self._n) % self._n
         else:
             canon = arr
+            indices = np.empty(0, dtype=np.int64)
         self._edge_arr: Optional[np.ndarray] = canon
         self._edge_arr.setflags(write=False)
         endpoints = canon.ravel()
         self._degrees = np.bincount(endpoints, minlength=self._n).astype(np.int64)
         self._degrees.setflags(write=False)
-        # CSR adjacency: each undirected edge contributes both directions.
         idx_dtype = csr_index_dtype(self._n, 2 * canon.shape[0])
-        src = np.concatenate((canon[:, 0], canon[:, 1]))
-        dst = np.concatenate((canon[:, 1], canon[:, 0]))
-        csr_order = np.lexsort((dst, src))
         indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(self._degrees))
         )
         self._indptr = indptr.astype(idx_dtype)
         self._indptr.setflags(write=False)
-        self._indices = dst[csr_order].astype(idx_dtype)
+        self._indices = indices.astype(idx_dtype)
         self._indices.setflags(write=False)
         # Tuple views are built lazily (and size-gated) on first access.
         self._edges: Optional[Tuple[Edge, ...]] = None
@@ -240,10 +268,8 @@ class Graph:
                 )
         # Symmetry: the reversed entry list (dst, src), sorted into CSR
         # order, must reproduce the forward list exactly.
-        rev_order = np.lexsort((src, indices))
-        if not (
-            np.array_equal(src, np.asarray(indices)[rev_order])
-            and np.array_equal(np.asarray(indices), src[rev_order])
+        if not np.array_equal(
+            sorted_pair_keys(indices, src, n), sorted_pair_keys(src, indices, n)
         ):
             raise ValueError("CSR adjacency must be symmetric (undirected graph)")
 

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.instance import ProblemInstance
 from repro.core.structure import ApprovalStructure
+from repro.graphs import generators as G
 from repro.graphs.generators import (
     complete_graph,
     erdos_renyi_graph,
     path_graph,
     star_graph,
 )
+from repro.graphs.graph import Graph
 
 
 def brute_approved(inst, v):
@@ -157,3 +161,51 @@ class TestPathGraphEdgeCases:
         s = ApprovalStructure(inst)
         assert s.approved_count(0) == 1
         assert s.approved_count(1) == 0
+
+
+# The sparse topologies of the scale work, each also padded with
+# isolated voters (empty approved segments).
+_SPARSE_TOPOLOGIES = [
+    lambda: G.barabasi_albert_graph(60, 3, seed=7),
+    lambda: G.watts_strogatz_graph(60, 6, 0.2, seed=11),
+    lambda: G.connected_caveman_graph(10, 6),
+    lambda: G.random_regular_graph(60, 4, seed=13),
+    lambda: G.erdos_renyi_graph(60, 0.08, seed=3),
+]
+
+
+def _competencies(kind, n, rng):
+    if kind == "uniform":
+        return rng.uniform(0.1, 0.9, n)
+    if kind == "equal":
+        return np.full(n, 0.6)
+    return rng.choice([0.4, 0.7], size=n)  # two-valued: many ties
+
+
+class TestGeneralCsrOracle:
+    """``_general_csr`` is bitwise the per-voter reference loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        topology=st.integers(0, len(_SPARSE_TOPOLOGIES) - 1),
+        isolated=st.integers(0, 5),
+        kind=st.sampled_from(["uniform", "equal", "two-valued"]),
+        alpha=st.sampled_from([0.0, 1e-12, 0.05, 0.5]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_reference(self, topology, isolated, kind, alpha, seed):
+        base = _SPARSE_TOPOLOGIES[topology]()
+        n = base.num_vertices + isolated
+        graph = Graph(n, base.edge_array)
+        p = _competencies(kind, n, np.random.default_rng(seed))
+        inst = ProblemInstance(graph, p, alpha=alpha or 1.0)
+        # ProblemInstance demands alpha > 0 (acyclic delegation), but the
+        # approval filter is defined at alpha = 0 too, where equal
+        # competencies approve each other and only the index breaks ties.
+        inst._alpha = alpha
+        indptr, indices = ApprovalStructure._general_csr(
+            graph, inst.competencies, alpha
+        )
+        ref_indptr, ref_indices = ApprovalStructure._reference_general_csr(inst)
+        assert np.array_equal(indptr, ref_indptr)
+        assert np.array_equal(indices, ref_indices)

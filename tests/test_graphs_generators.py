@@ -1,8 +1,16 @@
 """Tests for graph generators."""
 
-import pytest
+import hashlib
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.graphs import generators as generators_module
 from repro.graphs.generators import (
+    _graph_from_edge_array,
+    _reference_barabasi_albert_graph,
     barabasi_albert_graph,
     complete_graph,
     connected_caveman_graph,
@@ -17,7 +25,16 @@ from repro.graphs.generators import (
     star_of_cliques_graph,
     watts_strogatz_graph,
 )
+from repro.graphs.graph import PAIR_KEY_MAX_N, Graph
 from repro.graphs.properties import is_connected
+
+
+def _csr_sha256(graph):
+    indptr, indices = graph.adjacency_csr()
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(indptr, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(indices, dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 class TestCompleteGraph:
@@ -153,6 +170,102 @@ class TestBarabasiAlbert:
     def test_rejects_zero_m(self):
         with pytest.raises(ValueError):
             barabasi_albert_graph(5, 0)
+
+
+@st.composite
+def _ba_cases(draw):
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(m + 1, 3000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, m, seed, draw(st.booleans())
+
+
+class TestBarabasiAlbertOracle:
+    """The incremental redraw sweeps are bitwise the full-array oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ba_cases())
+    @example((4, 3, 0, False))  # star only: n = m + 1
+    @example((11, 10, 5, True))  # star only at the largest m
+    @example((12, 10, 1, False))  # m >= n/3: many redraw sweeps
+    @example((25, 9, 7, True))
+    @example((30, 10, 3, False))
+    def test_matches_reference(self, case):
+        n, m, seed, as_generator = case
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        seeds = rngs if as_generator else [seed, seed]
+        outcomes = []
+        for build, s in zip(
+            (barabasi_albert_graph, _reference_barabasi_albert_graph), seeds
+        ):
+            try:
+                g = build(n, m, seed=s)
+            except RuntimeError as exc:
+                outcomes.append(("raised", str(exc)))
+            else:
+                idx = g.adjacency_csr()[1]
+                outcomes.append(("graph", _csr_sha256(g), idx.dtype))
+        assert outcomes[0] == outcomes[1]
+        if as_generator:
+            # A caller's live generator is left in the same state.
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n,m,seed,digest",
+        [
+            (2_000, 3, 11, "36fe6d18c12ca389c2c68cbb077e43f0ccfff3ba8fca7642e940f1622007290a"),
+            (60, 20, 4, "7185f5935933234f6c8da4d23f2e6cab0cf9e5ac05c876d7be72a68ea5992cdf"),
+            (100_000, 4, 0, "30e446ef28298629aace6d122526115fa45d2d4635983fe3636ff40219f51d16"),
+        ],
+    )
+    def test_csr_pinned(self, n, m, seed, digest):
+        assert _csr_sha256(barabasi_albert_graph(n, m, seed=seed)) == digest
+
+    def test_redraw_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(generators_module, "_BA_MAX_REDRAW_ROUNDS", 1)
+        # Step 0 draws 10 slots from a pool whose 20 cells hold vertex 0
+        # ten times: the first draw collides and one sweep cannot finish.
+        for build in (barabasi_albert_graph, _reference_barabasi_albert_graph):
+            with pytest.raises(RuntimeError, match="failed to converge after 1 sweeps"):
+                build(50, 10, seed=0)
+        # m = 1 never redraws, so the cap does not bite.
+        assert barabasi_albert_graph(50, 1, seed=0).num_edges == 49
+
+
+@st.composite
+def _simple_edge_arrays(draw):
+    n = draw(st.integers(2, 60))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda uv: uv[0] != uv[1]
+            ),
+            max_size=200,
+        )
+    )
+    seen, edges = set(), []
+    for u, v in pairs:
+        if (min(u, v), max(u, v)) not in seen:
+            seen.add((min(u, v), max(u, v)))
+            edges.append((u, v))
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    order = np.random.default_rng(draw(st.integers(0, 2**16))).permutation(len(edges))
+    return n, edges[order]
+
+
+class TestGraphFromEdgeArray:
+    @settings(max_examples=80, deadline=None)
+    @given(_simple_edge_arrays())
+    def test_matches_edge_list_constructor(self, case):
+        n, edges = case
+        g = _graph_from_edge_array(n, edges)
+        assert g == Graph(n, edges)
+        indptr, indices = g.adjacency_csr()
+        assert Graph.from_csr(n, indptr, indices, validate=True) == g
+
+    def test_rejects_overflowing_keys(self):
+        with pytest.raises(ValueError, match="overflow int64"):
+            _graph_from_edge_array(PAIR_KEY_MAX_N + 1, np.array([[0, 1]]))
 
 
 class TestWattsStrogatz:
