@@ -21,6 +21,7 @@ from repro.graphs.generators import (
     complete_graph,
     random_regular_graph,
 )
+from repro.mechanisms.base import DelegationMechanism
 from repro.mechanisms.threshold import ApprovalThreshold
 from repro.sampling.recycle import RecycleSamplingGraph
 from repro.voting.exact import (
@@ -216,6 +217,54 @@ def test_batched_engine_speedup_vs_reference(micro_record, capsys):
             f"reference engine {best_ref * 1e3:.1f} ms = {speedup:.2f}x"
         )
     assert speedup >= 3.0, f"batched engine speedup only {speedup:.2f}x"
+
+
+class _Composed(ApprovalThreshold):
+    """ApprovalThreshold with the level-ordered kernel switched off: the
+    batch engine samples a delegate matrix and resolves it."""
+
+    sample_forests_batch = DelegationMechanism.sample_forests_batch
+
+
+def test_level_forests_small_n_no_regression(micro_record, capsys):
+    """Level-ordered forests must not slow the small-n batch engine.
+
+    Workload: Barabási–Albert m=4 at n = 500, ApprovalThreshold(1), 400
+    naive (vote-drawing) rounds, whose forests fit one or two blocks of
+    ``LEVEL_BLOCK_CELLS``.  The engine with the one-pass kernel is
+    timed against the same engine sampling and resolving a delegate
+    matrix, interleaved best of five; estimates are bitwise equal.
+    """
+    n = 500
+    inst = ProblemInstance(
+        barabasi_albert_graph(n, 4, seed=0),
+        bounded_uniform_competencies(n, 0.35, seed=0),
+        alpha=0.05,
+    )
+
+    def run(mechanism):
+        return BatchEstimator().estimate(
+            inst, mechanism, rounds=400, seed=0, exact_conditional=False
+        )
+
+    assert run(ApprovalThreshold(1)) == run(_Composed(1))
+    best_new = best_ref = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        run(ApprovalThreshold(1))
+        best_new = min(best_new, time.perf_counter() - start)
+        start = time.perf_counter()
+        run(_Composed(1))
+        best_ref = min(best_ref, time.perf_counter() - start)
+    micro_record("level_forests_400_naive_rounds", n, best_new, best_ref)
+    ratio = best_ref / best_new
+    with capsys.disabled():
+        print(
+            f"\nlevel-ordered forests, 400 naive rounds n={n}: "
+            f"{best_new * 1e3:.1f} ms vs composition {best_ref * 1e3:.1f} ms "
+            f"= {ratio:.2f}x"
+        )
+    assert ratio >= 0.9, f"level-ordered engine at {ratio:.2f}x of the composition"
 
 
 def test_kernel_speedup_demonstration(instance, mechanism, micro_record, capsys):

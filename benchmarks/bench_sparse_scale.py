@@ -14,14 +14,16 @@ Scales (``REPRO_BENCH_SCALE``):
 
 The RSS assertions are the executable form of the O(E + chunk·n) memory
 contract: a dense ``(n, max_degree)`` regression at n = 10^6 blows the
-ceiling immediately rather than slipping in as a slow constant.  The two
-speed floors time BA generation and ``compiled()`` against their
-``_reference_`` oracles, best of :data:`FLOOR_REPEATS` interleaved runs.
+ceiling immediately rather than slipping in as a slow constant.  The
+speed floors time BA generation, ``compiled()`` and the level-ordered
+forest kernel against their ``_reference_`` oracles, best of
+:data:`FLOOR_REPEATS` interleaved runs.
 """
 
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro._util.memory import peak_rss_mib, reset_peak_rss
@@ -50,9 +52,11 @@ N, M, ROUNDS, RSS_CEILING_MIB = _PARAMS.get(SCALE, _PARAMS["smoke"])
 #: Interleaved repetitions per speed floor; the best of each side counts.
 FLOOR_REPEATS = 3
 #: Speed floors over the ``_reference_`` oracles: half the ratios
-#: measured at n = 10^5 (BA ~3.4x, compile ~15x).
+#: measured at n = 10^5 (BA ~3.4x, compile ~15x, level-ordered forests
+#: ~2.2x over sample-then-resolve).
 BA_SPEEDUP_FLOOR = 1.7
 COMPILE_SPEEDUP_FLOOR = 7.5
+LEVEL_FORESTS_SPEEDUP_FLOOR = 1.1
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +198,33 @@ def test_compile_speedup_vs_reference(ba_graph, sparse_record, capsys):
             f"{best_ref * 1e3:.0f} ms = {speedup:.1f}x"
         )
     assert speedup >= COMPILE_SPEEDUP_FLOOR, f"compile speedup only {speedup:.2f}x"
+
+
+def test_level_forests_speedup_vs_composition(ba_instance, sparse_record, capsys):
+    """One-pass level-ordered pick-and-resolve beats sampling a delegate
+    matrix and pointer-doubling it, with bitwise-equal forests."""
+    mechanism = ApprovalThreshold(1)
+    ba_instance.compiled().approval_levels()  # one-time table, not timed
+    fused = mechanism.sample_forests_batch(ba_instance, ROUNDS, SEED)
+    composed = mechanism._reference_sample_forests_batch(ba_instance, ROUNDS, SEED)
+    for got, want in zip(fused, composed):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    was_reset = reset_peak_rss()
+    best_new, best_ref = _interleaved_best(
+        lambda: mechanism.sample_forests_batch(ba_instance, ROUNDS, SEED),
+        lambda: mechanism._reference_sample_forests_batch(ba_instance, ROUNDS, SEED),
+    )
+    speedup = best_ref / best_new
+    sparse_record(
+        "ba_level_forests_vs_composition", N, best_new, was_reset,
+        rounds=ROUNDS, reference_seconds=best_ref, speedup=speedup,
+    )
+    with capsys.disabled():
+        print(
+            f"\nlevel-ordered forests n={N} x {ROUNDS} rounds: "
+            f"{best_new * 1e3:.0f} ms vs composition {best_ref * 1e3:.0f} ms "
+            f"= {speedup:.2f}x"
+        )
+    assert speedup >= LEVEL_FORESTS_SPEEDUP_FLOOR, (
+        f"level-ordered forest speedup only {speedup:.2f}x"
+    )

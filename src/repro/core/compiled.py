@@ -11,7 +11,9 @@ gathers everything those kernels consume, computed once per instance:
   :class:`~repro.core.structure.ApprovalStructure`),
 * the degree and competency vectors,
 * derived per-mechanism tables (e.g. greedy best-approved targets),
-  memoised through :meth:`memo`.
+  memoised through :meth:`memo`,
+* the approval DAG's level order (:meth:`approval_levels`), which lets
+  fixed-mover mechanisms resolve forests in one pass.
 
 Everything here is plain numpy data, so a compiled instance travels to
 worker processes with the instance when the batch estimator fans out.
@@ -20,7 +22,16 @@ worker processes with the instance when the batch estimator fans out.
 from __future__ import annotations
 # reprolint: sparse-safe
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -29,6 +40,25 @@ from repro.graphs.graph import csr_index_dtype
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.instance import ProblemInstance
+
+
+class ApprovalLevels(NamedTuple):
+    """The approval DAG in static topological (level) order.
+
+    ``level[v]`` is 0 for a voter with no approved neighbour and
+    otherwise ``1 + max(level[t] for t approved by v)`` — the longest
+    approval path leaving ``v``.  Approval needs ``p_t >= p_v + alpha``
+    with ``alpha > 0``, so every delegation goes strictly down a level,
+    and resolving movers level by level (level 1 first) finds each
+    target's sink already final.  ``order`` holds the voters with at
+    least one approved neighbour sorted stably by level (ties by index),
+    and ``order[bounds[d - 1]:bounds[d]]`` is level ``d``, so the DAG is
+    ``len(bounds) - 1`` levels deep.
+    """
+
+    level: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
 
 
 class CompiledInstance:
@@ -123,6 +153,29 @@ class CompiledInstance:
             lambda: np.unique(self.degrees, return_inverse=True),
         )
 
+    def approval_levels(self) -> Optional[ApprovalLevels]:
+        """Memoised level order of the approval DAG, or ``None``.
+
+        ``None`` on complete-form structures (their O(n) suffix form
+        has no stored CSR to relax over), and when the DAG is deeper
+        than ``n.bit_length() + 1`` levels: that is the pass bound of
+        :func:`~repro.delegation.graph.resolve_forests_batch`'s pointer
+        doubling, past which one pass per level costs more numpy calls
+        than doubling does.  A cycle (possible only when ``alpha`` is
+        below half a competency ulp) exceeds the bound too.  Built on
+        first use, not in the constructor, so a compile that never
+        samples pays nothing; competency edits change it, so
+        :meth:`adopt_degree_tables` never carries it across a patch.
+        """
+        if self._structure.is_complete_form:
+            return None
+        return self.memo(
+            ("approval_levels",),
+            lambda: _approval_levels(
+                self.num_voters, self.approved_counts, self.approved_csr()[1]
+            ),
+        )
+
     def adopt_degree_tables(self, other: "CompiledInstance") -> None:
         """Carry degree-derived memo tables across an incremental patch.
 
@@ -155,3 +208,76 @@ class CompiledInstance:
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
+
+
+# reprolint: reference=_reference_approval_levels
+def _approval_levels(
+    n: int, counts: np.ndarray, indices: np.ndarray
+) -> Optional[ApprovalLevels]:
+    """Level order of the approved CSR by relaxing only what still climbs.
+
+    Every voter with an approved neighbour starts at level 1.  Pass
+    ``d`` keeps the CSR entries ``v -> t`` whose target sits at level
+    ``d``: exactly their owners ``v`` have a level above ``d``, so they
+    move to ``d + 1``.  An entry whose target stayed below ``d`` can
+    never lift its owner again and is dropped for good, so each pass
+    touches only the edges into voters still climbing, with no
+    per-segment reduction.
+    """
+    cap = n.bit_length() + 1
+    level = (counts > 0).astype(np.int8)
+    owners = np.repeat(np.arange(n, dtype=indices.dtype), counts)
+    targets = indices
+    depth = 1 if owners.size else 0
+    while owners.size:
+        climbing = np.take(level, targets, mode="clip") == depth
+        targets = np.compress(climbing, targets)
+        owners = np.compress(climbing, owners)
+        if not owners.size:
+            break
+        depth += 1
+        if depth > cap:
+            return None
+        level[owners] = depth
+    sizes = np.bincount(level, minlength=depth + 1)
+    order = np.argsort(level, kind="stable")[sizes[0]:]
+    bounds = np.concatenate(([0], np.cumsum(sizes[1:])))
+    for table in (level, order, bounds):
+        table.setflags(write=False)
+    return ApprovalLevels(level, order, bounds)
+
+
+def _reference_approval_levels(
+    compiled: CompiledInstance,
+) -> Optional[ApprovalLevels]:
+    """Brute-force oracle of :meth:`CompiledInstance.approval_levels`.
+
+    Longest approval path per voter by whole-graph relaxation in plain
+    Python until nothing changes; no fixed point within ``n + 1``
+    sweeps means a cycle.  Same ``None`` cases as the fast build.
+    """
+    if compiled._structure.is_complete_form:
+        return None
+    n = compiled.num_voters
+    indptr, indices = compiled.approved_csr()
+    approved = [
+        [int(t) for t in indices[indptr[v]:indptr[v + 1]]] for v in range(n)
+    ]
+    level = [0] * n
+    for _ in range(n + 1):
+        new = [1 + max(level[t] for t in ts) if ts else 0 for ts in approved]
+        if new == level:
+            break
+        level = new
+    else:
+        return None
+    depth = max(level, default=0)
+    if depth > n.bit_length() + 1:
+        return None
+    order = [v for d in range(1, depth + 1) for v in range(n) if level[v] == d]
+    sizes = [sum(1 for x in level if x == d) for d in range(1, depth + 1)]
+    return ApprovalLevels(
+        np.array(level, dtype=np.int8),
+        np.array(order, dtype=np.intp),
+        np.cumsum([0] + sizes),
+    )

@@ -71,6 +71,14 @@ def resolve_forests_batch(
     matrices of any width (the batch kernels emit the instance's CSR
     index dtype, int32 below 2^31 voters) are consumed as-is — no
     int64 upcast copy.
+
+    The batch engine reaches this resolver through
+    :meth:`~repro.mechanisms.base.DelegationMechanism.sample_forests_batch`,
+    whose default samples a delegate matrix and resolves it here.
+    Fixed-mover mechanisms (:class:`~repro.mechanisms.base.
+    UniformApprovedDelegation`) skip the matrix and resolve in one pass
+    over the approval DAG's level order, bitwise equal to this result;
+    the incremental engine calls this resolver directly.
     """
     delegates = np.asarray(delegates)
     if delegates.dtype.kind != "i":

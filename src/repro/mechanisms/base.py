@@ -31,7 +31,7 @@ from repro._util.rng import (
     child_seed_sequence,
 )
 from repro.core.instance import LocalView, ProblemInstance
-from repro.delegation.graph import SELF, DelegationGraph
+from repro.delegation.graph import SELF, DelegationGraph, resolve_forests_batch
 from repro.graphs.graph import csr_index_dtype
 
 UNIFORM_CHUNK_BUDGET_BYTES = 256 * 1024 * 1024
@@ -42,6 +42,21 @@ UNIFORM_CHUNK_BUDGET_BYTES = 256 * 1024 * 1024
 is O(E + chunk·n) instead of O(rounds·n).  Chunking is invisible in the
 output: round ``r`` draws only from child seed ``r``, so any partition
 of rounds into chunks produces bit-identical delegate matrices."""
+
+LEVEL_BLOCK_CELLS = 1 << 17
+"""Cells (rounds × voters) per block of the level-ordered forest kernel.
+
+:meth:`UniformApprovedDelegation.sample_forests_batch` draws, picks and
+resolves rounds in blocks of about this many cells (at least one round),
+running its level loop over the block's flat indices.  A block's sink
+rows and weight counts then stay cache-sized: on a 2-core Xeon with a
+4 MiB L2, BA instances ran ~2x faster at n = 10^4 and 10^5 than with
+2^20-cell blocks, and no slower at n = 500 or 10^6.  At n = 10^6 a block
+is one round and every per-block temporary stays below glibc's
+32 MiB mmap ceiling, so it is reused from the heap instead of being
+mapped and faulted in afresh; at small n a block spans hundreds of
+rounds, so the per-level numpy calls are not paid once per round.  Any
+blocking gives bit-identical output."""
 
 
 @dataclass(frozen=True)
@@ -234,6 +249,41 @@ class DelegationMechanism(abc.ABC):
             f"{type(self).__name__} declares batch_uniform_rows() but no kernel"
         )
 
+    def sample_forests_batch(
+        self,
+        instance: ProblemInstance,
+        n_rounds: int,
+        seed: SeedLike = None,
+        first_round: int = 0,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Draw and resolve ``n_rounds`` forests: ``(sink_of, weights)``.
+
+        The batch engine's entry point.  The result is the resolved
+        :meth:`sample_delegations_batch` matrix exactly as
+        :func:`~repro.delegation.graph.resolve_forests_batch` returns
+        it, dtypes included.  This default is that composition
+        (:meth:`_reference_sample_forests_batch`); mechanisms with a
+        fixed mover set override it with a one-pass kernel
+        (:class:`UniformApprovedDelegation`).
+        """
+        return self._reference_sample_forests_batch(
+            instance, n_rounds, seed, first_round
+        )
+
+    def _reference_sample_forests_batch(
+        self,
+        instance: ProblemInstance,
+        n_rounds: int,
+        seed: SeedLike = None,
+        first_round: int = 0,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Sample the delegate matrix, then resolve it (the oracle)."""
+        return resolve_forests_batch(
+            self.sample_delegations_batch(
+                instance, n_rounds, seed=seed, first_round=first_round
+            )
+        )
+
     def delegations_from_uniforms_subset(
         self,
         instance: ProblemInstance,
@@ -400,3 +450,218 @@ def batched_uniform_approved_targets(
     counts = compiled.approved_counts[movers]
     offsets = np.minimum((u_rows[:, movers] * counts).astype(np.int64), counts - 1)
     return compiled.resolve_approved_offsets(movers[None, :], offsets)
+
+
+class UniformApprovedDelegation(LocalDelegationMechanism):
+    """A fixed set of movers, each delegating to a uniform approved neighbour.
+
+    The shared shape of Algorithm 1 (:class:`~repro.mechanisms.threshold.
+    ApprovalThreshold`) and Theorem 5's mechanism
+    (:class:`~repro.mechanisms.fraction.FractionApproved`): whether a
+    voter delegates is a deterministic function of its neighbourhood,
+    owned by one method, :meth:`_movers`; a mover's delegate is uniform
+    over its approved neighbours, drawn from one uniform per round.
+
+    Because the movers do not depend on the round, the batch engine
+    resolves their forests in one pass per level of the approval DAG
+    (:meth:`sample_forests_batch`).
+    """
+
+    @abc.abstractmethod
+    def _movers(
+        self, compiled, voters: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Boolean mask of the voters that delegate (over ``voters``, or all).
+
+        Must agree with :meth:`should_delegate` voter by voter and be
+        false wherever the approved set is empty.
+        """
+
+    def decide(self, view: LocalView, rng: np.random.Generator) -> Optional[int]:
+        if not view.approved or not self.should_delegate(view):
+            return None
+        return uniform_choice(view.approved, rng)
+
+    def sample_delegations(
+        self, instance: ProblemInstance, rng: SeedLike = None
+    ) -> DelegationGraph:
+        """Vectorised sampler, distributionally identical to ``decide``."""
+        gen = as_generator(rng)
+        delegates = np.full(instance.num_voters, SELF, dtype=np.int64)
+        movers = np.flatnonzero(self._movers(instance.compiled()))
+        if movers.size:
+            delegates[movers] = instance.approval_structure().sample_approved_many(
+                movers, gen
+            )
+        return DelegationGraph(delegates)
+
+    # -- batched kernels ---------------------------------------------------
+
+    def batch_uniform_rows(self) -> int:
+        return 1
+
+    def decide_from_uniforms(
+        self, view: LocalView, u: np.ndarray
+    ) -> Optional[int]:
+        if not view.approved or not self.should_delegate(view):
+            return None
+        return view.approved[uniform_offset(float(u[0]), view.approval_count)]
+
+    def _delegations_from_uniforms(
+        self, instance: ProblemInstance, uniforms: np.ndarray
+    ) -> np.ndarray:
+        compiled = instance.compiled()
+        delegates = np.full(
+            (uniforms.shape[0], instance.num_voters), SELF,
+            dtype=compiled.index_dtype,
+        )
+        movers = np.flatnonzero(self._movers(compiled))
+        if movers.size:
+            delegates[:, movers] = batched_uniform_approved_targets(
+                compiled, movers, uniforms[:, 0, :]
+            )
+        return delegates
+
+    def delegations_from_uniforms_subset(
+        self,
+        instance: ProblemInstance,
+        uniforms: np.ndarray,
+        voters: np.ndarray,
+    ) -> np.ndarray:
+        """True subset kernel: O(rounds × |voters|), not O(rounds × n).
+
+        Restricts the full kernel's mask and target resolution to
+        ``voters``; every formula (mover condition, offset clamp,
+        segment resolution) is the full kernel's own restricted
+        elementwise, so the result is bit-identical to slicing the full
+        delegate matrix.
+        """
+        compiled = instance.compiled()
+        voters = np.asarray(voters, dtype=np.int64)
+        mask = self._movers(compiled, voters)
+        delegates = np.full(
+            (uniforms.shape[0], voters.size), SELF, dtype=compiled.index_dtype
+        )
+        movers = voters[mask]
+        if movers.size:
+            delegates[:, mask] = batched_uniform_approved_targets(
+                compiled, movers, uniforms[:, 0, :]
+            )
+        return delegates
+
+    def sample_forests_batch(
+        self,
+        instance: ProblemInstance,
+        n_rounds: int,
+        seed: SeedLike = None,
+        first_round: int = 0,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Pick targets and resolve forests in one pass, level by level.
+
+        Bitwise equal to :meth:`_reference_sample_forests_batch`, dtypes
+        included.  Runs when the instance has a level table
+        (:meth:`~repro.core.compiled.CompiledInstance.approval_levels`);
+        complete-form and too-deep approval DAGs, and empty batches,
+        take the composition.
+        """
+        n = instance.num_voters
+        if n_rounds > 0 and n > 0:
+            compiled = instance.compiled()
+            levels = compiled.approval_levels()
+            if levels is not None:
+                return _level_ordered_forests(
+                    compiled, levels, self._movers(compiled),
+                    as_seed_sequence(seed), first_round, n_rounds,
+                )
+        return self._reference_sample_forests_batch(
+            instance, n_rounds, seed, first_round
+        )
+
+
+def _level_ordered_forests(
+    compiled,
+    levels,
+    mask: np.ndarray,
+    root: np.random.SeedSequence,
+    first_round: int,
+    n_rounds: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One-pass pick and resolve of a fixed mover set, in level order.
+
+    The movers are taken in the static level order of the approval DAG
+    (level 1 first), and each round's targets are picked in that order
+    with :func:`batched_uniform_approved_targets`' formula.  A mover's
+    target sits on a strictly lower level, so its sink is final by the
+    time the mover's level is reached, and one gather and one scatter
+    per delegating cell resolve the forest: ``sink[movers_l] =
+    sink[targets_l]``.  No delegate matrix is built and no cycle check
+    is needed, because every target comes from the approved CSR.
+
+    Rounds run in blocks of :data:`LEVEL_BLOCK_CELLS` cells over flat
+    indices.  Movers are never sinks and every other voter is one, so a
+    round's weights are one vote per non-mover plus the count of mover
+    cells landing on each sink: the ``bincount`` runs over the movers'
+    sinks only.  The returned ``sink_of`` and ``weights`` equal
+    ``resolve_forests_batch`` of the composed delegate matrix bitwise,
+    dtypes included; a weight row not summing to ``n`` raises
+    ``RuntimeError``.
+    """
+    n = compiled.num_voters
+    # Every index below is in range by construction (level order, movers
+    # and CSR offsets), so ``take`` runs unchecked in "clip" mode: checked
+    # mode buffers ``out`` and costs about three times as much.
+    keep = np.take(mask, levels.order, mode="clip")
+    movers = np.compress(keep, levels.order)
+    spans, hi = [], 0
+    for start, stop in zip(levels.bounds[:-1], levels.bounds[1:]):
+        lo, hi = hi, hi + int(np.count_nonzero(keep[start:stop]))
+        if hi > lo:
+            spans.append((lo, hi))
+    indptr, indices = compiled.approved_csr()
+    # Float counts give the same products as the int64 counts of
+    # ``batched_uniform_approved_targets`` (exact below 2^53).  Its
+    # ``counts - 1`` clamp is left out: ``random()`` draws u < 1, and for
+    # u < 1 and an integer 1 <= c < 2^53 the rounded product u·c is
+    # below c, so the clamp never fires here.
+    counts = np.take(compiled.approved_counts, movers, mode="clip").astype(np.float64)
+    starts = np.take(indptr, movers, mode="clip").astype(np.intp)
+    stays = ~mask
+    ptr_dtype = np.int32 if n_rounds * n <= np.iinfo(np.int32).max else np.int64
+    sink_of = np.empty((n_rounds, n), dtype=ptr_dtype)
+    weights = np.empty((n_rounds, n), dtype=np.intp)
+    block = max(1, min(n_rounds, LEVEL_BLOCK_CELLS // n))
+    base = np.arange(block, dtype=np.intp)[:, None] * n
+    own = np.arange(n, dtype=ptr_dtype)
+    sources = movers + base
+    uniforms = np.empty((block, n))
+    picked = np.empty((block, movers.size))
+    cells = np.empty((block, movers.size), dtype=np.intp)
+    for b0 in range(0, n_rounds, block):
+        b = min(block, n_rounds - b0)
+        for i in range(b):
+            rng = np.random.default_rng(child_seed_sequence(root, first_round + b0 + i))
+            rng.random(out=uniforms[i])
+        u = picked[:b]
+        np.take(uniforms[:b], movers, axis=1, out=u, mode="clip")
+        u *= counts
+        cell = cells[:b]
+        np.copyto(cell, u, casting="unsafe")
+        cell += starts
+        np.add(np.take(indices, cell, mode="clip"), base[:b], out=cell)
+        sink = sink_of[b0:b0 + b]
+        sink[:] = own
+        flat = sink.reshape(-1)
+        for lo, hi in spans:
+            landed = np.take(flat, cell[:, lo:hi], mode="clip")
+            flat[sources[:b, lo:hi]] = landed
+            cell[:, lo:hi] = landed
+        cell += base[:b]
+        landing = np.bincount(cell.reshape(-1), minlength=b * n)
+        np.add(landing.reshape(b, n), stays, out=weights[b0:b0 + b])
+    bad = np.flatnonzero(weights.sum(axis=1) != n)
+    if bad.size:
+        raise RuntimeError(
+            f"round {first_round + int(bad[0])}: sink weights sum to "
+            f"{int(weights[bad[0]].sum())}, not {n}"
+        )
+    return sink_of, weights

@@ -13,19 +13,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro._util.rng import SeedLike, as_generator
 from repro._util.validation import check_fraction
 from repro.core.instance import LocalView, ProblemInstance
-from repro.delegation.graph import SELF, DelegationGraph
-from repro.mechanisms.base import (
-    LocalDelegationMechanism,
-    batched_uniform_approved_targets,
-    uniform_choice,
-    uniform_offset,
-)
+from repro.mechanisms.base import UniformApprovedDelegation
 
 
-class FractionApproved(LocalDelegationMechanism):
+class FractionApproved(UniformApprovedDelegation):
     """Delegate iff ``|approved| >= fraction * num_neighbors``.
 
     Delegation target is a uniformly random approved neighbour.
@@ -52,56 +45,11 @@ class FractionApproved(LocalDelegationMechanism):
             return False
         return view.approval_count >= self._fraction * view.num_neighbors
 
-    def decide(self, view: LocalView, rng: np.random.Generator) -> Optional[int]:
-        if not view.approved or not self.should_delegate(view):
-            return None
-        return uniform_choice(view.approved, rng)
-
-    def sample_delegations(
-        self, instance: ProblemInstance, rng: SeedLike = None
-    ) -> DelegationGraph:
-        """Vectorised sampler, distributionally identical to ``decide``."""
-        gen = as_generator(rng)
-        structure = instance.approval_structure()
-        degrees = structure.degrees
-        counts = structure.approved_counts
-        mask = (counts > 0) & (degrees > 0) & (
-            counts >= self._fraction * degrees
-        )
-        delegates = np.full(instance.num_voters, SELF, dtype=np.int64)
-        movers = np.nonzero(mask)[0]
-        if movers.size:
-            delegates[movers] = structure.sample_approved_many(movers, gen)
-        return DelegationGraph(delegates)
-
-    # -- batched kernel ----------------------------------------------------
-
-    def batch_uniform_rows(self) -> int:
-        return 1
-
-    def decide_from_uniforms(
-        self, view: LocalView, u: np.ndarray
-    ) -> Optional[int]:
-        if not view.approved or not self.should_delegate(view):
-            return None
-        return view.approved[uniform_offset(float(u[0]), view.approval_count)]
-
-    def _delegations_from_uniforms(
-        self, instance: ProblemInstance, uniforms: np.ndarray
+    def _movers(
+        self, compiled, voters: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        compiled = instance.compiled()
-        degrees = compiled.degrees
-        counts = compiled.approved_counts
-        mask = (counts > 0) & (degrees > 0) & (
-            counts >= self._fraction * degrees
-        )
-        delegates = np.full(
-            (uniforms.shape[0], instance.num_voters), SELF,
-            dtype=compiled.index_dtype,
-        )
-        movers = np.nonzero(mask)[0]
-        if movers.size:
-            delegates[:, movers] = batched_uniform_approved_targets(
-                compiled, movers, uniforms[:, 0, :]
-            )
-        return delegates
+        """Voters with ``0 < |approved| >= fraction * degree``."""
+        degrees, counts = compiled.degrees, compiled.approved_counts
+        if voters is not None:
+            degrees, counts = degrees[voters], counts[voters]
+        return (counts > 0) & (degrees > 0) & (counts >= self._fraction * degrees)

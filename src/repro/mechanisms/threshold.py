@@ -18,15 +18,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro._util.rng import SeedLike, as_generator
 from repro.core.instance import LocalView, ProblemInstance
-from repro.delegation.graph import SELF, DelegationGraph
-from repro.mechanisms.base import (
-    LocalDelegationMechanism,
-    batched_uniform_approved_targets,
-    uniform_choice,
-    uniform_offset,
-)
+from repro.mechanisms.base import UniformApprovedDelegation
 
 ThresholdFn = Callable[[int], float]
 
@@ -57,7 +50,7 @@ def _as_threshold_fn(threshold: Union[int, float, ThresholdFn]) -> ThresholdFn:
     return _ConstantThreshold(float(threshold))
 
 
-class ApprovalThreshold(LocalDelegationMechanism):
+class ApprovalThreshold(UniformApprovedDelegation):
     """Algorithm 1 with threshold ``j``.
 
     Parameters
@@ -102,52 +95,6 @@ class ApprovalThreshold(LocalDelegationMechanism):
     def should_delegate(self, view: LocalView) -> bool:
         return view.approval_count >= self.threshold_at(view.num_neighbors)
 
-    def decide(self, view: LocalView, rng: np.random.Generator) -> Optional[int]:
-        if not view.approved:
-            return None
-        if not self.should_delegate(view):
-            return None
-        return uniform_choice(view.approved, rng)
-
-    def sample_delegations(
-        self, instance: ProblemInstance, rng: SeedLike = None
-    ) -> DelegationGraph:
-        """Vectorised sampler, distributionally identical to ``decide``.
-
-        Uses the instance's cached approval structure: the per-voter
-        decision depends only on ``(degree, approved count)`` and the
-        delegate is uniform over the approved neighbours.
-        """
-        gen = as_generator(rng)
-        structure = instance.approval_structure()
-        degrees = structure.degrees
-        counts = structure.approved_counts
-        # Evaluate the threshold once per *distinct* degree: on regular
-        # and complete graphs this is a single Python call instead of n.
-        unique_degrees, inverse = np.unique(degrees, return_inverse=True)
-        per_degree = np.array(
-            [self.threshold_at(int(d)) for d in unique_degrees], dtype=float
-        )
-        thresholds = per_degree[inverse]
-        mask = (counts > 0) & (counts >= thresholds)
-        delegates = np.full(instance.num_voters, SELF, dtype=np.int64)
-        movers = np.nonzero(mask)[0]
-        if movers.size:
-            delegates[movers] = structure.sample_approved_many(movers, gen)
-        return DelegationGraph(delegates)
-
-    # -- batched kernel ----------------------------------------------------
-
-    def batch_uniform_rows(self) -> int:
-        return 1
-
-    def decide_from_uniforms(
-        self, view: LocalView, u: np.ndarray
-    ) -> Optional[int]:
-        if not view.approved or not self.should_delegate(view):
-            return None
-        return view.approved[uniform_offset(float(u[0]), view.approval_count)]
-
     def _per_degree_thresholds(self, compiled) -> np.ndarray:
         """Threshold evaluated once per distinct degree, memoised when safe.
 
@@ -175,56 +122,16 @@ class ApprovalThreshold(LocalDelegationMechanism):
             )
         return build()
 
-    def _delegations_from_uniforms(
-        self, instance: ProblemInstance, uniforms: np.ndarray
+    def _movers(
+        self, compiled, voters: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        compiled = instance.compiled()
+        """Voters whose approved count reaches ``j(degree)`` (and is non-zero)."""
         counts = compiled.approved_counts
         _, inverse = compiled.unique_degrees()
-        per_degree = self._per_degree_thresholds(compiled)
-        thresholds = per_degree[inverse]
-        mask = (counts > 0) & (counts >= thresholds)
-        delegates = np.full(
-            (uniforms.shape[0], instance.num_voters), SELF,
-            dtype=compiled.index_dtype,
-        )
-        movers = np.nonzero(mask)[0]
-        if movers.size:
-            delegates[:, movers] = batched_uniform_approved_targets(
-                compiled, movers, uniforms[:, 0, :]
-            )
-        return delegates
-
-    def delegations_from_uniforms_subset(
-        self,
-        instance: ProblemInstance,
-        uniforms: np.ndarray,
-        voters: np.ndarray,
-    ) -> np.ndarray:
-        """True subset kernel: O(rounds × |voters|), not O(rounds × n).
-
-        Restricts the full kernel's mask and target resolution to
-        ``voters``; every formula (threshold comparison, offset clamp,
-        segment resolution) is the full kernel's own restricted
-        elementwise, so the result is bit-identical to slicing the full
-        delegate matrix.
-        """
-        compiled = instance.compiled()
-        voters = np.asarray(voters, dtype=np.int64)
-        counts = compiled.approved_counts[voters]
-        _, inverse = compiled.unique_degrees()
-        per_degree = self._per_degree_thresholds(compiled)
-        thresholds = per_degree[inverse[voters]]
-        mask = (counts > 0) & (counts >= thresholds)
-        delegates = np.full(
-            (uniforms.shape[0], voters.size), SELF, dtype=compiled.index_dtype
-        )
-        movers = voters[mask]
-        if movers.size:
-            delegates[:, mask] = batched_uniform_approved_targets(
-                compiled, movers, uniforms[:, 0, :]
-            )
-        return delegates
+        if voters is not None:
+            counts, inverse = counts[voters], inverse[voters]
+        thresholds = self._per_degree_thresholds(compiled)[inverse]
+        return (counts > 0) & (counts >= thresholds)
 
 
 class RandomApproved(ApprovalThreshold):

@@ -51,7 +51,6 @@ import numpy as np
 from repro._util.mathx import LRUCache, wilson_interval
 from repro._util.rng import SeedLike, as_seed_sequence, child_seed_sequence
 from repro.core.instance import ProblemInstance
-from repro.delegation.graph import resolve_forests_batch
 from repro.voting.exact import (
     tail_from_pmf,
     weighted_bernoulli_pmf,
@@ -340,7 +339,13 @@ def _streamed_rounds(
     Processes rounds in chunks of ``chunk_rounds`` (default: sized to
     :data:`CHUNK_BUDGET_BYTES`), sampling, resolving and evaluating one
     ``(chunk, n)`` block at a time so delegate/weight matrices for all
-    rounds never coexist.  The profile ``cache`` is shared across
+    rounds never coexist.  Each chunk's forests come from
+    :meth:`~repro.mechanisms.base.DelegationMechanism.sample_forests_batch`:
+    fixed-mover mechanisms pick and resolve in one pass over the
+    approval DAG's level order, every other mechanism samples a delegate
+    matrix and resolves it with
+    :func:`~repro.delegation.graph.resolve_forests_batch`; both give the
+    same weights bitwise.  The profile ``cache`` is shared across
     chunks, so dedup reaches across chunk boundaries exactly as it does
     within a single block.
     """
@@ -351,11 +356,9 @@ def _streamed_rounds(
     total = float(instance.num_voters)
     for cstart in range(start, stop, chunk):
         cstop = min(cstart + chunk, stop)
-        delegates = mechanism.sample_delegations_batch(
+        _, weights = mechanism.sample_forests_batch(
             instance, cstop - cstart, seed=root, first_round=cstart
         )
-        _, weights = resolve_forests_batch(delegates)
-        del delegates
         if exact_conditional:
             values[cstart - start : cstop - start] = _batch_values(
                 instance, weights, tie_policy, cache

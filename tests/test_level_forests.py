@@ -1,0 +1,256 @@
+"""Level-ordered forest sampling: the one-pass kernel against its oracle.
+
+``UniformApprovedDelegation.sample_forests_batch`` picks targets and
+resolves forests in one pass over the approval DAG's level order.  It is
+pinned bitwise — values and dtypes — to the composition it replaces,
+``resolve_forests_batch(sample_delegations_batch(...))``, and the level
+table is pinned to a brute-force longest-path oracle.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.mechanisms.base as mechanisms_base
+from repro.core.compiled import _reference_approval_levels
+from repro.core.instance import ProblemInstance
+from repro.delegation.graph import SELF
+from repro.graphs import generators as G
+from repro.graphs.graph import Graph
+from repro.mechanisms.base import LEVEL_BLOCK_CELLS
+from repro.mechanisms.fraction import FractionApproved
+from repro.mechanisms.threshold import ApprovalThreshold, RandomApproved
+from repro.voting.montecarlo import BatchEstimator
+
+ALPHAS = (1e-12, 0.01, 0.05, 0.2)
+
+
+def _with_isolated(graph: Graph, extra: int) -> Graph:
+    """``graph`` plus ``extra`` voters with no neighbours."""
+    return Graph(graph.num_vertices + extra, graph.edge_array)
+
+
+def _family_graph(family: str, n: int, seed: int) -> Graph:
+    if family == "ba":
+        return G.barabasi_albert_graph(n, 2, seed=seed)
+    if family == "er":
+        return G.erdos_renyi_graph(n, 0.2, seed=seed)
+    if family == "regular":
+        return G.random_regular_graph(n - n % 2, 3, seed=seed)
+    return G.connected_caveman_graph(max(2, n // 4), 4)
+
+
+def _competencies(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.random(n)
+    if kind == "tied":
+        return np.round(rng.random(n), 1)
+    return np.where(rng.random(n) < 0.5, 0.3, 0.7)
+
+
+@st.composite
+def level_cases(draw):
+    family = draw(st.sampled_from(["ba", "er", "regular", "caveman"]))
+    n = draw(st.integers(6, 40))
+    seed = draw(st.integers(0, 10**6))
+    graph = _with_isolated(_family_graph(family, n, seed), draw(st.integers(0, 5)))
+    kind = draw(st.sampled_from(["uniform", "tied", "two-valued"]))
+    p = _competencies(kind, graph.num_vertices, draw(st.integers(0, 10**6)))
+    return ProblemInstance(graph, p, alpha=draw(st.sampled_from(ALPHAS)))
+
+
+MECHANISMS = st.sampled_from(
+    [
+        ApprovalThreshold(1),
+        ApprovalThreshold(3),
+        ApprovalThreshold(lambda d: d ** 0.5 / 2),
+        RandomApproved(),
+        FractionApproved(0.5),
+        FractionApproved(0.25),
+    ]
+)
+
+
+def _assert_bitwise(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+class TestSampleForestsBatch:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        level_cases(),
+        MECHANISMS,
+        st.integers(1, 12),
+        st.integers(0, 50),
+        st.sampled_from([None, 7, 40]),
+        st.integers(0, 10**6),
+    )
+    def test_matches_composition(
+        self, instance, mechanism, rounds, first_round, block, seed
+    ):
+        args = (instance, rounds, seed, first_round)
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(mechanisms_base, "LEVEL_BLOCK_CELLS", block)
+            got = mechanism.sample_forests_batch(*args)
+        _assert_bitwise(got, mechanism._reference_sample_forests_batch(*args))
+
+    def test_fused_path_runs_on_every_family(self):
+        """The property above must exercise the fused kernel, not only
+        its fallback: every family yields a level table at alpha 0.05."""
+        for family in ("ba", "er", "regular", "caveman"):
+            graph = _with_isolated(_family_graph(family, 30, 1), 3)
+            instance = ProblemInstance(
+                graph, _competencies("uniform", graph.num_vertices, 2), alpha=0.05
+            )
+            assert instance.compiled().approval_levels() is not None
+
+    def test_rounds_past_one_block(self):
+        """n·rounds above :data:`LEVEL_BLOCK_CELLS` at the shipped block
+        size: blocks split mid-batch, and the int32 sink dtype holds."""
+        n = 1100
+        instance = ProblemInstance(
+            G.barabasi_albert_graph(n, 3, seed=4),
+            _competencies("uniform", n, 5),
+            alpha=0.05,
+        )
+        rounds = LEVEL_BLOCK_CELLS // n + 3
+        mechanism = ApprovalThreshold(1)
+        got = mechanism.sample_forests_batch(instance, rounds, 11, 5)
+        want = mechanism._reference_sample_forests_batch(instance, rounds, 11, 5)
+        _assert_bitwise(got, want)
+        assert got[0].dtype == np.int32
+
+    def test_deep_chain_and_complete_graph_take_the_composition(self):
+        chain = ProblemInstance(G.path_graph(40), np.linspace(0.1, 0.9, 40), alpha=0.01)
+        complete = ProblemInstance(
+            G.complete_graph(12), np.linspace(0.1, 0.9, 12), alpha=0.01
+        )
+        for instance in (chain, complete):
+            assert instance.compiled().approval_levels() is None
+            mechanism = RandomApproved()
+            _assert_bitwise(
+                mechanism.sample_forests_batch(instance, 5, 3),
+                mechanism._reference_sample_forests_batch(instance, 5, 3),
+            )
+
+    def test_empty_batches_match(self):
+        instance = ProblemInstance(G.cycle_graph(6), np.linspace(0.2, 0.8, 6), alpha=0.05)
+        mechanism = RandomApproved()
+        _assert_bitwise(
+            mechanism.sample_forests_batch(instance, 0, 3),
+            mechanism._reference_sample_forests_batch(instance, 0, 3),
+        )
+
+    def test_weight_rows_must_sum_to_n(self):
+        """A mover mask naming a voter with no approved neighbour leaves
+        that voter out of every forest; the weight check catches it."""
+
+        class Broken(RandomApproved):
+            def _movers(self, compiled, voters=None):
+                mask = super()._movers(compiled, voters)
+                mask[compiled.approved_counts == 0] = True
+                return mask
+
+        competencies = np.full(6, 0.3)
+        competencies[0] = 0.9
+        instance = ProblemInstance(G.star_graph(6), competencies, alpha=0.05)
+        with pytest.raises(RuntimeError, match="sink weights sum to"):
+            Broken().sample_forests_batch(instance, 2, 0)
+
+    def test_estimates_are_unchanged(self):
+        """The batch engine consumes the fused forests: estimates equal
+        those computed from the composition's forests."""
+
+        class Composed(ApprovalThreshold):
+            sample_forests_batch = mechanisms_base.DelegationMechanism.sample_forests_batch
+
+        instance = ProblemInstance(
+            G.barabasi_albert_graph(300, 3, seed=2), _competencies("uniform", 300, 3),
+            alpha=0.05,
+        )
+        for exact in (True, False):
+            fused = BatchEstimator().estimate(
+                instance, ApprovalThreshold(2), rounds=40, seed=9, exact_conditional=exact
+            )
+            composed = BatchEstimator().estimate(
+                instance, Composed(2), rounds=40, seed=9, exact_conditional=exact
+            )
+            assert fused == composed
+
+
+class TestApprovalLevels:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(level_cases())
+    def test_matches_longest_path_oracle(self, instance):
+        compiled = instance.compiled()
+        got, want = compiled.approval_levels(), _reference_approval_levels(compiled)
+        assert (got is None) == (want is None)
+        if got is not None:
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(level_cases(), MECHANISMS, st.integers(0, 10**6))
+    def test_delegations_descend_to_approved_neighbours(self, instance, mechanism, seed):
+        compiled = instance.compiled()
+        levels = compiled.approval_levels()
+        if levels is None:
+            return
+        delegates = mechanism.sample_delegations_batch(instance, 4, seed)
+        sink_of, weights = mechanism.sample_forests_batch(instance, 4, seed)
+        indptr, indices = compiled.approved_csr()
+        for r, row in enumerate(delegates):
+            for v in np.flatnonzero(row != SELF):
+                t = int(row[v])
+                assert levels.level[t] < levels.level[v]
+                assert t in indices[indptr[v]:indptr[v + 1]]
+                assert sink_of[r, v] == sink_of[r, t]
+                assert weights[r, v] == 0
+        assert np.array_equal(weights.sum(axis=1), np.full(4, instance.num_voters))
+
+    def test_chain_deeper_than_cap_is_none(self):
+        n = 12  # cap: n.bit_length() + 1 = 5 levels
+        shallow = ProblemInstance(G.path_graph(5), np.linspace(0.1, 0.9, 5), alpha=0.01)
+        deep = ProblemInstance(G.path_graph(n), np.linspace(0.1, 0.9, n), alpha=0.01)
+        levels = shallow.compiled().approval_levels()
+        assert list(levels.level) == [4, 3, 2, 1, 0]
+        assert list(levels.order) == [3, 2, 1, 0]
+        assert deep.compiled().approval_levels() is None
+        assert _reference_approval_levels(deep.compiled()) is None
+
+    def test_complete_form_is_none(self):
+        instance = ProblemInstance(G.complete_graph(8), np.linspace(0.1, 0.9, 8), alpha=0.01)
+        assert instance.compiled()._structure.is_complete_form
+        assert instance.compiled().approval_levels() is None
+
+    def test_not_adopted_across_a_competency_patch(self):
+        graph = G.barabasi_albert_graph(60, 2, seed=3)
+        before = ProblemInstance(graph, _competencies("uniform", 60, 4), alpha=0.05)
+        after = before.with_competencies(before.competencies[::-1].copy())
+        table = before.compiled().approval_levels()
+        after.compiled().adopt_degree_tables(before.compiled())
+        got = after.compiled().approval_levels()
+        assert got is not table
+        for a, b in zip(got, _reference_approval_levels(after.compiled())):
+            assert np.array_equal(a, b)
+
+
+class TestMoverMask:
+    @settings(max_examples=40, deadline=None)
+    @given(level_cases(), MECHANISMS, st.integers(0, 10**6))
+    def test_subset_mask_is_full_mask_restricted(self, instance, mechanism, seed):
+        compiled = instance.compiled()
+        voters = np.random.default_rng(seed).permutation(instance.num_voters)[:5]
+        full = mechanism._movers(compiled)
+        assert np.array_equal(mechanism._movers(compiled, voters), full[voters])
+        views = [instance.local_view(v) for v in range(instance.num_voters)]
+        expected = [bool(view.approved) and mechanism.should_delegate(view) for view in views]
+        assert list(full) == expected
