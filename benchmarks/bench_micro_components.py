@@ -221,7 +221,8 @@ def test_batched_engine_speedup_vs_reference(micro_record, capsys):
 
 class _Composed(ApprovalThreshold):
     """ApprovalThreshold with the level-ordered kernel switched off: the
-    batch engine samples a delegate matrix and resolves it."""
+    batch engine samples a delegate matrix, resolves it and drops the
+    never-sink weight columns."""
 
     sample_forests_batch = DelegationMechanism.sample_forests_batch
 

@@ -202,12 +202,15 @@ def test_compile_speedup_vs_reference(ba_graph, sparse_record, capsys):
 
 def test_level_forests_speedup_vs_composition(ba_instance, sparse_record, capsys):
     """One-pass level-ordered pick-and-resolve beats sampling a delegate
-    matrix and pointer-doubling it, with bitwise-equal forests."""
+    matrix, pointer-doubling it and dropping the never-sink columns, with
+    bitwise-equal compact sink profiles ``(sinks, weights)``."""
     mechanism = ApprovalThreshold(1)
     ba_instance.compiled().approval_levels()  # one-time table, not timed
-    fused = mechanism.sample_forests_batch(ba_instance, ROUNDS, SEED)
-    composed = mechanism._reference_sample_forests_batch(ba_instance, ROUNDS, SEED)
-    for got, want in zip(fused, composed):
+    sinks, weights = mechanism.sample_forests_batch(ba_instance, ROUNDS, SEED)
+    want_sinks, want_weights = mechanism._reference_sample_forests_batch(
+        ba_instance, ROUNDS, SEED
+    )
+    for got, want in ((sinks, want_sinks), (weights, want_weights)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     was_reset = reset_peak_rss()
     best_new, best_ref = _interleaved_best(

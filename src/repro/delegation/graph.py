@@ -74,11 +74,12 @@ def resolve_forests_batch(
 
     The batch engine reaches this resolver through
     :meth:`~repro.mechanisms.base.DelegationMechanism.sample_forests_batch`,
-    whose default samples a delegate matrix and resolves it here.
+    whose default samples a delegate matrix, resolves it here and keeps
+    the weight columns of voters that are a sink in some round.
     Fixed-mover mechanisms (:class:`~repro.mechanisms.base.
     UniformApprovedDelegation`) skip the matrix and resolve in one pass
-    over the approval DAG's level order, bitwise equal to this result;
-    the incremental engine calls this resolver directly.
+    over the approval DAG's level order, bitwise equal to those
+    columns; the incremental engine calls this resolver directly.
     """
     delegates = np.asarray(delegates)
     if delegates.dtype.kind != "i":

@@ -256,15 +256,16 @@ class DelegationMechanism(abc.ABC):
         seed: SeedLike = None,
         first_round: int = 0,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Draw and resolve ``n_rounds`` forests: ``(sink_of, weights)``.
+        """Draw ``n_rounds`` forests as compact sink profiles ``(sinks, weights)``.
 
-        The batch engine's entry point.  The result is the resolved
-        :meth:`sample_delegations_batch` matrix exactly as
-        :func:`~repro.delegation.graph.resolve_forests_batch` returns
-        it, dtypes included.  This default is that composition
-        (:meth:`_reference_sample_forests_batch`); mechanisms with a
-        fixed mover set override it with a one-pass kernel
-        (:class:`UniformApprovedDelegation`).
+        The batch engine's entry point.  ``sinks`` (int64, index order)
+        holds the voters that are a sink in at least one round, and
+        ``weights`` the ``(rounds, len(sinks))`` intp matrix of the
+        votes each carries (0 in a round where it delegates).  This
+        default is the composition
+        :meth:`_reference_sample_forests_batch`; mechanisms with a fixed
+        mover set override it with a one-pass kernel
+        (:class:`UniformApprovedDelegation`), bitwise equal.
         """
         return self._reference_sample_forests_batch(
             instance, n_rounds, seed, first_round
@@ -277,12 +278,28 @@ class DelegationMechanism(abc.ABC):
         seed: SeedLike = None,
         first_round: int = 0,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample the delegate matrix, then resolve it (the oracle)."""
-        return resolve_forests_batch(
+        """Sample the delegate matrix, resolve it, drop never-sink columns
+        (the oracle)."""
+        _, weights = resolve_forests_batch(
             self.sample_delegations_batch(
                 instance, n_rounds, seed=seed, first_round=first_round
             )
         )
+        sinks = np.flatnonzero(weights.any(axis=0))
+        return sinks, weights[:, sinks]
+
+    def forest_bytes_per_voter(self, instance: ProblemInstance) -> int:
+        """Bytes per voter and round that :meth:`sample_forests_batch` holds.
+
+        Sizes the batch engine's round chunks.  The composition keeps
+        the uniform rows (float64), the delegate row (index dtype) and
+        the resolve scratch of
+        :func:`~repro.delegation.graph.resolve_forests_batch`: three
+        8-byte words per voter cover its int32 sink row (the pointer
+        dtype below 2^31 cells), the int64 weight row, and the
+        frontier's cell and target arrays plus ``bincount``'s index copy.
+        """
+        return 8 * (self.batch_uniform_rows() or 0) + 4 + 3 * 8
 
     def delegations_from_uniforms_subset(
         self,
@@ -562,7 +579,8 @@ class UniformApprovedDelegation(LocalDelegationMechanism):
         included.  Runs when the instance has a level table
         (:meth:`~repro.core.compiled.CompiledInstance.approval_levels`);
         complete-form and too-deep approval DAGs, and empty batches,
-        take the composition.
+        take the composition.  Either way ``sinks`` are the non-movers
+        and every weight is at least 1.
         """
         n = instance.num_voters
         if n_rounds > 0 and n > 0:
@@ -576,6 +594,17 @@ class UniformApprovedDelegation(LocalDelegationMechanism):
         return self._reference_sample_forests_batch(
             instance, n_rounds, seed, first_round
         )
+
+    def forest_bytes_per_voter(self, instance: ProblemInstance) -> int:
+        """8 bytes (one intp weight) per voter and round on the level path.
+
+        The kernel's other arrays are per block of
+        :data:`LEVEL_BLOCK_CELLS` cells, not per round, and its weight
+        rows hold the sinks only.
+        """
+        if instance.compiled().approval_levels() is not None:
+            return 8
+        return super().forest_bytes_per_voter(instance)
 
 
 def _level_ordered_forests(
@@ -593,18 +622,23 @@ def _level_ordered_forests(
     with :func:`batched_uniform_approved_targets`' formula.  A mover's
     target sits on a strictly lower level, so its sink is final by the
     time the mover's level is reached, and one gather and one scatter
-    per delegating cell resolve the forest: ``sink[movers_l] =
-    sink[targets_l]``.  No delegate matrix is built and no cycle check
+    per delegating cell resolve the forest: ``rank[movers_l] =
+    rank[targets_l]``.  No delegate matrix is built and no cycle check
     is needed, because every target comes from the approved CSR.
 
-    Rounds run in blocks of :data:`LEVEL_BLOCK_CELLS` cells over flat
-    indices.  Movers are never sinks and every other voter is one, so a
-    round's weights are one vote per non-mover plus the count of mover
-    cells landing on each sink: the ``bincount`` runs over the movers'
-    sinks only.  The returned ``sink_of`` and ``weights`` equal
-    ``resolve_forests_batch`` of the composed delegate matrix bitwise,
-    dtypes included; a weight row not summing to ``n`` raises
-    ``RuntimeError``.
+    The sinks are the non-movers in every round.  Rounds run in blocks
+    of :data:`LEVEL_BLOCK_CELLS` cells over flat indices of one
+    ``(block, n)`` scratch reused across blocks, each row seeded with
+    every non-mover's rank among the sinks; a voter that is neither a
+    level-ordered mover nor a sink holds the spare rank ``n_sinks``.
+    A sink's weight is its own vote plus the count of mover cells
+    landing on it, so the ``bincount`` runs over ``rounds × n_sinks``
+    cells (plus the spare column).  Returns the compact profile
+    ``(sinks, weights)``, bitwise equal to
+    :meth:`~DelegationMechanism._reference_sample_forests_batch`,
+    dtypes included; a weight row not summing to ``n`` (a mover with
+    no approved neighbour, so outside the level order, feeds the spare
+    column) raises ``RuntimeError``.
     """
     n = compiled.num_voters
     # Every index below is in range by construction (level order, movers
@@ -625,15 +659,19 @@ def _level_ordered_forests(
     # below c, so the clamp never fires here.
     counts = np.take(compiled.approved_counts, movers, mode="clip").astype(np.float64)
     starts = np.take(indptr, movers, mode="clip").astype(np.intp)
-    stays = ~mask
-    ptr_dtype = np.int32 if n_rounds * n <= np.iinfo(np.int32).max else np.int64
-    sink_of = np.empty((n_rounds, n), dtype=ptr_dtype)
-    weights = np.empty((n_rounds, n), dtype=np.intp)
+    sinks = np.flatnonzero(~mask)
+    width = sinks.size + 1
+    rank_dtype = np.int32 if width <= np.iinfo(np.int32).max else np.int64
+    seeded = np.full(n, sinks.size, dtype=rank_dtype)
+    seeded[sinks] = np.arange(sinks.size, dtype=rank_dtype)
+    weights = np.empty((n_rounds, sinks.size), dtype=np.intp)
     block = max(1, min(n_rounds, LEVEL_BLOCK_CELLS // n))
-    base = np.arange(block, dtype=np.intp)[:, None] * n
-    own = np.arange(n, dtype=ptr_dtype)
+    rows = np.arange(block, dtype=np.intp)[:, None]
+    base = rows * n
+    bins = rows * width
     sources = movers + base
     uniforms = np.empty((block, n))
+    scratch = np.empty((block, n), dtype=rank_dtype)
     picked = np.empty((block, movers.size))
     cells = np.empty((block, movers.size), dtype=np.intp)
     for b0 in range(0, n_rounds, block):
@@ -648,20 +686,20 @@ def _level_ordered_forests(
         np.copyto(cell, u, casting="unsafe")
         cell += starts
         np.add(np.take(indices, cell, mode="clip"), base[:b], out=cell)
-        sink = sink_of[b0:b0 + b]
-        sink[:] = own
-        flat = sink.reshape(-1)
+        rank = scratch[:b]
+        rank[:] = seeded
+        flat = rank.reshape(-1)
         for lo, hi in spans:
             landed = np.take(flat, cell[:, lo:hi], mode="clip")
             flat[sources[:b, lo:hi]] = landed
             cell[:, lo:hi] = landed
-        cell += base[:b]
-        landing = np.bincount(cell.reshape(-1), minlength=b * n)
-        np.add(landing.reshape(b, n), stays, out=weights[b0:b0 + b])
+        cell += bins[:b]
+        landing = np.bincount(cell.reshape(-1), minlength=b * width)
+        np.add(landing.reshape(b, width)[:, :-1], 1, out=weights[b0:b0 + b])
     bad = np.flatnonzero(weights.sum(axis=1) != n)
     if bad.size:
         raise RuntimeError(
             f"round {first_round + int(bad[0])}: sink weights sum to "
             f"{int(weights[bad[0]].sum())}, not {n}"
         )
-    return sink_of, weights
+    return sinks, weights

@@ -19,12 +19,18 @@ regardless of ``n_jobs``, chunking or worker partitioning.  A live
 (:func:`repro._util.rng.as_seed_sequence`), so consecutive estimates
 sharing one generator are independent.
 
-The engine samples whole ``(rounds, n)`` delegate matrices through
-the mechanisms' vectorised uniform kernels
-(:meth:`~repro.mechanisms.base.DelegationMechanism.sample_delegations_batch`),
-resolves them with one pointer-doubling pass
-(:func:`~repro.delegation.graph.resolve_forests_batch`), and evaluates
-all uncached sink-weight profiles in one spectral tail computation
+The engine takes each chunk of rounds as a compact sink profile
+``(sinks, weights)`` from
+:meth:`~repro.mechanisms.base.DelegationMechanism.sample_forests_batch`:
+the voters that are a sink in some round, and their weight in every
+round.  Fixed-mover mechanisms (Algorithm 1, Theorem 5's mechanism)
+pick targets and resolve forests in one pass over the approval DAG's
+level order and weigh their non-movers only; every other mechanism
+samples a ``(rounds, n)`` delegate matrix through its vectorised
+uniform kernel, resolves it with one pointer-doubling pass
+(:func:`~repro.delegation.graph.resolve_forests_batch`) and drops the
+never-sink columns.  All uncached profiles are evaluated in one
+spectral tail computation
 (:func:`~repro.voting.exact.weighted_tails_batch`).  Mechanisms without
 a kernel transparently fall back to per-round sampling on the same
 child seeds.  The per-round engine of an earlier revision survives as
@@ -68,13 +74,17 @@ CHUNK_BUDGET_BYTES = 256 * 1024 * 1024
 """Default per-chunk memory budget of the streaming batch engine.
 
 The batch engine processes rounds in row-block chunks sized so the
-transient per-chunk arrays (uniform cube, delegate matrix, resolved
-sink/weight matrices) stay under this budget; peak memory is then
-O(E + chunk·n) rather than O(rounds·n).  Chunking never changes results:
-round ``r`` is pinned to absolute child seed ``r``, and the conditional
-values are exact per-round quantities, so any partition of rounds into
-chunks is bit-identical (the same contract that makes results
-``n_jobs``-invariant)."""
+transient per-chunk arrays of the mechanism's forest path stay under
+this budget (:meth:`~repro.mechanisms.base.DelegationMechanism.
+forest_bytes_per_voter`: the composition's uniform cube, delegate
+matrix and resolve scratch, or the level-ordered kernel's sink weights
+alone); peak memory is then O(E + chunk·n) rather than O(rounds·n).
+Chunking never changes the forests or the naive vote draws: round
+``r`` is pinned to absolute child seed ``r`` (the same contract that
+makes results ``n_jobs``-invariant).  Rao–Blackwellised values are
+exact per-round quantities up to rounding, which
+:func:`~repro.voting.exact.weighted_tails_batch` may vary in the last
+bit with the rows batched together."""
 
 
 def _auto_chunk_rounds(
@@ -82,19 +92,16 @@ def _auto_chunk_rounds(
 ) -> int:
     """Rounds per streamed chunk under :data:`CHUNK_BUDGET_BYTES`.
 
-    Estimates the dominant per-round footprint: the uniform rows the
-    kernel consumes (float64), the delegate row (index dtype), and the
-    resolve scratch of
-    :func:`~repro.delegation.graph.resolve_forests_batch`: three 8-byte
-    words per voter cover its int32 sink row (the pointer dtype below
-    2^31 cells), the int64 weight row, and the frontier's cell and
-    target arrays plus ``bincount``'s index copy.  Small
-    instances resolve to chunks far larger than any realistic round
-    count, so the single-shot fast path is unchanged below ~10^5 voters.
+    The per-round footprint is the mechanism's own figure for the forest
+    path that runs
+    (:meth:`~repro.mechanisms.base.DelegationMechanism.forest_bytes_per_voter`):
+    36 bytes per voter for the composition with one uniform row, 8 for
+    the level-ordered kernel.  Small instances resolve to chunks far
+    larger than any realistic round count, so the single-shot fast path
+    is unchanged below ~10^5 voters.
     """
     n = max(1, instance.num_voters)
-    rows = mechanism.batch_uniform_rows() or 0
-    per_round = n * (8 * rows + 4 + 3 * 8)
+    per_round = n * mechanism.forest_bytes_per_voter(instance)
     return max(1, CHUNK_BUDGET_BYTES // per_round)
 
 
@@ -222,20 +229,17 @@ _BATCH_DP_CUTOFF = 64
 # reprolint: reference=_conditional_values
 def _batch_values(
     instance: ProblemInstance,
+    sinks: np.ndarray,
     weights: np.ndarray,
     tie_policy: TiePolicy,
     cache: LRUCache,
 ) -> np.ndarray:
-    """Exact conditional values for a ``(rounds, n)`` sink-weight matrix.
+    """Exact conditional values for a compact sink profile.
 
-    ``weights[r, i]`` is the weight voter ``i`` carries in round ``r``
-    (0 unless a sink), as returned by
-    :func:`~repro.delegation.graph.resolve_forests_batch`.  Columns
-    that are zero in *every* round (voters that never sink in this
-    batch) are dropped up front — deterministic-condition mechanisms
-    produce a fixed mover set, so this typically shrinks the matrix
-    substantially before hashing and evaluation.  Rounds are then
-    deduplicated by the pair (column set, compacted weight row)
+    ``weights[r, j]`` is the weight voter ``sinks[j]`` carries in round
+    ``r`` (0 where it delegates), as returned by
+    :meth:`~repro.mechanisms.base.DelegationMechanism.sample_forests_batch`.
+    Rounds are deduplicated by the pair (column set, weight row)
     (competencies are fixed, so equal pairs are equal profiles); the
     cache stores ``(P[W > n/2], P[W = n/2])`` pairs, making cached
     values reusable across tie policies.  All uncached rows go through
@@ -243,12 +247,10 @@ def _batch_values(
     small totals, the per-profile DP).
     """
     total = instance.num_voters
-    comp = instance.competencies
     rounds = weights.shape[0]
-    cols = np.flatnonzero(weights.any(axis=0))
-    W = np.ascontiguousarray(weights[:, cols])
-    comp_c = comp[cols]
-    cols_tag = cols.tobytes()
+    W = weights
+    comp_c = instance.competencies[sinks]
+    cols_tag = sinks.tobytes()
     keys = [(cols_tag, W[r].tobytes()) for r in range(rounds)]
     # `resolved` holds this call's values independently of the LRU: when
     # a batch has more distinct profiles than the cache holds, earlier
@@ -338,16 +340,17 @@ def _streamed_rounds(
 
     Processes rounds in chunks of ``chunk_rounds`` (default: sized to
     :data:`CHUNK_BUDGET_BYTES`), sampling, resolving and evaluating one
-    ``(chunk, n)`` block at a time so delegate/weight matrices for all
-    rounds never coexist.  Each chunk's forests come from
-    :meth:`~repro.mechanisms.base.DelegationMechanism.sample_forests_batch`:
-    fixed-mover mechanisms pick and resolve in one pass over the
-    approval DAG's level order, every other mechanism samples a delegate
-    matrix and resolves it with
-    :func:`~repro.delegation.graph.resolve_forests_batch`; both give the
-    same weights bitwise.  The profile ``cache`` is shared across
-    chunks, so dedup reaches across chunk boundaries exactly as it does
-    within a single block.
+    chunk at a time so the forests of all rounds never coexist.  Each
+    chunk comes from
+    :meth:`~repro.mechanisms.base.DelegationMechanism.sample_forests_batch`
+    as a compact sink profile ``(sinks, weights)``: fixed-mover
+    mechanisms pick and resolve in one pass over the approval DAG's
+    level order, every other mechanism samples a delegate matrix,
+    resolves it with :func:`~repro.delegation.graph.resolve_forests_batch`
+    and drops the never-sink columns; both give the same profile
+    bitwise.  The profile ``cache`` is shared across chunks, so dedup
+    reaches across chunk boundaries exactly as it does within a single
+    block.
     """
     count = stop - start
     chunk = chunk_rounds or _auto_chunk_rounds(instance, mechanism)
@@ -356,14 +359,18 @@ def _streamed_rounds(
     total = float(instance.num_voters)
     for cstart in range(start, stop, chunk):
         cstop = min(cstart + chunk, stop)
-        _, weights = mechanism.sample_forests_batch(
+        sinks, weights = mechanism.sample_forests_batch(
             instance, cstop - cstart, seed=root, first_round=cstart
         )
         if exact_conditional:
             values[cstart - start : cstop - start] = _batch_values(
-                instance, weights, tie_policy, cache
+                instance, sinks, weights, tie_policy, cache
             )
             continue
+        comp_c = np.take(comp, sinks)
+        # Fixed-mover kernels weigh every sink in every round, so their
+        # rows need no compress.
+        dense = bool((weights > 0).all())
         for offset, r in enumerate(range(cstart, cstop)):
             # Kernel mechanisms consume uniforms differently from their
             # rng-based samplers, so the outcome draw gets its own
@@ -371,11 +378,14 @@ def _streamed_rounds(
             vote_rng = np.random.default_rng(
                 child_seed_sequence(root, r).spawn(1)[0]
             )
-            # ``np.compress`` keeps the same elements in the same order
-            # as a boolean-mask index and is much cheaper at this size.
-            mask = weights[offset] > 0
-            probs = np.compress(mask, comp)
-            row = np.compress(mask, weights[offset])
+            row = weights[offset]
+            probs = comp_c
+            if not dense:
+                # ``np.compress`` keeps the same elements in the same
+                # order as a boolean-mask index and is much cheaper.
+                mask = row > 0
+                probs = np.compress(mask, comp_c)
+                row = np.compress(mask, row)
             votes = vote_rng.random(len(probs)) < probs
             correct = float(np.compress(votes, row).sum())
             values[cstart - start + offset] = majority_correct(

@@ -409,9 +409,11 @@ class TestBatchValues:
         ]:
             delegates = mech.sample_delegations_batch(instance, 30, seed=11)
             _, weights = resolve_forests_batch(delegates)
+            sinks = np.flatnonzero(weights.any(axis=0))
             for tie_policy in (TiePolicy.INCORRECT, TiePolicy.COIN_FLIP):
                 values = _batch_values(
-                    instance, weights, tie_policy, LRUCache(256)
+                    instance, sinks, weights[:, sinks], tie_policy,
+                    LRUCache(256),
                 )
                 for r in range(30):
                     forest = DelegationGraph(delegates[r])
@@ -434,12 +436,11 @@ class TestBatchValues:
             alpha=0.05,
         )
         mech = ApprovalThreshold(4)
-        delegates = mech.sample_delegations_batch(instance, 16, seed=2)
-        _, weights = resolve_forests_batch(delegates)
+        sinks, weights = mech.sample_forests_batch(instance, 16, seed=2)
         cache = LRUCache(256)
-        _batch_values(instance, weights, TiePolicy.INCORRECT, cache)
+        _batch_values(instance, sinks, weights, TiePolicy.INCORRECT, cache)
         misses = cache.misses
-        _batch_values(instance, weights, TiePolicy.COIN_FLIP, cache)
+        _batch_values(instance, sinks, weights, TiePolicy.COIN_FLIP, cache)
         assert cache.misses == misses
 
 

@@ -1,10 +1,12 @@
 """Level-ordered forest sampling: the one-pass kernel against its oracle.
 
 ``UniformApprovedDelegation.sample_forests_batch`` picks targets and
-resolves forests in one pass over the approval DAG's level order.  It is
-pinned bitwise — values and dtypes — to the composition it replaces,
-``resolve_forests_batch(sample_delegations_batch(...))``, and the level
-table is pinned to a brute-force longest-path oracle.
+resolves forests in one pass over the approval DAG's level order, and
+returns compact sink profiles ``(sinks, weights)``.  It is pinned
+bitwise — values and dtypes — to the composition it replaces,
+``resolve_forests_batch(sample_delegations_batch(...))`` with the
+never-sink weight columns dropped, and the level table is pinned to a
+brute-force longest-path oracle.
 """
 
 from __future__ import annotations
@@ -17,13 +19,18 @@ from hypothesis import strategies as st
 import repro.mechanisms.base as mechanisms_base
 from repro.core.compiled import _reference_approval_levels
 from repro.core.instance import ProblemInstance
-from repro.delegation.graph import SELF
+from repro.delegation.graph import SELF, resolve_forests_batch
 from repro.graphs import generators as G
 from repro.graphs.graph import Graph
 from repro.mechanisms.base import LEVEL_BLOCK_CELLS
 from repro.mechanisms.fraction import FractionApproved
+from repro.mechanisms.sampled import SampledNeighbourhood
 from repro.mechanisms.threshold import ApprovalThreshold, RandomApproved
-from repro.voting.montecarlo import BatchEstimator
+from repro.voting.montecarlo import (
+    CHUNK_BUDGET_BYTES,
+    BatchEstimator,
+    _auto_chunk_rounds,
+)
 
 ALPHAS = (1e-12, 0.01, 0.05, 0.2)
 
@@ -75,11 +82,31 @@ MECHANISMS = st.sampled_from(
 )
 
 
+def _compressed_composition(mechanism, instance, rounds, seed, first_round=0):
+    """The delegate matrix, resolved, with the never-sink columns dropped."""
+    _, weights = resolve_forests_batch(
+        mechanism.sample_delegations_batch(
+            instance, rounds, seed=seed, first_round=first_round
+        )
+    )
+    sinks = np.flatnonzero(weights.any(axis=0))
+    return sinks, weights[:, sinks]
+
+
 def _assert_bitwise(got, want):
+    assert len(got) == len(want) == 2
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert a.shape == b.shape
         assert np.array_equal(a, b)
+
+
+def _assert_fixed_sinks(mechanism, instance, got):
+    """Fixed-mover forests: the sinks are the non-movers, every weight >= 1."""
+    sinks, weights = got
+    movers = mechanism._movers(instance.compiled())
+    assert np.array_equal(sinks, np.flatnonzero(~movers))
+    assert (weights >= 1).all()
 
 
 class TestSampleForestsBatch:
@@ -100,7 +127,11 @@ class TestSampleForestsBatch:
             if block is not None:
                 patch.setattr(mechanisms_base, "LEVEL_BLOCK_CELLS", block)
             got = mechanism.sample_forests_batch(*args)
-        _assert_bitwise(got, mechanism._reference_sample_forests_batch(*args))
+        want = _compressed_composition(mechanism, *args)
+        _assert_bitwise(got, want)
+        _assert_bitwise(mechanism._reference_sample_forests_batch(*args), want)
+        assert got[0].dtype == np.int64 and got[1].dtype == np.intp
+        _assert_fixed_sinks(mechanism, instance, got)
 
     def test_fused_path_runs_on_every_family(self):
         """The property above must exercise the fused kernel, not only
@@ -114,7 +145,7 @@ class TestSampleForestsBatch:
 
     def test_rounds_past_one_block(self):
         """n·rounds above :data:`LEVEL_BLOCK_CELLS` at the shipped block
-        size: blocks split mid-batch, and the int32 sink dtype holds."""
+        size: blocks split mid-batch and the scratch is reused."""
         n = 1100
         instance = ProblemInstance(
             G.barabasi_albert_graph(n, 3, seed=4),
@@ -124,9 +155,8 @@ class TestSampleForestsBatch:
         rounds = LEVEL_BLOCK_CELLS // n + 3
         mechanism = ApprovalThreshold(1)
         got = mechanism.sample_forests_batch(instance, rounds, 11, 5)
-        want = mechanism._reference_sample_forests_batch(instance, rounds, 11, 5)
-        _assert_bitwise(got, want)
-        assert got[0].dtype == np.int32
+        _assert_bitwise(got, _compressed_composition(mechanism, instance, rounds, 11, 5))
+        _assert_fixed_sinks(mechanism, instance, got)
 
     def test_deep_chain_and_complete_graph_take_the_composition(self):
         chain = ProblemInstance(G.path_graph(40), np.linspace(0.1, 0.9, 40), alpha=0.01)
@@ -136,18 +166,16 @@ class TestSampleForestsBatch:
         for instance in (chain, complete):
             assert instance.compiled().approval_levels() is None
             mechanism = RandomApproved()
-            _assert_bitwise(
-                mechanism.sample_forests_batch(instance, 5, 3),
-                mechanism._reference_sample_forests_batch(instance, 5, 3),
-            )
+            got = mechanism.sample_forests_batch(instance, 5, 3)
+            _assert_bitwise(got, _compressed_composition(mechanism, instance, 5, 3))
+            _assert_fixed_sinks(mechanism, instance, got)
 
     def test_empty_batches_match(self):
         instance = ProblemInstance(G.cycle_graph(6), np.linspace(0.2, 0.8, 6), alpha=0.05)
         mechanism = RandomApproved()
-        _assert_bitwise(
-            mechanism.sample_forests_batch(instance, 0, 3),
-            mechanism._reference_sample_forests_batch(instance, 0, 3),
-        )
+        got = mechanism.sample_forests_batch(instance, 0, 3)
+        _assert_bitwise(got, _compressed_composition(mechanism, instance, 0, 3))
+        assert got[1].shape == (0, 0)
 
     def test_weight_rows_must_sum_to_n(self):
         """A mover mask naming a voter with no approved neighbour leaves
@@ -186,6 +214,39 @@ class TestSampleForestsBatch:
             assert fused == composed
 
 
+class TestChunkSizing:
+    """Streamed chunks are sized for the forest path that runs."""
+
+    def test_level_path_keeps_eight_bytes_per_voter(self):
+        n = 2000
+        instance = ProblemInstance(
+            G.barabasi_albert_graph(n, 3, seed=1), _competencies("uniform", n, 2),
+            alpha=0.05,
+        )
+        assert instance.compiled().approval_levels() is not None
+        for mechanism in (ApprovalThreshold(1), FractionApproved(0.5)):
+            assert _auto_chunk_rounds(instance, mechanism) == CHUNK_BUDGET_BYTES // (8 * n)
+
+    def test_composition_figure_is_unchanged(self):
+        n = 400
+        complete = ProblemInstance(
+            G.complete_graph(n), _competencies("uniform", n, 3), alpha=0.05
+        )
+        assert complete.compiled().approval_levels() is None
+        # uniform rows (float64), delegate row (int32) and three 8-byte
+        # words of resolve scratch per voter
+        assert _auto_chunk_rounds(complete, ApprovalThreshold(1)) == (
+            CHUNK_BUDGET_BYTES // ((8 * 1 + 4 + 3 * 8) * n)
+        )
+        sparse = ProblemInstance(
+            G.barabasi_albert_graph(n, 3, seed=1), _competencies("uniform", n, 2),
+            alpha=0.05,
+        )
+        assert _auto_chunk_rounds(sparse, SampledNeighbourhood(1, d=4)) == (
+            CHUNK_BUDGET_BYTES // ((8 * 2 + 4 + 3 * 8) * n)
+        )
+
+
 class TestApprovalLevels:
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(level_cases())
@@ -205,7 +266,8 @@ class TestApprovalLevels:
         if levels is None:
             return
         delegates = mechanism.sample_delegations_batch(instance, 4, seed)
-        sink_of, weights = mechanism.sample_forests_batch(instance, 4, seed)
+        sink_of, _ = resolve_forests_batch(delegates)
+        sinks, weights = mechanism.sample_forests_batch(instance, 4, seed)
         indptr, indices = compiled.approved_csr()
         for r, row in enumerate(delegates):
             for v in np.flatnonzero(row != SELF):
@@ -213,7 +275,11 @@ class TestApprovalLevels:
                 assert levels.level[t] < levels.level[v]
                 assert t in indices[indptr[v]:indptr[v + 1]]
                 assert sink_of[r, v] == sink_of[r, t]
-                assert weights[r, v] == 0
+                assert v not in sinks
+            assert np.array_equal(
+                np.bincount(sink_of[r], minlength=instance.num_voters)[sinks],
+                weights[r],
+            )
         assert np.array_equal(weights.sum(axis=1), np.full(4, instance.num_voters))
 
     def test_chain_deeper_than_cap_is_none(self):

@@ -8,6 +8,7 @@ from repro.core.instance import ProblemInstance
 from repro.graphs.generators import barabasi_albert_graph, complete_graph
 from repro.mechanisms.direct import DirectVoting
 from repro.mechanisms.greedy import GreedyBest
+from repro.mechanisms.sampled import SampledNeighbourhood
 from repro.mechanisms.threshold import ApprovalThreshold, RandomApproved
 from repro.voting.exact import direct_voting_probability
 from repro.voting.montecarlo import (
@@ -141,6 +142,66 @@ class TestNaiveBatchPinned:
             exact_conditional=False,
         )
         assert (est.probability, est.std_error) == _NAIVE_PINS[seed]
+
+
+class TestVaryingSinkSet:
+    """Chunking with a sink set that changes from round to round.
+
+    ``SampledNeighbourhood`` polls random neighbours, so a voter delegates
+    in some rounds and votes in others: each chunk's compact profile has
+    its own column set, and the naive vote loop takes its masked branch.
+    """
+
+    CHUNKS = (1, 3, None)
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        n = 300
+        return ProblemInstance(
+            barabasi_albert_graph(n, 3, seed=4),
+            bounded_uniform_competencies(n, 0.35, seed=5),
+            alpha=0.05,
+        )
+
+    def test_sink_set_varies_by_round(self, instance):
+        _, weights = SampledNeighbourhood(1, d=3).sample_forests_batch(instance, 6, 2)
+        assert not (weights > 0).all()
+
+    def test_profiles_are_chunk_invariant(self, instance):
+        """Each round's (sink, weight) pairs do not depend on the chunk."""
+        mechanism = SampledNeighbourhood(1, d=3)
+        whole = mechanism.sample_forests_batch(instance, 9, 6)
+        for r in range(9):
+            sinks, weights = mechanism.sample_forests_batch(instance, 1, 6, r)
+            row = whole[1][r]
+            assert np.array_equal(sinks, whole[0][row > 0])
+            assert np.array_equal(weights[0], row[row > 0])
+
+    def test_naive_estimates_bitwise(self, instance):
+        mechanism = SampledNeighbourhood(1, d=3)
+        estimates = [
+            BatchEstimator(chunk_rounds=chunk).estimate(
+                instance, mechanism, rounds=17, seed=6, exact_conditional=False
+            )
+            for chunk in self.CHUNKS
+        ]
+        assert estimates[0] == estimates[1] == estimates[2]
+
+    def test_exact_estimates_bit_close(self, instance):
+        """Only bit-close: the spectral tails factor out the sinks whose
+        weight is constant over a chunk's rows, so the rounding of a
+        round's value depends on the rounds batched with it (chunks of 3
+        differ from 1 and None in the last bit here)."""
+        mechanism = SampledNeighbourhood(1, d=3)
+        estimates = [
+            BatchEstimator(chunk_rounds=chunk).estimate(
+                instance, mechanism, rounds=17, seed=6
+            )
+            for chunk in self.CHUNKS
+        ]
+        for est in estimates[1:]:
+            assert est.probability == pytest.approx(estimates[0].probability, rel=1e-12)
+            assert est.std_error == pytest.approx(estimates[0].std_error, rel=1e-9)
 
 
 class TestGeneratorSeeds:
