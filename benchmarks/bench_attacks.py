@@ -18,14 +18,11 @@ Scales (``REPRO_BENCH_SCALE``):
   headline entry.
 
 Both scales assert the ≥3x floor the roadmap promises and record the
-candidate-scoring throughput (``moves_per_s``) that the trajectory
-emitter tracks per commit.
+candidate-scoring throughput (``moves_per_s``) in ``BENCH_attacks.json``.
 """
 
 import os
 import time
-
-import pytest
 
 from repro.attacks import AttackSearch
 from repro.core.competencies import bounded_uniform_competencies

@@ -28,7 +28,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.core.competencies import bounded_uniform_competencies
 from repro.core.instance import ProblemInstance
@@ -73,7 +72,9 @@ def _churn_schedule(graph, steps, rewires, competency_edits=0, seed=SEED):
     one fresh one; a mirror adjacency keeps every generated edit valid
     against the instance state it will actually be applied to.
     """
-    rng = np.random.default_rng(seed + 0x5EED)
+    # seed + 0x5EED, not derive_seed: re-seeding would change the churn
+    # schedule that test_mc_churn_speedup's 5x floor was measured on.
+    rng = np.random.default_rng(seed + 0x5EED)  # reprolint: disable=R103
     n = graph.num_vertices
     adj = _adjacency_sets(graph)
     schedule = []
@@ -100,6 +101,8 @@ def _churn_schedule(graph, steps, rewires, competency_edits=0, seed=SEED):
     return schedule
 
 
+# Asserted bit-identical to _run_scratch before any timing.
+# reprolint: reference=_run_scratch
 def _run_incremental(instance, mechanism, schedule, *, rounds, engine):
     """The patched loop: one session, apply + estimate per step."""
     session = DeltaSession(

@@ -173,7 +173,7 @@ def incremental_record():
 #: the scratch-inner search it is asserted against (bit-identical
 #: results are a precondition of recording, not part of the timing);
 #: ``moves_per_s`` is the delta inner's candidate-scoring throughput,
-#: the headline the trajectory emitter tracks per commit.
+#: the headline throughput of the record.
 _ATTACK_RECORDS: list = []
 
 
@@ -206,13 +206,12 @@ def attack_record():
     return record
 
 
-#: Lint-engine throughput records (cold vs cache-warm vs parallel
-#: self-lint of ``src/``) flushed to ``BENCH_lint.json`` next to this
-#: file.  Each entry is ``{case, files, seconds, baseline_seconds,
-#: speedup, files_per_s, detail}`` — ``seconds`` is the measured
-#: configuration, ``baseline_seconds`` the cold single-threaded run it
-#: is asserted against; ``files_per_s`` is the lint throughput headline
-#: the trajectory emitter tracks per commit.
+#: Lint-engine throughput records (cold vs cache-warm self-lint of
+#: ``src/``) flushed to ``BENCH_lint.json`` next to this file.  Each
+#: entry is ``{case, files, seconds, baseline_seconds, speedup,
+#: files_per_s, detail}`` — ``seconds`` is the measured configuration,
+#: ``baseline_seconds`` the cold run it is asserted against;
+#: ``files_per_s`` is the lint throughput headline.
 _LINT_RECORDS: list = []
 
 

@@ -151,13 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "an unknown id is a hard error",
     )
     lint.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parse and lint files across N threads (default: 1; output "
-        "is byte-identical for any value)",
-    )
-    lint.add_argument(
         "--cache",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -176,19 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="file or directory subtree to skip (repeatable; how CI "
         "lints tests/ without tests/lint_fixtures/)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="subtract the findings recorded in this baseline file; "
-        "only new findings fail the run",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="record the current findings as the baseline and exit 0",
     )
 
     attack = sub.add_parser(
@@ -492,11 +472,6 @@ def _cmd_lint(args, out) -> int:
         rule_catalogue,
         run_lint,
     )
-    from repro.lint.baseline import (
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
     from repro.lint.sarif import render_sarif
 
     paths = args.paths or ["src"]
@@ -510,26 +485,12 @@ def _cmd_lint(args, out) -> int:
             select=_split_rule_ids(args.select),
             ignore=_split_rule_ids(args.ignore),
             cache_dir=args.cache_dir if args.cache else None,
-            jobs=args.jobs,
             exclude=args.exclude or (),
         )
     except UnknownRuleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     findings = run.findings
-    if args.write_baseline is not None:
-        count = write_baseline(Path(args.write_baseline), findings)
-        print(
-            f"wrote baseline of {count} finding(s) to {args.write_baseline}",
-            file=out,
-        )
-        return 0
-    if args.baseline is not None:
-        try:
-            findings = apply_baseline(findings, load_baseline(Path(args.baseline)))
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
     if args.format == "sarif":
         print(
             render_sarif(findings, rule_catalogue(), __version__), file=out

@@ -13,28 +13,32 @@ R102   legacy-rng                no global-state ``np.random.*`` /
                                  stdlib ``random.*`` draws
 R103   seed-arithmetic           no ad-hoc ``seed + i`` outside
                                  ``repro/_util/rng.py``
-D201   wallclock-in-key-path     no wall-clock/``id()`` in digest- or
-                                 coalesce-key functions (``service/metrics.py``
-                                 exempt)
-D202   unsorted-digest-json      ``json.dumps`` feeding a hash must sort keys
 C301   missing-cache-token       parameterised mechanisms declare behavioural
                                  ``cache_token`` overrides
 C302   protocol-mechanism-sync   ``MECHANISM_BUILDERS`` wire names resolve to
                                  registered mechanism classes
 K401   kernel-missing-reference  every ``*_batch`` kernel names its
                                  ``_reference`` oracle
+K402   dense-per-voter-alloc     sparse-safe modules allocate no dense
+                                 per-voter grids
+K403   delta-missing-reference   every ``*_delta``/``*_incremental`` kernel
+                                 names its from-scratch oracle
 A501   attack-determinism        ``AttackScenario`` subclasses declare
                                  behavioural ``cache_token`` and never mint
                                  their own entropy
-F601   rng-taint-flow            (flow) rng-derived values never reach digest/
+F601   rng-taint                 (flow) rng-derived values never reach digest/
                                  cache-key paths or module-level mutable state
                                  (``repro.cache.seed_token`` boundary exempt)
-D203   digest-purity-flow        (flow) hash/key-path inputs are transitively
-                                 deterministic — no clocks, pids, entropy, or
-                                 unsorted-set iteration upstream
-K404   int32-overflow-flow       (flow) CSR ``indptr``/``indices`` reductions
+D203   digest-purity-flow        (flow) values feeding a hash, a key-path or
+                                 shard-routing call, or returned from a
+                                 function named for one, are transitively
+                                 deterministic — no clocks, ``id()``,
+                                 ``hash()``, pids, entropy, unsorted
+                                 ``json.dumps`` or set iteration upstream
+                                 (``service/metrics.py`` exempt)
+K404   int32-overflow            (flow) CSR ``indptr``/``indices`` reductions
                                  and products promote to int64 first
-S501   async-blocking-flow       (flow) no blocking call reachable from an
+S501   async-blocking            (flow) no blocking call reachable from an
                                  ``async def`` without executor offload
 X000   parse-error               (built-in) file does not parse
 X001   bad-pragma                (built-in) suppression names an unknown rule
@@ -47,9 +51,10 @@ a different file than the cause.  Suppress a single occurrence with
 ``# reprolint: disable=R101`` on the finding's line (or the line
 directly above a flagged ``def``/``class``); declare a non-standard
 kernel oracle with ``# reprolint: reference=<fn>``.  Run as ``repro
-lint [paths] [--format=json|sarif] [--select/--ignore IDS] [--jobs N]
-[--no-cache] [--baseline FILE]``; the CI ``lint`` job runs it
-self-hosted over ``src/`` and gates the test jobs.
+lint [paths] [--format=json|sarif] [--select/--ignore IDS] [--no-cache]
+[--cache-dir DIR] [--exclude PATH]``; the CI ``lint`` job runs it over
+``src/``, ``benchmarks/`` and ``tests/`` at zero findings and gates the
+test jobs.
 """
 
 from repro.lint.findings import ERROR, WARNING, Finding

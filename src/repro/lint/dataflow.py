@@ -117,6 +117,10 @@ class TaintDomain:
         """Sink label when any argument of this call must be taint-free."""
         return None
 
+    def return_sink(self, fi: FunctionInfo) -> Optional[str]:
+        """Sink label when this function's return value must be taint-free."""
+        return None
+
     def binop_sink(
         self, node: ast.BinOp, left: Tags, right: Tags
     ) -> Optional[str]:
@@ -343,6 +347,11 @@ class _Walker:
         if isinstance(stmt, ast.Return):
             tags = self.eval(stmt.value, env) if stmt.value else EMPTY
             self.state.return_tags.update(tags)
+            label = (
+                self.domain.return_sink(self.fi) if self.fi is not None else None
+            )
+            if label is not None:
+                self._hit_sink(stmt, label, tags)
             return
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             value = stmt.value

@@ -16,12 +16,16 @@ sparse O(E)-memory backend, opting it into the dense-allocation rule
 (K402).  All pragma forms are parsed here so every rule sees the same
 syntax.  A pragma naming an unknown rule id is itself a finding
 (``X001``) — silent typos in suppressions are how contracts rot.
+Pragmas are read from comment tokens only, so pragma-shaped text inside
+a string literal neither suppresses nor trips ``X001``.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
@@ -70,7 +74,7 @@ class FileContext:
             for child in ast.iter_child_nodes(parent):
                 self.parents[child] = parent
         self.aliases = _import_aliases(tree)
-        self.pragmas: List[Pragma] = _parse_pragmas(self.lines)
+        self.pragmas: List[Pragma] = _parse_pragmas(source)
         self._disable_by_line: Dict[int, Set[str]] = {}
         self._reference_by_line: Dict[int, Tuple[str, ...]] = {}
         self.sparse_safe = False
@@ -273,10 +277,14 @@ def pragma_findings(ctx: FileContext) -> Iterator[Finding]:
                 )
 
 
-def _parse_pragmas(lines: List[str]) -> List[Pragma]:
+def _parse_pragmas(source: str) -> List[Pragma]:
     pragmas: List[Pragma] = []
-    for i, line in enumerate(lines, start=1):
-        match = PRAGMA_RE.search(line)
+    if PRAGMA_RE.search(source) is None:
+        return pragmas  # most files have none; tokenize is the slow part
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = PRAGMA_RE.search(token.string)
         if match is None:
             continue
         kind = match.group("kind")
@@ -287,7 +295,7 @@ def _parse_pragmas(lines: List[str]) -> List[Pragma]:
             # silently waive a contract; ignore the malformed pragma so
             # the rule it meant to touch still fires.
             continue
-        pragmas.append(Pragma(line=i, kind=kind, values=values))
+        pragmas.append(Pragma(line=token.start[0], kind=kind, values=values))
     return pragmas
 
 

@@ -16,21 +16,11 @@ mechanism class that actually exists in the hierarchy — and every
 ``_build_*`` helper must be registered, so adding a builder without
 exposing it (or exposing a name whose builder returns a non-mechanism)
 fails the lint gate instead of surfacing as a 500 in production.
-
-C303 guards the sharded front-end's routing contract: shard selection
-must be a pure function of ``estimate_digest``-derived request content.
-A wall-clock reading, a pid, an RNG draw, a ``uuid`` or the salted
-builtin ``hash()`` inside a shard-routing function makes routing vary
-run to run — which splits one request's duplicates across workers
-(killing coalescing and cache locality) and breaks the pinned
-"sharded == direct" determinism tests in ways that only reproduce
-under load.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set
 
@@ -39,10 +29,8 @@ from repro.lint.framework import (
     FileContext,
     ProjectContext,
     ProjectRule,
-    Rule,
     register_rule,
 )
-from repro.lint.rules_digest import _CLOCK_CALLS
 
 MECHANISM_ROOT = "DelegationMechanism"
 """Base class anchoring the mechanism hierarchy."""
@@ -347,83 +335,3 @@ class ProtocolMechanismSyncRule(ProjectRule):
                 f"builder {builder.name!r} for {wire_name!r} never "
                 "returns a DelegationMechanism construction",
             )
-
-
-_ROUTING_NAME_RE = re.compile(r"shard|rout(?:e|ing)")
-"""Function names owning shard-routing decisions (``shard_for``,
-``pick_shard``, ``route_request``, ``routing_key``...).  ``routine``
-deliberately does not match."""
-
-_IDENTITY_CALLS = {
-    "os.getpid",
-    "os.getppid",
-    "os.urandom",
-}
-
-_RANDOM_PREFIXES = ("random.", "numpy.random.", "secrets.", "uuid.")
-
-
-@register_rule
-class NondeterministicShardRoutingRule(Rule):
-    """C303: shard routing must be content-addressed."""
-
-    id = "C303"
-    name = "nondeterministic-shard-routing"
-    description = (
-        "Functions that pick or route shards must derive their decision "
-        "only from estimate_digest-style request content; wall clocks, "
-        "os.getpid(), random/secrets/uuid draws and the per-process "
-        "salted builtin hash() make routing vary run to run, splitting "
-        "duplicate requests across workers and breaking the sharded "
-        "determinism contract."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            enclosing = ctx.enclosing_function(node)
-            if enclosing is None or not _ROUTING_NAME_RE.search(
-                enclosing.name.lower()
-            ):
-                continue
-            dotted = ctx.dotted_name(node.func)
-            if dotted is not None:
-                if dotted in _CLOCK_CALLS or dotted in _IDENTITY_CALLS:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{dotted}() inside shard-routing function "
-                        f"{enclosing.name!r}; routing must be a pure "
-                        "function of request content, not time or "
-                        "process identity",
-                    )
-                elif dotted.startswith(_RANDOM_PREFIXES):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{dotted}() inside shard-routing function "
-                        f"{enclosing.name!r}; randomised routing splits "
-                        "duplicate requests across shards and is not "
-                        "reproducible across runs",
-                    )
-            elif (
-                isinstance(node.func, ast.Name)
-                and node.func.id in ("hash", "id")
-                and node.func.id not in ctx.aliases
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"builtin {node.func.id}() inside shard-routing "
-                    f"function {enclosing.name!r}; "
-                    + (
-                        "str/bytes hash() is salted per process "
-                        "(PYTHONHASHSEED), so two workers route the "
-                        "same key differently — use the sha256-based "
-                        "HashRing instead"
-                        if node.func.id == "hash"
-                        else "object identity is not stable across "
-                        "runs or processes"
-                    ),
-                )

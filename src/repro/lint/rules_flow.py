@@ -2,10 +2,10 @@
 
 These rules are what the call graph (:mod:`repro.lint.callgraph`) and
 the taint engine (:mod:`repro.lint.dataflow`) exist for: each one is a
-*semantic* contract that the older syntactic rules can only check at a
-single call site, restated as "no value with property X may reach a
-program point with property Y — through any number of assignments,
-containers and project-local function calls".
+*semantic* contract that a syntactic rule could only check at a single
+call site, restated as "no value with property X may reach a program
+point with property Y — through any number of assignments, containers
+and project-local function calls".
 
 =====  ======================  ===========================================
 id     name                    contract
@@ -13,9 +13,12 @@ id     name                    contract
 F601   rng-taint               generator objects and their draws never
                                reach a digest/cache-key path or
                                module-level mutable state
-D203   digest-purity-flow      values feeding a hash or key-path call are
-                               transitively deterministic (no clocks,
-                               ``id()``, pids, entropy, unsorted sets)
+D203   digest-purity-flow      values feeding a hash, a key-path or
+                               shard-routing call, or returned from a
+                               function named for one, are transitively
+                               deterministic (no clocks, ``id()``,
+                               ``hash()``, pids, entropy, unsorted sets
+                               or unsorted ``json.dumps``)
 K404   int32-overflow          ``indptr``/``indices`` arithmetic that can
                                exceed 2^31-1 promotes to int64 first
 S501   async-blocking          no blocking call reachable from an
@@ -34,6 +37,7 @@ determinism contract forbids.
 from __future__ import annotations
 
 import ast
+import re
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.callgraph import CallGraph, FunctionInfo, _terminal
@@ -50,31 +54,66 @@ from repro.lint.framework import (
     ProjectRule,
     register_rule,
 )
-from repro.lint.rules_digest import _CLOCK_CALLS, _HASH_TERMINALS
 
 _EMPTY: Tags = frozenset()
 
-_KEY_CALL_SUFFIXES = ("_key", "_digest", "_token")
+_CLOCK_CALLS = {
+    "time.time",
+    "time.time_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+}
+
+_HASH_TERMINALS = {
+    "sha256", "sha1", "sha512", "sha384", "sha224", "md5",
+    "blake2b", "blake2s", "_sha256_hex",
+}
+
+_KEY_NAME_SUFFIXES = ("_key", "_digest", "_token")
+
+_ROUTING_NAME_RE = re.compile(r"shard|rout(?:e|ing)")
+"""Names owning shard-routing decisions (``shard_for``, ``pick_shard``,
+``route_request``, ``routing_key``...).  ``routine`` does not match."""
+
+
+def _identity_role(name: Optional[str]) -> Optional[str]:
+    """What a function's name promises: a stable identity, a shard
+    decision, or nothing.
+
+    One predicate for call sinks and return sinks.  A name ending in
+    ``_key``/``_digest``/``_token`` promises a content address; a name
+    mentioning shards or routes promises a routing decision that is a
+    pure function of request content.  Serialisation helpers
+    (``canonical_batch``, ``_canonical_json``) promise neither — taint
+    through them still reaches the hash call that consumes their output,
+    which is where it matters.
+    """
+    if name is None:
+        return None
+    lowered = name.lower()
+    if lowered.endswith(_KEY_NAME_SUFFIXES):
+        return "cache-key path"
+    if _ROUTING_NAME_RE.search(lowered):
+        return "shard-routing decision"
+    return None
 
 
 def _is_hash_or_key_sink(
     dotted: Optional[str], terminal: Optional[str]
 ) -> Optional[str]:
-    """Shared sink predicate: hash constructors and key-path calls.
-
-    Deliberately narrower than D201's *lexical* key-path test: a flow
-    sink is a call whose **name promises a stable identity** (ends in
-    ``_key``/``_digest``/``_token``) or an actual hash constructor.
-    Serialisation helpers (``canonical_batch``, ``_canonical_json``)
-    are not sinks themselves — taint through them still reaches the
-    hash call that consumes their output, which is where it matters.
-    """
+    """Shared call-sink predicate: hash constructors and calls to
+    functions whose name promises an identity or a shard decision."""
     if dotted is not None and dotted.startswith("hashlib."):
         return f"digest path ({dotted})"
     if terminal in _HASH_TERMINALS:
         return f"digest path ({terminal})"
-    if terminal is not None and terminal.lower().endswith(_KEY_CALL_SUFFIXES):
-        return f"cache-key path ({terminal})"
+    role = _identity_role(terminal)
+    if role is not None:
+        return f"{role} ({terminal})"
     return None
 
 
@@ -161,15 +200,33 @@ class RngTaintRule(FlowRuleBase):
 
 _IDENTITY_CALLS = {
     "os.getpid": "process-id",
+    "os.getppid": "process-id",
     "os.urandom": "os-entropy",
-    "uuid.uuid1": "uuid",
-    "uuid.uuid4": "uuid",
-    "secrets.token_hex": "entropy",
-    "secrets.token_bytes": "entropy",
-    "secrets.token_urlsafe": "entropy",
 }
 
+_ENTROPY_PREFIXES = {"random.": "random", "secrets.": "entropy", "uuid.": "uuid"}
+
+_CONTENT_UUIDS = {"uuid.UUID", "uuid.uuid3", "uuid.uuid5"}
+"""Name-based and parsed UUIDs are functions of their input."""
+
 _ORDER_INSENSITIVE = {"sorted", "len", "min", "max", "sum", "any", "all"}
+
+
+def _builtin(call: ast.Call, ctx: FileContext) -> Optional[str]:
+    """The bare builtin a call names (``hash``, ``id``, ``sorted``...),
+    unless the file rebinds that name through an import."""
+    if isinstance(call.func, ast.Name) and call.func.id not in ctx.aliases:
+        return call.func.id
+    return None
+
+
+def _sorts_keys(call: ast.Call) -> bool:
+    return any(
+        kw.arg == "sort_keys"
+        and isinstance(kw.value, ast.Constant)
+        and kw.value.value is True
+        for kw in call.keywords
+    )
 
 
 class DigestPurityDomain(TaintDomain):
@@ -180,12 +237,18 @@ class DigestPurityDomain(TaintDomain):
             return frozenset({"wall-clock"})
         if dotted in _IDENTITY_CALLS:
             return frozenset({_IDENTITY_CALLS[dotted]})
-        if (
-            isinstance(call.func, ast.Name)
-            and call.func.id == "id"
-            and "id" not in ctx.aliases
-        ):
+        if dotted == "json.dumps" and not _sorts_keys(call):
+            return frozenset({"dict-order"})
+        if dotted is not None and dotted not in _CONTENT_UUIDS:
+            for prefix, tag in _ENTROPY_PREFIXES.items():
+                if dotted.startswith(prefix):
+                    return frozenset({tag})
+        builtin = _builtin(call, ctx)
+        if builtin == "id":
             return frozenset({"object-identity"})
+        if builtin == "hash":
+            # str/bytes hash() is salted per process (PYTHONHASHSEED).
+            return frozenset({"salted-hash"})
         return _EMPTY
 
     def source_expr(self, node, ctx):
@@ -198,35 +261,38 @@ class DigestPurityDomain(TaintDomain):
     def sanitizer(self, dotted, terminal, call, ctx):
         # Order-insensitive reductions make set contents safe again;
         # nothing launders a clock reading.
-        if (
-            isinstance(call.func, ast.Name)
-            and call.func.id in _ORDER_INSENSITIVE
-            and call.func.id not in ctx.aliases
-        ):
+        if _builtin(call, ctx) in _ORDER_INSENSITIVE:
             return frozenset({"unordered-set"})
         return None
 
     def call_sink(self, dotted, terminal, call, fi):
         return _is_hash_or_key_sink(dotted, terminal)
 
+    def return_sink(self, fi):
+        role = _identity_role(fi.name)
+        if role is None:
+            return None
+        return f"{role} (return of {fi.name})"
+
     def skip_file(self, ctx):
-        # The metrics module is the sanctioned wall-clock consumer
-        # (same exemption D201 grants it).
+        # The metrics module is the sanctioned wall-clock consumer.
         return ctx.matches_module("repro", "service", "metrics.py")
 
 
 @register_rule
 class DigestPurityFlowRule(FlowRuleBase):
-    """D203: nondeterministic values flowing into digests/keys."""
+    """D203: nondeterministic values flowing into digests, keys or routing."""
 
     id = "D203"
     name = "digest-purity-flow"
     description = (
-        "Values feeding a hash or a *_key/digest/token function must be "
-        "transitively deterministic: wall clocks, id(), os.getpid, "
-        "entropy and unsorted set iteration are findings anywhere "
-        "upstream of the sink, across project-local calls — the "
-        "flow-sensitive extension of D201/D202's call-site checks.  "
+        "Values feeding a hash, a call to a *_key/_digest/_token or "
+        "shard/route-named function, or the return value of such a "
+        "function, must be transitively deterministic: wall clocks, "
+        "id(), the per-process salted hash(), os.getpid/getppid, "
+        "os.urandom, random/secrets/uuid draws, json.dumps without "
+        "sort_keys=True and unsorted set iteration are findings anywhere "
+        "upstream of the sink, across project-local calls.  "
         "sorted()/len()/min()/max() launder set-order taint; "
         "repro/service/metrics.py is exempt."
     )

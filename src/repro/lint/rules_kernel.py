@@ -10,8 +10,10 @@ Non-obvious pairings are declared, not suppressed: a ``# reprolint:
 reference=<name>`` pragma on (or directly above) the kernel's ``def``
 names the oracle, and the rule verifies the named function exists in
 the module — so the pragma documents a real pairing rather than waving
-the rule away.  Genuinely non-kernel ``*_batch`` names (a metrics
-counter) use an ordinary ``disable=K401`` suppression.
+the rule away.  Pytest ``test_*`` functions are never kernels
+(``test_rejects_bad_delta`` tests one); other genuinely non-kernel
+``*_batch`` names (a metrics counter) use an ordinary ``disable=K401``
+suppression.
 
 K402 guards the sparse backend's memory model: modules marked
 ``# reprolint: sparse-safe`` promise O(E + chunk) peak memory, so any
@@ -70,7 +72,7 @@ class _ReferencePairingRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if not self.matches(node.name):
+            if node.name.startswith("test_") or not self.matches(node.name):
                 continue
             pragma = ctx.reference_pragma(node.lineno)
             if pragma is not None:

@@ -27,10 +27,6 @@ The incremental flow (``cache_dir`` set):
    findings, which the dependency fingerprints guarantee are identical
    to what a cold run would produce;
 6. dirty entries are rewritten with fresh fingerprints.
-
-``--jobs N`` parallelises parsing and per-file rule execution across a
-thread pool; results are collected in submission order and sorted, so
-the output is byte-identical for every N (asserted in the tests).
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from __future__ import annotations
 import importlib
 import json
 import pkgutil
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -139,15 +134,6 @@ def _check_file(ctx: FileContext) -> List[Finding]:
     return out
 
 
-def _map_ordered(fn, items, jobs: int) -> List[Any]:
-    """``map`` preserving order, across ``jobs`` threads when asked."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _dirty_closure(
     misses: Set[str], dependencies: Dict[str, Set[str]]
 ) -> Set[str]:
@@ -172,7 +158,6 @@ def run_lint(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    jobs: int = 1,
     exclude: Sequence[Union[str, Path]] = (),
 ) -> LintRun:
     """Lint files/directories; return findings plus cache bookkeeping.
@@ -180,8 +165,8 @@ def run_lint(
     ``select`` keeps only the named rule ids; ``ignore`` drops them
     (applied after ``select``).  Suppression comments are honoured
     before either filter.  Unknown ids raise :class:`UnknownRuleError`.
-    ``cache_dir`` enables the incremental cache; ``jobs`` parallelises
-    parsing and per-file rules (output independent of the value).
+    ``cache_dir`` enables the incremental cache; ``exclude`` names
+    files or directory subtrees to skip.
     """
     from repro.lint.cache import LintCache, hash_files, source_sha
 
@@ -229,12 +214,10 @@ def run_lint(
 
     # Parse everything (the call graph needs the whole project even
     # when only a few files are dirty).
-    parsed = _map_ordered(
-        lambda path: _parse_one(path, contents[str(path)]), files, jobs
-    )
     project = ProjectContext()
     parse_errors: Dict[str, Finding] = {}
-    for (ctx, error) in parsed:
+    for path in files:
+        ctx, error = _parse_one(path, contents[str(path)])
         if ctx is not None:
             project.files.append(ctx)
         elif error is not None:
@@ -249,10 +232,8 @@ def run_lint(
     for path, error in parse_errors.items():
         if path in dirty:
             by_file[path].append(error)
-    for ctx, result in zip(
-        dirty_ctxs, _map_ordered(_check_file, dirty_ctxs, jobs)
-    ):
-        by_file[str(ctx.path)].extend(result)
+    for ctx in dirty_ctxs:
+        by_file[str(ctx.path)].extend(_check_file(ctx))
 
     # Project rules see the whole project (summaries need every file);
     # only dirty files' findings are refreshed — clean files keep their
@@ -300,7 +281,7 @@ def lint_paths(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
 ) -> List[Finding]:
-    """Historical entry point: findings only, no cache, one thread."""
+    """Historical entry point: findings only, no cache."""
     return run_lint(paths, select=select, ignore=ignore).findings
 
 

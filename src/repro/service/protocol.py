@@ -625,7 +625,7 @@ class EstimateRequest:
     def routing_key(self) -> str:
         """The shard-routing identity of this request.
 
-        The contract (enforced statically by reprolint C303) is that
+        The contract (enforced statically by reprolint D203) is that
         routing keys are *content-addressed*: derived from the estimate
         digest, never from wall clocks, pids or per-process randomness —
         so a given computation always lands on the same shard, where its
@@ -674,7 +674,7 @@ class ExperimentRequest:
     group_key = coalesce_key
 
     # The coalesce key is already a pure content digest, so it doubles
-    # as the shard-routing identity (C303 contract).
+    # as the shard-routing identity (D203 contract).
     routing_key = coalesce_key
 
 
@@ -784,7 +784,7 @@ class _BaseStateRequest:
         mtoken = _mechanism_token(self.mechanism, self.instance)
         if mtoken is None:
             # Untokenisable mechanisms lose cross-process coalescing but
-            # must still route deterministically (C303): fall back to
+            # must still route deterministically (D203): fall back to
             # the mechanism's declared name.
             mtoken = ["name", getattr(self.mechanism, "name", type(self.mechanism).__name__)]
         return {

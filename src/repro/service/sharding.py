@@ -12,7 +12,7 @@ CPU.  This module scales it horizontally without giving that up::
 Routing is the load-bearing decision.  Every request exposes a
 *content-addressed* ``routing_key()`` derived from
 :func:`repro.cache.estimate_digest` — instance, mechanism, seed,
-estimator params, nothing else (reprolint rule C303 keeps it that way:
+estimator params, nothing else (reprolint rule D203 keeps it that way:
 no wall clocks, pids or per-process randomness anywhere near shard
 selection).  Hashing that key onto a :class:`HashRing` means a given
 computation *always* lands on the same worker, so duplicate-skewed

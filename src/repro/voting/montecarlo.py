@@ -13,8 +13,11 @@ One engine, :class:`BatchEstimator`: round ``r`` draws its forest from
 its own child seed (absolute spawn keys, see
 :func:`repro._util.rng.child_seed_sequence`), identical sink-weight
 profiles are deduplicated through an LRU cache, and rounds optionally
-fan out over a process pool.  Results are identical for a fixed seed
-regardless of ``n_jobs``, chunking or worker partitioning.  A live
+fan out over a process pool.  For a fixed seed the forests and the
+naive vote draws are bitwise identical regardless of ``n_jobs``,
+chunking or worker partitioning; Rao–Blackwellised values are only
+bit-close (their tails may differ in the last bit with the rows
+batched together).  A live
 ``Generator`` seed is consumed to draw the root seed
 (:func:`repro._util.rng.as_seed_sequence`), so consecutive estimates
 sharing one generator are independent.
@@ -576,7 +579,9 @@ class BatchEstimator:
 
     Determinism contract: round ``r`` derives its generator from the
     absolute child seed ``r`` of the root seed, so for a fixed ``seed``
-    the estimate is identical for every ``n_jobs``.  If the instance or
+    every round's forest and naive vote draw is identical for every
+    ``n_jobs``: naive estimates are bitwise invariant, Rao–Blackwellised
+    ones bit-close (they may differ in the last bit).  If the instance or
     mechanism cannot be pickled (e.g. a lambda threshold), the estimator
     falls back to in-process evaluation with a warning — same result,
     no pool.
@@ -584,8 +589,10 @@ class BatchEstimator:
     ``chunk_rounds`` bounds the streaming row-block size: rounds are
     sampled, resolved and evaluated ``chunk_rounds`` at a time (default
     ``None`` sizes chunks to :data:`CHUNK_BUDGET_BYTES`), keeping peak
-    memory O(E + chunk·n).  Any value yields bit-identical estimates —
-    chunk boundaries, like worker partitions, cannot shift round seeds.
+    memory O(E + chunk·n).  Chunk boundaries, like worker partitions,
+    cannot shift round seeds, so any value yields the same forests and
+    bit-identical naive estimates; Rao–Blackwellised estimates are
+    bit-close.
     """
 
     n_jobs: int = 1

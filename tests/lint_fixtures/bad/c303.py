@@ -1,4 +1,4 @@
-"""Known-bad: nondeterministic shard routing (C303).
+"""Known-bad: nondeterministic shard routing (D203 return sinks).
 
 Every function here routes by something other than request content —
 the salted builtin ``hash()``, the process id, a wall clock, an

@@ -1,4 +1,4 @@
-"""Known-bad: wall clock and id() inside key-path functions (D201)."""
+"""Known-bad: wall clock and id() returned from key-path functions (D203)."""
 
 import time
 

@@ -1,4 +1,4 @@
-"""Known-bad: unsorted json feeding a hash (D202)."""
+"""Known-bad: unsorted json feeding a hash (D203)."""
 
 import hashlib
 import json

@@ -1,4 +1,4 @@
-"""Known-good kernel pairings: named oracle, pragma, suppression."""
+"""Known-good kernel pairings: named oracle, pragma, suppression, tests."""
 
 import numpy as np
 
@@ -51,3 +51,12 @@ def _rebuild_counts(counts):
 def time_delta(start, stop):
     # A duration helper, not an incremental kernel.
     return stop - start
+
+
+def test_rejects_bad_delta():
+    # A pytest test named after what it tests, not a kernel.
+    assert time_delta(1, 2) == 1
+
+
+def test_double_batch():
+    assert list(double_batch([1])) == [2]

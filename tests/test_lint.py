@@ -34,13 +34,13 @@ BAD_EXPECTATIONS = {
     "r101.py": "R101",
     "r102.py": "R102",
     "r103.py": "R103",
-    "d201.py": "D201",
-    "d202.py": "D202",
+    "d201.py": "D203",
+    "d202.py": "D203",
     "k401.py": "K401",
     "k402.py": "K402",
     "k403.py": "K403",
     "c301.py": "C301",
-    "c303.py": "C303",
+    "c303.py": "D203",
     "f601.py": "F601",
     "d203.py": "D203",
     "k404.py": "K404",
@@ -60,6 +60,20 @@ class TestBadFixtures:
         findings = lint_paths([FIXTURES / "bad" / filename])
         assert findings, f"{filename} produced no findings"
         assert _rules(findings) == {BAD_EXPECTATIONS[filename]}
+
+    @pytest.mark.parametrize(
+        "filename, lines",
+        [
+            ("d201.py", [7, 11]),
+            ("d202.py", [8]),
+            ("c303.py", [17, 21, 25, 29, 33]),
+        ],
+    )
+    def test_folded_fixtures_keep_their_lines(self, filename, lines):
+        # D201, D202 and C303 were folded into D203: every site they
+        # reported is still reported, on the same line.
+        findings = lint_paths([FIXTURES / "bad" / filename])
+        assert [f.line for f in findings] == lines
 
     def test_every_bad_fixture_has_an_expectation(self):
         present = {p.name for p in (FIXTURES / "bad").glob("*.py")}
@@ -142,6 +156,23 @@ class TestSuppression:
         assert _rules(findings) == {"X001"}
         assert "R999" in findings[0].message
 
+    def test_pragma_text_in_a_string_does_not_silence(self, tmp_path):
+        # Pragmas come from comments only: pragma-shaped text inside a
+        # string literal on the finding's line must not suppress it.
+        findings = self._lint_source(
+            tmp_path,
+            "import numpy as np\n"
+            "rng, note = np.random.default_rng(), "
+            "'# reprolint: disable=R101'\n",
+        )
+        assert _rules(findings) == {"R101"}
+
+    def test_unknown_id_in_a_string_is_not_a_pragma(self, tmp_path):
+        findings = self._lint_source(
+            tmp_path, "NOTE = '# reprolint: disable=R999'\n"
+        )
+        assert findings == []
+
     def test_pragma_on_unrelated_line_does_not_silence(self, tmp_path):
         findings = self._lint_source(
             tmp_path,
@@ -189,6 +220,11 @@ class TestRegistry:
         assert set(catalogue) == set(RULES)
         for entry in catalogue.values():
             assert entry["name"] and entry["description"]
+
+    def test_folded_rules_are_gone(self):
+        # D201/D202 (digest hygiene) and C303 (shard routing) live on as
+        # D203 sources and sinks.
+        assert not {"D201", "D202", "C303"} & known_rule_ids()
 
     def test_known_ids_include_pseudo_rules(self):
         ids = known_rule_ids()
@@ -242,6 +278,14 @@ class TestCli:
         assert payload["files_checked"] == 1
         assert payload["counts"] == {"R101": 2}
         assert all(f["rule"] == "R101" for f in payload["findings"])
+
+    @pytest.mark.parametrize(
+        "flag", ["--jobs=2", "--baseline=b.json", "--write-baseline=b.json"]
+    )
+    def test_removed_options_are_rejected(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            self._run(str(FIXTURES / "good"), flag)
+        assert excinfo.value.code == 2
 
     def test_select_filter(self):
         code, text = self._run(str(FIXTURES / "bad"), "--select", "R103")

@@ -1,9 +1,9 @@
-"""Tests for the incremental lint cache, ``--jobs``, SARIF and baselines.
+"""Tests for the incremental lint cache, ``--exclude`` and SARIF.
 
 The cache soundness contract: a warm run is byte-identical to a cold
 run; editing one file re-analyses exactly that file plus its call-graph
 dependents; an untouched project is served entirely from cache with
-zero parsing.  ``--jobs N`` must not change output for any N.
+zero parsing.
 """
 
 from __future__ import annotations
@@ -12,15 +12,12 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.lint import (
     lint_paths,
     render_sarif,
     rule_catalogue,
     run_lint,
 )
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.framework import iter_python_files
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -147,24 +144,6 @@ class TestIncrementalCache:
         assert {f.rule for f in warm.findings} == {"R101"}
 
 
-class TestJobs:
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_output_independent_of_job_count(self, jobs):
-        serial = run_lint([FIXTURES / "bad"])
-        parallel = run_lint([FIXTURES / "bad"], jobs=jobs)
-        assert _summary(serial.findings) == _summary(parallel.findings)
-        payload_a = json.dumps(_summary(serial.findings))
-        payload_b = json.dumps(_summary(parallel.findings))
-        assert payload_a == payload_b
-
-    def test_jobs_with_cache(self, tmp_path):
-        cache = tmp_path / "cache"
-        cold = run_lint([FIXTURES / "bad"], cache_dir=cache, jobs=4)
-        warm = run_lint([FIXTURES / "bad"], cache_dir=cache, jobs=4)
-        assert _summary(cold.findings) == _summary(warm.findings)
-        assert warm.analyzed == ()
-
-
 class TestExclude:
     def test_iter_python_files_exclude_subtree(self):
         everything = iter_python_files([FIXTURES])
@@ -211,41 +190,3 @@ class TestSarif:
     def test_empty_findings_is_valid_sarif(self):
         payload = json.loads(render_sarif([], rule_catalogue(), "0"))
         assert payload["runs"][0]["results"] == []
-
-
-class TestBaseline:
-    def test_round_trip_subtracts_known_findings(self, tmp_path):
-        findings = lint_paths([FIXTURES / "bad" / "r101.py"])
-        assert findings
-        baseline_path = tmp_path / "baseline.json"
-        count = write_baseline(baseline_path, findings)
-        assert count == len(findings)
-        baseline = load_baseline(baseline_path)
-        assert apply_baseline(findings, baseline) == []
-
-    def test_new_findings_survive_baseline(self, tmp_path):
-        old = lint_paths([FIXTURES / "bad" / "r101.py"])
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, old)
-        baseline = load_baseline(baseline_path)
-        combined = old + lint_paths([FIXTURES / "bad" / "d202.py"])
-        fresh = apply_baseline(combined, baseline)
-        assert fresh and {f.rule for f in fresh} == {"D202"}
-
-    def test_baseline_ignores_line_numbers(self, tmp_path):
-        # Keys are (path, rule, message) — an edit that shifts lines
-        # must not resurrect baselined findings.
-        src = (FIXTURES / "bad" / "r101.py").read_text()
-        work = tmp_path / "r101.py"
-        work.write_text(src)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint_paths([work]))
-        work.write_text("# a leading comment shifts every line\n" + src)
-        shifted = lint_paths([work])
-        assert apply_baseline(shifted, load_baseline(baseline_path)) == []
-
-    def test_schema_mismatch_raises(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"schema": 99, "entries": []}))
-        with pytest.raises(ValueError):
-            load_baseline(bad)

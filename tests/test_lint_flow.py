@@ -359,3 +359,130 @@ class TestSanctionedTokeniserBoundary:
         findings = lint_paths([path])
         assert _rules(findings) == {"F601"}
         assert "payload_digest" in findings[0].message
+
+
+class TestDigestPuritySourcesAndSinks:
+    """The checks D201, D202 and C303 made at one call site, as D203
+    sources and sinks that follow values across statements and files."""
+
+    def _lint(self, tmp_path, source):
+        return lint_paths([_write(tmp_path, "snippet.py", source)])
+
+    def test_key_function_returning_a_helper_clock(self, tmp_path):
+        _package(
+            tmp_path,
+            "pkg",
+            {
+                "clock": """
+                import time
+
+                def stamp():
+                    return time.time()
+                """,
+                "keys": """
+                from pkg.clock import stamp
+
+                def request_key(payload):
+                    label = f"{payload}:{stamp()}"
+                    return label
+                """,
+            },
+        )
+        findings = lint_paths([tmp_path])
+        assert _rules(findings) == {"D203"}
+        assert "return of request_key" in findings[0].message
+
+    def test_routing_function_with_salted_hash(self, tmp_path):
+        findings = self._lint(
+            tmp_path,
+            """
+            def pick_shard(key, n_shards):
+                slot = hash(key)
+                return slot % n_shards
+            """,
+        )
+        assert _rules(findings) == {"D203"}
+        assert "salted-hash" in findings[0].message
+        assert "shard-routing decision" in findings[0].message
+
+    def test_entropy_sources_reach_routing(self, tmp_path):
+        findings = self._lint(
+            tmp_path,
+            """
+            import os
+            import random
+            import secrets
+            import uuid
+
+            def route_a(n):
+                return random.randrange(n)
+
+            def route_b(n):
+                return secrets.randbelow(n)
+
+            def route_c(n):
+                return uuid.uuid1().int % n
+
+            def route_d(n):
+                return os.getppid() % n
+            """,
+        )
+        d203 = [f.line for f in findings if f.rule == "D203"]
+        assert d203 == [8, 11, 14, 17]
+        # The stdlib draw is also a legacy global-state call.
+        assert _rules(findings) == {"D203", "R102"}
+
+    def test_content_uuids_and_routine_names_are_clean(self, tmp_path):
+        findings = self._lint(
+            tmp_path,
+            """
+            import time
+            import uuid
+
+            NS = uuid.UUID("6ba7b810-9dad-11d1-80b4-00c04fd430c8")
+
+            def request_key(payload):
+                return uuid.uuid5(NS, payload).hex
+
+            def subroutine():
+                return time.time()
+            """,
+        )
+        assert findings == []
+
+    def test_unsorted_json_reaches_hash_across_statements(self, tmp_path):
+        findings = self._lint(
+            tmp_path,
+            """
+            import hashlib
+            import json
+
+            def fingerprint(payload):
+                text = json.dumps(payload)
+                data = text.encode()
+                return hashlib.sha256(data).hexdigest()
+
+            def canonical_fingerprint(payload):
+                text = json.dumps(payload, sort_keys=True)
+                return hashlib.sha256(text.encode()).hexdigest()
+            """,
+        )
+        assert [f.line for f in findings] == [8]
+        assert "dict-order" in findings[0].message
+
+    def test_caller_taint_reports_once_at_the_call(self, tmp_path):
+        # A key function returning its own parameter is clean; the
+        # caller handing it a clock reading is the one finding.
+        findings = self._lint(
+            tmp_path,
+            """
+            import time
+
+            def coalesce_key(payload):
+                return payload
+
+            def submit():
+                return coalesce_key(time.time())
+            """,
+        )
+        assert [(f.rule, f.line) for f in findings] == [("D203", 8)]

@@ -22,7 +22,7 @@ from repro.delegation.graph import (
     DelegationCycleError,
     DelegationGraph,
 )
-from repro.graphs.generators import complete_graph
+from repro.graphs.generators import barabasi_albert_graph, complete_graph
 from repro.mechanisms.threshold import ApprovalThreshold
 from repro.voting.exact import (
     _reference_poisson_binomial_pmf,
@@ -270,6 +270,31 @@ def test_batch_estimate_invariant_to_n_jobs(pool_instance):
     assert estimates[0].probability == estimates[1].probability
     assert estimates[0].probability == estimates[2].probability
     assert estimates[0].std_error == estimates[1].std_error
+
+
+def test_rao_blackwellised_estimate_is_bit_close_across_n_jobs():
+    # The true contract: forests and naive vote draws are bitwise
+    # invariant to n_jobs; Rao-Blackwellised values are exact per-round
+    # quantities up to rounding, and weighted_tails_batch may move the
+    # last bit with the rows batched together.  This configuration
+    # differs in the last bit between n_jobs=1 and n_jobs=3.
+    n = 300
+    instance = ProblemInstance(
+        barabasi_albert_graph(n, 3, seed=3),
+        np.random.default_rng(3).uniform(0.3, 0.7, n),
+        alpha=0.05,
+    )
+    mech = ApprovalThreshold(2)
+
+    def estimate(n_jobs, exact_conditional):
+        return BatchEstimator(n_jobs=n_jobs).estimate(
+            instance, mech, rounds=17, seed=3,
+            exact_conditional=exact_conditional,
+        ).probability
+
+    assert estimate(1, False) == estimate(3, False)
+    rb_serial, rb_pooled = estimate(1, True), estimate(3, True)
+    assert rb_serial == pytest.approx(rb_pooled, rel=1e-12, abs=0.0)
 
 
 def test_batch_estimate_unpicklable_mechanism_falls_back(pool_instance):

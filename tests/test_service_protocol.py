@@ -59,7 +59,7 @@ def _body(**overrides):
 
 
 def _raw(**overrides) -> bytes:
-    return json.dumps(_body(**overrides)).encode()
+    return json.dumps(_body(**overrides), sort_keys=True).encode()
 
 
 class TestServiceError:
@@ -219,7 +219,7 @@ class TestParseRequest:
             "experiment": "F1",
             "scale": "smoke",
         }
-        req = parse_request(parse_body(json.dumps(body).encode()))
+        req = parse_request(parse_body(json.dumps(body, sort_keys=True).encode()))
         assert isinstance(req, ExperimentRequest)
         assert req.coalesce_key() == req.group_key()
 
@@ -549,7 +549,8 @@ class TestWireIdentityPin:
 
     @pytest.mark.parametrize("op", sorted(_pin_bodies()))
     def test_wire_identity_pin(self, op):
-        req = parse_request(parse_body(json.dumps(_pin_bodies()[op]).encode()))
+        body = json.dumps(_pin_bodies()[op], sort_keys=True)
+        req = parse_request(parse_body(body.encode()))
         expected = _PIN_KEYS[op]
         if op == "sweep":
             # A sweep has no identity of its own: each point routes and

@@ -84,7 +84,8 @@ class TestSeedArithmeticRegression:
     def test_mixing_is_not_additive(self):
         for seed in (0, 1, 5, 1234):
             for index in (1, 2, 7):
-                assert derive_seed(seed, index) != seed + index
+                # The additive mixing under test, not a derived stream.
+                assert derive_seed(seed, index) != seed + index  # reprolint: disable=R103
 
     def test_derived_pool_disjoint_from_adjacent_run(self):
         # Run `s`'s derived pool vs run `s + 1`'s base pool: the exact
