@@ -8,10 +8,12 @@ zero parsing.
 
 from __future__ import annotations
 
+import io
 import json
 import textwrap
 from pathlib import Path
 
+from repro.cli import main
 from repro.lint import (
     lint_paths,
     render_sarif,
@@ -142,6 +144,27 @@ class TestIncrementalCache:
         warm = run_lint([FIXTURES / "bad"], cache_dir=cache, select=["R101"])
         assert warm.analyzed == ()
         assert {f.rule for f in warm.findings} == {"R101"}
+
+
+class TestJobs:
+    """Separate ``repro lint`` invocations sharing one ``--cache-dir``."""
+
+    def test_jobs_with_cache(self, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ["lint", str(FIXTURES / "bad"), "--format=json",
+                "--cache-dir", str(cache)]
+        reports = []
+        for _ in range(2):
+            out = io.StringIO()
+            assert main(argv, out=out) == 1
+            reports.append(out.getvalue())
+        assert reports[0] == reports[1]
+        warm = run_lint([FIXTURES / "bad"], cache_dir=cache)
+        assert [
+            (d["path"], d["rule"], d["line"], d["col"], d["message"])
+            for d in json.loads(reports[0])["findings"]
+        ] == _summary(warm.findings)
+        assert warm.analyzed == ()
 
 
 class TestExclude:
