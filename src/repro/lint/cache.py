@@ -42,7 +42,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 from repro.lint.findings import Finding
 
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 """Bump when analysis semantics change; invalidates every entry."""
 
 _ENTRY_SCHEMA = 1

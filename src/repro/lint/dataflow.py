@@ -14,7 +14,10 @@ as a sink — and the engine does the rest:
 * **per-function summaries** — each function is summarised as (a) the
   tags its return value carries, including ``param:i`` placeholders for
   caller-supplied taint that flows through, and (b) the parameters that
-  reach a sink somewhere inside it (transitively).  Summaries make the
+  reach a sink somewhere inside it (transitively).  A placeholder
+  remembers the tags a partial sanitiser stripped on the way
+  (``param:0~unordered-set`` for ``sorted(v)``), so a helper that
+  launders its argument launders the caller's taint too.  Summaries make the
   analysis interprocedural: a helper that wraps ``default_rng`` taints
   every caller, and a helper that feeds its argument into ``hashlib``
   is a sink at every call site.
@@ -48,12 +51,22 @@ KILL_ALL = "*"
 """Sanitiser return value meaning: the result carries no taint at all."""
 
 _PARAM_PREFIX = "param:"
+_KILL_SEP = "~"
 _MAX_PASSES = 16
 """Hard bound on full fixpoint sweeps (the lattice converges far sooner)."""
 
 
-def param_tag(index: int) -> str:
-    return f"{_PARAM_PREFIX}{index}"
+def param_tag(index: int, killed: Tags = EMPTY) -> str:
+    """Placeholder for parameter ``index``'s taint, less ``killed``."""
+    tag = f"{_PARAM_PREFIX}{index}"
+    if killed:
+        tag += _KILL_SEP + ",".join(sorted(killed))
+    return tag
+
+
+def _parse_param(tag: str) -> Tuple[int, Tags]:
+    index, _, killed = tag[len(_PARAM_PREFIX):].partition(_KILL_SEP)
+    return int(index), frozenset(killed.split(",")) if killed else EMPTY
 
 
 def is_param_tag(tag: str) -> bool:
@@ -64,12 +77,28 @@ def concrete(tags: Tags) -> Tags:
     return frozenset(t for t in tags if not is_param_tag(t))
 
 
+def without(tags: Tags, killed: Tags) -> Tags:
+    """``tags`` with ``killed`` stripped, from placeholders too.
+
+    A concrete tag in ``killed`` goes; a placeholder records the kill,
+    so whatever the caller passes for it is stripped the same way.
+    """
+    out: Set[str] = set()
+    for tag in tags:
+        if is_param_tag(tag):
+            index, before = _parse_param(tag)
+            out.add(param_tag(index, before | killed))
+        elif tag not in killed:
+            out.add(tag)
+    return frozenset(out)
+
+
 @dataclass(frozen=True)
 class Summary:
     """What callers need to know about one function."""
 
     return_tags: Tags = EMPTY  # concrete tags + param:i placeholders
-    param_sinks: FrozenSet[Tuple[int, str]] = frozenset()  # (index, sink label)
+    param_sinks: FrozenSet[Tuple[str, str]] = frozenset()  # (placeholder, sink label)
 
 
 @dataclass(frozen=True)
@@ -147,7 +176,7 @@ class _FunctionState:
 
     def __init__(self) -> None:
         self.return_tags: Set[str] = set()
-        self.param_sinks: Set[Tuple[int, str]] = set()
+        self.param_sinks: Set[Tuple[str, str]] = set()
 
 
 class TaintAnalysis:
@@ -329,8 +358,7 @@ class _Walker:
             )
         for tag in tags:
             if is_param_tag(tag):
-                index = int(tag[len(_PARAM_PREFIX):])
-                self.state.param_sinks.add((index, label))
+                self.state.param_sinks.add((tag, label))
 
     # -- statements --------------------------------------------------------
 
@@ -551,7 +579,7 @@ class _Walker:
         if killed is not None:
             if KILL_ALL in killed:
                 return EMPTY
-            return union_args - killed
+            return without(union_args, killed)
 
         label = self.domain.call_sink(dotted, terminal, node, self.fi)
         if label is not None:
@@ -587,22 +615,25 @@ class _Walker:
         callee = self.graph.functions[callee_qn]
         summary = self.analysis.summaries[callee_qn]
 
-        def tags_for_param(index: int) -> Tags:
+        def tags_for_param(placeholder: str) -> Tags:
+            index, killed = _parse_param(placeholder)
             if index < len(arg_tags):
-                return arg_tags[index]
-            if index < len(callee.params):
-                return kw_tags.get(callee.params[index], EMPTY)
-            return EMPTY
+                tags = arg_tags[index]
+            elif index < len(callee.params):
+                tags = kw_tags.get(callee.params[index], EMPTY)
+            else:
+                tags = EMPTY
+            return without(tags, killed)
 
-        for index, label in sorted(summary.param_sinks):
-            tags = tags_for_param(index)
+        for placeholder, label in sorted(summary.param_sinks):
+            tags = tags_for_param(placeholder)
             if tags:
                 self._hit_sink(node, label, tags, via=callee.name)
 
         result: Set[str] = set()
         for tag in summary.return_tags:
             if is_param_tag(tag):
-                result |= tags_for_param(int(tag[len(_PARAM_PREFIX):]))
+                result |= tags_for_param(tag)
             else:
                 result.add(tag)
         # Taint passed via *args/**kwargs or unmapped positions is not

@@ -30,6 +30,7 @@ from repro._util.rng import (
     as_seed_sequence,
     child_seed_sequence,
 )
+from repro._util.threads import run_split
 from repro.core.instance import LocalView, ProblemInstance
 from repro.delegation.graph import SELF, DelegationGraph, resolve_forests_batch
 from repro.graphs.graph import csr_index_dtype
@@ -55,8 +56,16 @@ rows and weight counts then stay cache-sized: on a 2-core Xeon with a
 is one round and every per-block temporary stays below glibc's
 32 MiB mmap ceiling, so it is reused from the heap instead of being
 mapped and faulted in afresh; at small n a block spans hundreds of
-rounds, so the per-level numpy calls are not paid once per round.  Any
-blocking gives bit-identical output."""
+rounds, so the per-level numpy calls are not paid once per round.
+
+Blocks are the unit of the kernel's thread fan-out: once a block is one
+round (n >= :data:`~repro._util.threads.MIN_THREAD_WIDTH`, equal to
+this constant), a call's blocks are split over
+``min(blocks, CPUs in the affinity mask)`` threads, each holding one
+block's buffers.  Processes split rounds across ``n_jobs``, threads
+split a chunk's blocks, and peak memory is O(E + chunk·n +
+workers·block).  Any blocking and any thread count give bit-identical
+output."""
 
 
 @dataclass(frozen=True)
@@ -265,11 +274,14 @@ class DelegationMechanism(abc.ABC):
         default is the composition
         :meth:`_reference_sample_forests_batch`; mechanisms with a fixed
         mover set override it with a one-pass kernel
-        (:class:`UniformApprovedDelegation`), bitwise equal.
+        (:class:`UniformApprovedDelegation`), bitwise equal.  A weight
+        row not summing to ``n`` raises ``RuntimeError`` on either path.
         """
-        return self._reference_sample_forests_batch(
+        sinks, weights = self._reference_sample_forests_batch(
             instance, n_rounds, seed, first_round
         )
+        _check_weight_rows(weights, instance.num_voters, first_round)
+        return sinks, weights
 
     def _reference_sample_forests_batch(
         self,
@@ -591,9 +603,7 @@ class UniformApprovedDelegation(LocalDelegationMechanism):
                     compiled, levels, self._movers(compiled),
                     as_seed_sequence(seed), first_round, n_rounds,
                 )
-        return self._reference_sample_forests_batch(
-            instance, n_rounds, seed, first_round
-        )
+        return super().sample_forests_batch(instance, n_rounds, seed, first_round)
 
     def forest_bytes_per_voter(self, instance: ProblemInstance) -> int:
         """8 bytes (one intp weight) per voter and round on the level path.
@@ -627,10 +637,13 @@ def _level_ordered_forests(
     is needed, because every target comes from the approved CSR.
 
     The sinks are the non-movers in every round.  Rounds run in blocks
-    of :data:`LEVEL_BLOCK_CELLS` cells over flat indices of one
-    ``(block, n)`` scratch reused across blocks, each row seeded with
-    every non-mover's rank among the sinks; a voter that is neither a
-    level-ordered mover nor a sink holds the spare rank ``n_sinks``.
+    of :data:`LEVEL_BLOCK_CELLS` cells over flat indices of a
+    ``(block, n)`` scratch, one per thread
+    (:func:`~repro._util.threads.run_split`), reused across that
+    thread's blocks; each row is seeded once with every non-mover's
+    rank among the sinks, and a voter that is neither a level-ordered
+    mover nor a sink holds the spare rank ``n_sinks``.  A round rewrites
+    every mover cell before reading it, so the seeds need no refresh.
     A sink's weight is its own vote plus the count of mover cells
     landing on it, so the ``bincount`` runs over ``rounds × n_sinks``
     cells (plus the spare column).  Returns the compact profile
@@ -670,36 +683,46 @@ def _level_ordered_forests(
     base = rows * n
     bins = rows * width
     sources = movers + base
-    uniforms = np.empty((block, n))
-    scratch = np.empty((block, n), dtype=rank_dtype)
-    picked = np.empty((block, movers.size))
-    cells = np.empty((block, movers.size), dtype=np.intp)
-    for b0 in range(0, n_rounds, block):
-        b = min(block, n_rounds - b0)
-        for i in range(b):
-            rng = np.random.default_rng(child_seed_sequence(root, first_round + b0 + i))
-            rng.random(out=uniforms[i])
-        u = picked[:b]
-        np.take(uniforms[:b], movers, axis=1, out=u, mode="clip")
-        u *= counts
-        cell = cells[:b]
-        np.copyto(cell, u, casting="unsafe")
-        cell += starts
-        np.add(np.take(indices, cell, mode="clip"), base[:b], out=cell)
-        rank = scratch[:b]
-        rank[:] = seeded
-        flat = rank.reshape(-1)
-        for lo, hi in spans:
-            landed = np.take(flat, cell[:, lo:hi], mode="clip")
-            flat[sources[:b, lo:hi]] = landed
-            cell[:, lo:hi] = landed
-        cell += bins[:b]
-        landing = np.bincount(cell.reshape(-1), minlength=b * width)
-        np.add(landing.reshape(b, width)[:, :-1], 1, out=weights[b0:b0 + b])
+
+    def run_blocks(blocks: range) -> None:
+        # Each thread owns its buffers and writes only its own weight rows.
+        uniforms = np.empty((block, n))
+        scratch = np.full((block, n), seeded, dtype=rank_dtype)
+        picked = np.empty((block, movers.size))
+        cells = np.empty((block, movers.size), dtype=np.intp)
+        for b0 in (k * block for k in blocks):
+            b = min(block, n_rounds - b0)
+            for i in range(b):
+                rng = np.random.default_rng(
+                    child_seed_sequence(root, first_round + b0 + i)
+                )
+                rng.random(out=uniforms[i])
+            u = picked[:b]
+            np.take(uniforms[:b], movers, axis=1, out=u, mode="clip")
+            u *= counts
+            cell = cells[:b]
+            np.copyto(cell, u, casting="unsafe")
+            cell += starts
+            np.add(np.take(indices, cell, mode="clip"), base[:b], out=cell)
+            flat = scratch[:b].reshape(-1)
+            for lo, hi in spans:
+                landed = np.take(flat, cell[:, lo:hi], mode="clip")
+                flat[sources[:b, lo:hi]] = landed
+                cell[:, lo:hi] = landed
+            cell += bins[:b]
+            landing = np.bincount(cell.reshape(-1), minlength=b * width)
+            np.add(landing.reshape(b, width)[:, :-1], 1, out=weights[b0:b0 + b])
+
+    run_split(run_blocks, -(-n_rounds // block), n)
+    _check_weight_rows(weights, n, first_round)
+    return sinks, weights
+
+
+def _check_weight_rows(weights: np.ndarray, n: int, first_round: int) -> None:
+    """Raise ``RuntimeError`` unless every round's sink weights sum to ``n``."""
     bad = np.flatnonzero(weights.sum(axis=1) != n)
     if bad.size:
         raise RuntimeError(
             f"round {first_round + int(bad[0])}: sink weights sum to "
             f"{int(weights[bad[0]].sum())}, not {n}"
         )
-    return sinks, weights

@@ -13,11 +13,16 @@ One engine, :class:`BatchEstimator`: round ``r`` draws its forest from
 its own child seed (absolute spawn keys, see
 :func:`repro._util.rng.child_seed_sequence`), identical sink-weight
 profiles are deduplicated through an LRU cache, and rounds optionally
-fan out over a process pool.  For a fixed seed the forests and the
-naive vote draws are bitwise identical regardless of ``n_jobs``,
-chunking or worker partitioning; Rao–Blackwellised values are only
-bit-close (their tails may differ in the last bit with the rows
-batched together).  A live
+fan out over a process pool.  Processes split rounds across
+``n_jobs``; inside a process, threads split a chunk's blocks in the
+level-ordered kernel and its rounds in the naive vote loop, on
+``min(tasks, CPUs in the affinity mask)`` threads once the rows are
+wide (:mod:`repro._util.threads`; one thread inside a pool worker).
+Peak memory is O(E + chunk·n + workers·block).  For a fixed seed the
+forests and the naive vote draws are bitwise identical regardless of
+``n_jobs``, thread count, chunking or worker partitioning;
+Rao–Blackwellised values are only bit-close (their tails may differ
+in the last bit with the rows batched together).  A live
 ``Generator`` seed is consumed to draw the root seed
 (:func:`repro._util.rng.as_seed_sequence`), so consecutive estimates
 sharing one generator are independent.
@@ -59,6 +64,7 @@ import numpy as np
 
 from repro._util.mathx import LRUCache, wilson_interval
 from repro._util.rng import SeedLike, as_seed_sequence, child_seed_sequence
+from repro._util.threads import run_split
 from repro.core.instance import ProblemInstance
 from repro.voting.exact import (
     tail_from_pmf,
@@ -353,7 +359,9 @@ def _streamed_rounds(
     and drops the never-sink columns; both give the same profile
     bitwise.  The profile ``cache`` is shared across chunks, so dedup
     reaches across chunk boundaries exactly as it does within a single
-    block.
+    block.  The naive vote loop splits a chunk's rounds over threads
+    (:func:`~repro._util.threads.run_split`); each round draws from its
+    own spawned generator and writes its own slot of ``values``.
     """
     count = stop - start
     chunk = chunk_rounds or _auto_chunk_rounds(instance, mechanism)
@@ -374,26 +382,30 @@ def _streamed_rounds(
         # Fixed-mover kernels weigh every sink in every round, so their
         # rows need no compress.
         dense = bool((weights > 0).all())
-        for offset, r in enumerate(range(cstart, cstop)):
-            # Kernel mechanisms consume uniforms differently from their
-            # rng-based samplers, so the outcome draw gets its own
-            # spawned child — deterministic and partition-invariant.
-            vote_rng = np.random.default_rng(
-                child_seed_sequence(root, r).spawn(1)[0]
-            )
-            row = weights[offset]
-            probs = comp_c
-            if not dense:
-                # ``np.compress`` keeps the same elements in the same
-                # order as a boolean-mask index and is much cheaper.
-                mask = row > 0
-                probs = np.compress(mask, comp_c)
-                row = np.compress(mask, row)
-            votes = vote_rng.random(len(probs)) < probs
-            correct = float(np.compress(votes, row).sum())
-            values[cstart - start + offset] = majority_correct(
-                correct, total, tie_policy
-            )
+        out = values[cstart - start : cstop - start]
+
+        def vote(offsets: range) -> None:
+            for offset in offsets:
+                # Kernel mechanisms consume uniforms differently from
+                # their rng-based samplers, so the outcome draw gets its
+                # own spawned child — deterministic and
+                # partition-invariant.
+                vote_rng = np.random.default_rng(
+                    child_seed_sequence(root, cstart + offset).spawn(1)[0]
+                )
+                row = weights[offset]
+                probs = comp_c
+                if not dense:
+                    # ``np.compress`` keeps the same elements in the same
+                    # order as a boolean-mask index and is much cheaper.
+                    mask = row > 0
+                    probs = np.compress(mask, comp_c)
+                    row = np.compress(mask, row)
+                votes = vote_rng.random(len(probs)) < probs
+                correct = float(np.compress(votes, row).sum())
+                out[offset] = majority_correct(correct, total, tie_policy)
+
+        run_split(vote, cstop - cstart, sinks.size)
     return values
 
 
@@ -551,7 +563,10 @@ def _pooled_rounds(
     round ``r`` is pinned to child seed ``r``, the result equals one
     in-process call.  Returns ``None`` — the caller evaluates in
     process — when one worker suffices or the inputs cannot be pickled
-    (e.g. a lambda threshold; a ``RuntimeWarning`` says so).
+    (e.g. a lambda threshold; a ``RuntimeWarning`` says so).  Each
+    worker runs on one thread
+    (:func:`~repro._util.threads.thread_workers`), so ``n_jobs``
+    processes never multiply into ``n_jobs × CPUs`` threads.
     """
     workers = min(n_jobs, stop - start)
     if workers < 2 or not _picklable(instance, mechanism):
@@ -575,7 +590,11 @@ class BatchEstimator:
     samplers, deduplicates identical sink-weight profiles through an LRU
     PMF cache (:class:`repro._util.mathx.LRUCache`), and — when
     ``n_jobs > 1`` — fans rounds out over a ``concurrent.futures``
-    process pool.
+    process pool.  Processes split rounds across ``n_jobs``; threads
+    split a chunk's kernel blocks and naive vote rounds over the CPUs
+    in the affinity mask once their rows reach 2^17 cells
+    (:data:`~repro._util.threads.MIN_THREAD_WIDTH`), with one thread
+    per pool worker.
 
     Determinism contract: round ``r`` derives its generator from the
     absolute child seed ``r`` of the root seed, so for a fixed ``seed``
@@ -589,10 +608,10 @@ class BatchEstimator:
     ``chunk_rounds`` bounds the streaming row-block size: rounds are
     sampled, resolved and evaluated ``chunk_rounds`` at a time (default
     ``None`` sizes chunks to :data:`CHUNK_BUDGET_BYTES`), keeping peak
-    memory O(E + chunk·n).  Chunk boundaries, like worker partitions,
-    cannot shift round seeds, so any value yields the same forests and
-    bit-identical naive estimates; Rao–Blackwellised estimates are
-    bit-close.
+    memory O(E + chunk·n + workers·block).  Chunk boundaries, like
+    worker partitions and thread counts, cannot shift round seeds, so
+    any value yields the same forests and bit-identical naive
+    estimates; Rao–Blackwellised estimates are bit-close.
     """
 
     n_jobs: int = 1

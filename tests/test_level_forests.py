@@ -6,16 +6,23 @@ returns compact sink profiles ``(sinks, weights)``.  It is pinned
 bitwise — values and dtypes — to the composition it replaces,
 ``resolve_forests_batch(sample_delegations_batch(...))`` with the
 never-sink weight columns dropped, and the level table is pinned to a
-brute-force longest-path oracle.
+brute-force longest-path oracle.  The kernel's blocks and the naive vote
+loop's rounds fan out over threads; every worker count gives the same
+bits.
 """
 
 from __future__ import annotations
+
+import os
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro._util.threads as threads
 import repro.mechanisms.base as mechanisms_base
 from repro.core.compiled import _reference_approval_levels
 from repro.core.instance import ProblemInstance
@@ -30,7 +37,9 @@ from repro.voting.montecarlo import (
     CHUNK_BUDGET_BYTES,
     BatchEstimator,
     _auto_chunk_rounds,
+    _streamed_rounds,
 )
+from repro.voting.outcome import TiePolicy
 
 ALPHAS = (1e-12, 0.01, 0.05, 0.2)
 
@@ -212,6 +221,163 @@ class TestSampleForestsBatch:
                 instance, Composed(2), rounds=40, seed=9, exact_conditional=exact
             )
             assert fused == composed
+
+
+@contextmanager
+def _workers(count):
+    """Patch the thread count of both fan-outs to ``count``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(threads, "thread_workers", lambda tasks, width: count)
+        yield patch
+
+
+class TestThreadedBlocks:
+    """Blocks split over 1, 2 or 3 threads give the oracle's bits."""
+
+    WORKERS = (1, 2, 3)
+
+    @pytest.fixture
+    def instance(self):
+        n = 60
+        graph = _with_isolated(G.barabasi_albert_graph(n, 2, seed=8), 2)
+        return ProblemInstance(
+            graph, _competencies("uniform", graph.num_vertices, 9), alpha=0.05
+        )
+
+    # 2 rounds per block: 7 rounds are 4 blocks with a one-round last
+    # block, 3 rounds are 2 blocks (fewer than 3 workers), 1 round is one.
+    @pytest.mark.parametrize("rounds", [7, 3, 1])
+    @pytest.mark.parametrize("mechanism", [ApprovalThreshold(1), RandomApproved()])
+    def test_matches_oracle_for_every_worker_count(self, instance, mechanism, rounds):
+        assert instance.compiled().approval_levels() is not None
+        want = mechanism._reference_sample_forests_batch(instance, rounds, 5, 3)
+        for count in self.WORKERS:
+            with _workers(count) as patch:
+                patch.setattr(
+                    mechanisms_base, "LEVEL_BLOCK_CELLS", 2 * instance.num_voters
+                )
+                got = mechanism.sample_forests_batch(instance, rounds, 5, 3)
+            _assert_bitwise(got, want)
+
+    def test_affinity_mask_sets_the_thread_count(self, instance, monkeypatch):
+        """Unpatched worker count (one CPU under ``taskset -c 0``, else
+        several): never more than min(blocks, CPUs), same bits."""
+        used = []
+        count = threads.thread_workers
+
+        def spy(tasks, width):
+            used.append((tasks, count(tasks, width)))
+            return used[-1][1]
+
+        monkeypatch.setattr(threads, "MIN_THREAD_WIDTH", 1)
+        monkeypatch.setattr(threads, "thread_workers", spy)
+        monkeypatch.setattr(mechanisms_base, "LEVEL_BLOCK_CELLS", 2 * instance.num_voters)
+        mechanism = ApprovalThreshold(1)
+        got = mechanism.sample_forests_batch(instance, 9, 2)
+        _assert_bitwise(got, mechanism._reference_sample_forests_batch(instance, 9, 2))
+        cpus = len(os.sched_getaffinity(0))
+        assert used == [(5, min(5, cpus))]
+
+    def test_more_threads_than_cores_under_fast_switching(self, instance):
+        """Four threads, one round per block, a thread switch every
+        microsecond: a row written by the wrong thread would show."""
+        mechanism = RandomApproved()
+        root = np.random.SeedSequence(3)
+        want = mechanism._reference_sample_forests_batch(instance, 24, root)
+        values = _streamed_rounds(
+            instance, mechanism, root, 0, 24, TiePolicy.INCORRECT, False, None, None
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _workers(4) as patch:
+                patch.setattr(mechanisms_base, "LEVEL_BLOCK_CELLS", instance.num_voters)
+                for _ in range(5):
+                    _assert_bitwise(mechanism.sample_forests_batch(instance, 24, root), want)
+                    got = _streamed_rounds(
+                        instance, mechanism, root, 0, 24, TiePolicy.INCORRECT,
+                        False, None, None,
+                    )
+                    assert got.tobytes() == values.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_broken_mover_mask_raises_through_the_pool(self):
+        class Broken(RandomApproved):
+            def _movers(self, compiled, voters=None):
+                mask = super()._movers(compiled, voters)
+                mask[compiled.approved_counts == 0] = True
+                return mask
+
+        competencies = np.full(6, 0.3)
+        competencies[0] = 0.9
+        instance = ProblemInstance(G.star_graph(6), competencies, alpha=0.05)
+        for count in self.WORKERS:
+            with _workers(count) as patch:
+                patch.setattr(mechanisms_base, "LEVEL_BLOCK_CELLS", 6)
+                with pytest.raises(RuntimeError, match="sink weights sum to"):
+                    Broken().sample_forests_batch(instance, 5, 0)
+
+    @pytest.mark.parametrize(
+        "mechanism", [ApprovalThreshold(2), SampledNeighbourhood(1, d=4)]
+    )
+    def test_naive_values_equal_on_one_and_two_workers(self, instance, mechanism):
+        """Fixed-mover (dense rows) and sampled (compressed rows) vote loops."""
+        root = np.random.SeedSequence(21)
+        values = []
+        for count in (1, 2):
+            with _workers(count):
+                values.append(
+                    _streamed_rounds(
+                        instance, mechanism, root, 4, 37, TiePolicy.COIN_FLIP,
+                        False, None, 10,
+                    )
+                )
+        assert values[0].tobytes() == values[1].tobytes()
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_estimates_equal_on_one_and_two_workers(self, instance, exact):
+        estimates = []
+        for count in (1, 2):
+            with _workers(count) as patch:
+                patch.setattr(mechanisms_base, "LEVEL_BLOCK_CELLS", 130)
+                estimates.append(
+                    BatchEstimator().estimate(
+                        instance, FractionApproved(0.5), rounds=30, seed=4,
+                        exact_conditional=exact,
+                    )
+                )
+        assert estimates[0] == estimates[1]
+
+
+class TestCompositionWeightGate:
+    """The composition path checks weight rows like the fused kernel."""
+
+    @staticmethod
+    def _dropping_resolve(delegates):
+        sink_of, weights = resolve_forests_batch(delegates)
+        weights[-1, int(np.argmax(weights[-1]))] -= 1
+        return sink_of, weights
+
+    def test_dropped_vote_raises(self, monkeypatch):
+        monkeypatch.setattr(mechanisms_base, "resolve_forests_batch", self._dropping_resolve)
+        sparse = ProblemInstance(
+            G.barabasi_albert_graph(40, 2, seed=1), _competencies("uniform", 40, 2),
+            alpha=0.05,
+        )
+        complete = ProblemInstance(
+            G.complete_graph(12), np.linspace(0.1, 0.9, 12), alpha=0.01
+        )
+        # SampledNeighbourhood has no fused kernel; RandomApproved on a
+        # complete graph falls back to the composition.
+        for mechanism, instance in (
+            (SampledNeighbourhood(1, d=4), sparse),
+            (RandomApproved(), complete),
+        ):
+            with pytest.raises(RuntimeError, match="round 6: sink weights sum to"):
+                mechanism.sample_forests_batch(instance, 4, 0, first_round=3)
+            # the oracle itself stays unchecked
+            mechanism._reference_sample_forests_batch(instance, 4, 0, first_round=3)
 
 
 class TestChunkSizing:

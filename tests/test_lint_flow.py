@@ -486,3 +486,35 @@ class TestDigestPuritySourcesAndSinks:
             """,
         )
         assert [(f.rule, f.line) for f in findings] == [("D203", 8)]
+
+    def test_helper_sorting_its_argument_launders_the_callers_set(self, tmp_path):
+        fixture = Path(__file__).parent / "lint_fixtures" / "good" / "flow_launder.py"
+        assert lint_paths([fixture]) == []
+        unsorted = fixture.read_text().replace(
+            "return sorted(values)", "return list(values)"
+        )
+        path = tmp_path / "flow_launder.py"
+        path.write_text(unsorted)
+        findings = lint_paths([path])
+        assert [(f.rule, f.line) for f in findings] == [("D203", 20)]
+        assert "unordered-set" in findings[0].message
+
+    def test_helper_sink_after_sorting_is_clean_for_a_set(self, tmp_path):
+        # The placeholder reaching the sink carries the kill too.
+        findings = self._lint(
+            tmp_path,
+            """
+            import hashlib
+
+            def digest_of(values):
+                return hashlib.sha256(str(sorted(values)).encode()).hexdigest()
+
+            def digest_of_list(values):
+                return hashlib.sha256(str(list(values)).encode()).hexdigest()
+
+            def caller(a, b):
+                return digest_of({a, b}), digest_of_list({a, b})
+            """,
+        )
+        assert [(f.rule, f.line) for f in findings] == [("D203", 11)]
+        assert "through digest_of_list()" in findings[0].message
