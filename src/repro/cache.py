@@ -63,10 +63,12 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 """Bumped whenever digest components, the entry layout or the bits an
 estimate is computed with change (2: exact PMFs through the FFT merge
-ladder; 3: one Monte Carlo engine, live generators consumed)."""
+ladder; 3: one Monte Carlo engine, live generators consumed; 4: each
+round's exact tail computed from that round alone, so entries written
+under 3 may hold values that depended on the server's history)."""
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 """Where estimates land unless the caller picks a directory."""

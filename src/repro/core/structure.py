@@ -177,6 +177,15 @@ class ApprovalStructure:
         """Whether the O(n) complete-graph suffix form is in use."""
         return self._complete
 
+    def approved_by(self, mask: np.ndarray) -> np.ndarray:
+        """Boolean mask of the voters some voter in ``mask`` approves."""
+        out = np.zeros(self.num_voters, dtype=bool)
+        if not self._complete:
+            out[self._indices[np.repeat(mask, self._counts)]] = True
+        elif mask.any():  # the union of suffixes is the widest one
+            out[self._order[int(self._starts[mask].min()):]] = True
+        return out
+
     def approved_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """The approved relation as ``(indptr, indices)`` CSR arrays.
 

@@ -24,7 +24,10 @@ That third clause is what makes per-file caching sound for
 fingerprint.  The one edit no fingerprint can anticipate — a **new**
 file appearing that an existing file now resolves against — is covered
 by the runner, which re-analyses the reverse-dependency closure of
-every miss over the *new* call graph.
+every miss over the *new* call graph.  A project rule's ``find_file``
+lookup resolves by lint set, not by import: the files matching its
+suffix record the current pick (path and hash) as one more dependency,
+so linting ``tests`` after ``src tests`` re-analyses them.
 
 Entries are written atomically (temp file + ``os.replace``) so a
 crashed or concurrent lint can never leave a torn entry; a corrupt or
@@ -42,7 +45,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 from repro.lint.findings import Finding
 
-ENGINE_VERSION = 3
+ENGINE_VERSION = 4
 """Bump when analysis semantics change; invalidates every entry."""
 
 _ENTRY_SCHEMA = 1

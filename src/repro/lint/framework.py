@@ -219,6 +219,13 @@ class Rule:
 class ProjectRule(Rule):
     """A rule needing the whole project (cross-file hierarchies)."""
 
+    resolves: Tuple[Tuple[str, ...], ...] = ()
+    """Path suffixes the rule looks up with :meth:`ProjectContext.find_file`.
+
+    The lookup picks the first linted file ending in the suffix, so the
+    findings of every file that matches depend on the lint set; the
+    incremental cache fingerprints the pick."""
+
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         raise NotImplementedError
 

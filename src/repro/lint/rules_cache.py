@@ -182,8 +182,10 @@ class ProtocolMechanismSyncRule(ProjectRule):
         "a protocol/library drift that only explodes at request time."
     )
 
+    resolves = (("repro", "service", "protocol.py"),)
+
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        ctx = project.find_file("repro", "service", "protocol.py")
+        ctx = project.find_file(*self.resolves[0])
         if ctx is None:
             return
         classes = collect_classes(project)

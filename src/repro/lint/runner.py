@@ -153,6 +153,21 @@ def _dirty_closure(
     return dirty
 
 
+def _lookup_picks(
+    files: Sequence[Path], shas: Dict[str, str]
+) -> Dict[str, Tuple[Tuple[str, ...], str]]:
+    """``find_file:<suffix>`` → (suffix, ``"path:sha"`` of the file each
+    project rule's lookup picks, or "").  A pick depends on the lint set,
+    not on imports, so the files matching the suffix fingerprint it."""
+    picks = {}
+    for rule in RULES.values():
+        for suffix in getattr(rule, "resolves", ()):
+            pick = next((str(p) for p in files if p.parts[-len(suffix):] == suffix), None)
+            value = "" if pick is None else f"{pick}:{shas[pick]}"
+            picks["find_file:" + "/".join(suffix)] = (suffix, value)
+    return picks
+
+
 def run_lint(
     paths: Sequence[Union[str, Path]],
     select: Optional[Iterable[str]] = None,
@@ -178,13 +193,15 @@ def run_lint(
     )
     contents = hash_files(files)
     shas = {path: source_sha(data) for path, data in contents.items()}
+    picks = _lookup_picks(files, shas)
 
     cache: Optional[LintCache] = None
     entries: Dict[str, Any] = {}
     if cache_dir is not None:
         cache = LintCache(Path(cache_dir), sorted(known_rule_ids()))
+        current = {**shas, **{key: pick for key, (_, pick) in picks.items()}}
         entries = {
-            str(path): cache.load(str(path), shas[str(path)], shas)
+            str(path): cache.load(str(path), shas[str(path)], current)
             for path in files
         }
 
@@ -262,6 +279,11 @@ def run_lint(
                 for dep in transitive.get(path, ())
                 if dep in shas
             }
+            deps.update(
+                (key, pick)
+                for key, (suffix, pick) in picks.items()
+                if Path(path).parts[-len(suffix):] == suffix
+            )
             cache.store(path, shas.get(path, ""), deps, sorted(by_file[path]))
 
     findings = [f for fs in by_file.values() for f in fs] + uncacheable

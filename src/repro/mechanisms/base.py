@@ -313,6 +313,11 @@ class DelegationMechanism(abc.ABC):
         """
         return 8 * (self.batch_uniform_rows() or 0) + 4 + 3 * 8
 
+    def fixed_sinks(self, instance: ProblemInstance) -> np.ndarray:
+        """Sorted int64 ids of voters that are a weight-1 sink in every
+        forest (the exact tails take them once per estimate); none here."""
+        return np.empty(0, dtype=np.int64)
+
     def delegations_from_uniforms_subset(
         self,
         instance: ProblemInstance,
@@ -510,6 +515,12 @@ class UniformApprovedDelegation(LocalDelegationMechanism):
         if not view.approved or not self.should_delegate(view):
             return None
         return uniform_choice(view.approved, rng)
+
+    def fixed_sinks(self, instance: ProblemInstance) -> np.ndarray:
+        """The non-movers that no mover approves: no chain can end there."""
+        movers = self._movers(instance.compiled())
+        reached = instance.approval_structure().approved_by(movers)
+        return np.flatnonzero(~(movers | reached))
 
     def sample_delegations(
         self, instance: ProblemInstance, rng: SeedLike = None

@@ -15,8 +15,10 @@ Performance architecture (see ``docs/performance.md``):
 
 * Every PMF product goes through one merge rule, set by one crossover,
   :data:`_FFT_MIN`: direct convolution for short operands, real FFT at
-  a 5-smooth length above (:func:`_merge_level` for a batch of
-  equal-width blocks, :func:`_convolve` for a lone pair).
+  a 5-smooth length above (:func:`_merge_level` for the ladder's
+  equal-width blocks, :func:`_convolve` for a lone pair,
+  :func:`_merge_rounds` for balanced passes over PMF lists).  A row's
+  arithmetic never depends on how many rows share a call.
 * :func:`_pb_ladder` computes many Poisson-binomial PMFs at once: the
   per-Bernoulli length-2 PMFs are merged level by level, in vectorised
   batches.  Wide groups are cut into chunks of :data:`_BUCKET_CHUNK`
@@ -32,7 +34,6 @@ Performance architecture (see ``docs/performance.md``):
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
 from math import erf, sqrt
 from typing import List, Optional, Sequence, Tuple
@@ -57,8 +58,10 @@ measured crossover to about ``4 * _FFT_MIN`` (see :func:`_convolve`).
 _BUCKET_CHUNK = 512
 """Widest group one ladder row holds; wider groups are cut into chunks."""
 
-_MERGE_FLOP_LIMIT = 50_000
-"""Pair cost under which :func:`weighted_tails_batch` merges directly."""
+_SPECTRAL_CELLS = 1 << 20
+"""Transform cells of one batched FFT in :func:`_merge_rounds` (~50 MiB
+of rows and spectra): small merges share a call, large ones cost their
+own transform time anyway and keep memory O(total)."""
 
 
 def _reference_poisson_binomial_pmf(probs: Sequence[float]) -> np.ndarray:
@@ -130,8 +133,8 @@ def _merge_level(blocks: np.ndarray, groups: int) -> np.ndarray:
     (Toeplitz) view of the zero-padded right factors; width 3 (the first
     ladder level, with the most rows) expands the five product
     coefficients explicitly — measurably faster than the strided-view
-    einsum at that size.  A single remaining pair goes to
-    :func:`_convolve`.
+    einsum at that size.  Every path computes each output row from its
+    own group's blocks alone, so a row's bits do not depend on ``m``.
 
     FFT outputs are not clipped: their rounding error is signed and the
     zero-frequency bin multiplies exactly, so unclipped levels keep the
@@ -139,8 +142,6 @@ def _merge_level(blocks: np.ndarray, groups: int) -> np.ndarray:
     at the end.
     """
     m, length = blocks.shape
-    if m == 2:
-        return _convolve(blocks[0], blocks[1])[None, :]
     if length > _FFT_MIN:
         fan = 4 if m >= 4 * groups else 2
         out_len = fan * (length - 1) + 1
@@ -233,13 +234,54 @@ def _pb_wide(p: np.ndarray) -> np.ndarray:
 
 def _merge_pmfs(pmfs: List[np.ndarray]) -> np.ndarray:
     """Convolve a list of PMFs pairwise, balanced, shortest first."""
-    pmfs = sorted(pmfs, key=len)
-    while len(pmfs) > 1:
-        pmfs = [
-            _convolve(pmfs[i], pmfs[i + 1]) if i + 1 < len(pmfs) else pmfs[i]
-            for i in range(0, len(pmfs), 2)
-        ]
-    return pmfs[0]
+    if len(pmfs) == 1:
+        return pmfs[0]
+    rounds = [list(pmfs)]
+    _merge_rounds(rounds, sum(len(p) - 1 for p in pmfs) + 1)
+    return _convolve(*rounds[0])
+
+
+def _merge_rounds(rounds: List[List[np.ndarray]], cap: int) -> None:
+    """Merge every list pairwise, balanced, shortest first, down to two PMFs.
+
+    Products keep their first ``cap`` entries.  The lists advance in
+    lockstep, one balanced pass at a time, so the FFT-sized pairs of a
+    pass that share a transform length go through one batched real FFT.
+    That length, like :func:`_convolve`'s branch, depends only on the
+    pair, and a batched transform computes each row on its own, so every
+    product is bitwise :func:`_convolve`'s.  Merges in place; products
+    are copied out of a batch so that its rows can be freed.
+    """
+    for k, pmfs in enumerate(rounds):
+        rounds[k] = sorted(pmfs, key=len)
+    while any(len(pmfs) > 2 for pmfs in rounds):
+        spectral: dict = {}
+        for k, pmfs in enumerate(rounds):
+            if len(pmfs) <= 2:
+                continue
+            out: List = []
+            for i in range(0, len(pmfs) - 1, 2):
+                a, b = pmfs[i], pmfs[i + 1]
+                if min(len(a), len(b)) <= 4 * _FFT_MIN:
+                    out.append(np.convolve(a, b)[:cap])
+                else:
+                    L = _smooth_fft_len(len(a) + len(b) - 1)
+                    spectral.setdefault(L, []).append((out, len(out), a, b))
+                    out.append(None)
+            out.extend(pmfs[len(pmfs) - len(pmfs) % 2 :])
+            rounds[k] = out
+        for L, group in spectral.items():
+            step = max(1, _SPECTRAL_CELLS // (2 * L))
+            for pairs in (group[i : i + step] for i in range(0, len(group), step)):
+                width = max(max(len(a), len(b)) for _, _, a, b in pairs)
+                rows = np.zeros((2 * len(pairs), width))
+                for j, (_, _, a, b) in enumerate(pairs):
+                    rows[2 * j, : len(a)] = a
+                    rows[2 * j + 1, : len(b)] = b
+                spec = np.fft.rfft(rows, L, axis=1)
+                prods = np.fft.irfft(spec[0::2] * spec[1::2], L, axis=1)
+                for j, (out, slot, a, b) in enumerate(pairs):
+                    out[slot] = prods[j, : min(len(a) + len(b) - 1, cap)].copy()
 
 
 def _pb_unchecked(p: np.ndarray) -> np.ndarray:
@@ -497,41 +539,39 @@ def weighted_tails_batch(
     weights: np.ndarray,
     probs: np.ndarray,
     total: int,
+    base: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Strict-majority win probabilities for a batch of sink profiles.
 
     ``weights`` is a ``(rounds, S)`` integer matrix of sink weights
     (zero entries are ignored, so ragged per-round sink sets fit in one
     rectangular matrix); ``probs`` the matching competencies (``(S,)``
-    broadcasts across rounds).  Every round's positive weights must sum
-    to ``total`` — delegation conserves votes, and the truncation and
-    wrap-correction algebra below relies on it to bound aliasing to the
-    single top bin.  Returns ``(win_strict, tie_atom)`` where
-    ``win_strict[r] = P[W_r > total / 2]`` and ``tie_atom[r] =
-    P[W_r = total / 2]`` (identically zero for odd totals).
+    broadcasts across rounds).  ``base`` is the PMF of a block of sinks
+    every round shares, outside ``weights`` (default: the empty block, a
+    point mass at 0).  Returns ``(win_strict, tie_atom)`` where
+    ``win_strict[r] = P[W_r + B > total / 2]`` and ``tie_atom[r] =
+    P[W_r + B = total / 2]`` (identically zero for odd totals).
 
     This is the whole-batch counterpart of
-    ``tail_from_pmf(weighted_bernoulli_pmf(w, p), total)`` — pinned
-    bit-close (≤1e-12) to it by the equivalence suite.  The pipeline is
-    described in ``docs/performance.md``:
+    ``tail_from_pmf(weighted_bernoulli_pmf(w, p), total)``, pinned to it
+    at ≤1e-12 by the equivalence suite.  Each round's value is a pure
+    function of its own positive weights, their competencies and
+    ``base``: bitwise the value of that row passed alone.  The pipeline
+    is described in ``docs/performance.md``:
 
     1. one cross-round stable argsort buckets every round's sinks by
        weight; bucket boundaries fall out of one flat comparison;
     2. bucket PMFs are computed in mega-batches grouped by power-of-two
-       bucket size (:func:`_pb_ladder`);
+       bucket size (:func:`_pb_ladder`, whose arithmetic on a row does
+       not depend on the other rows);
     3. bucket PMFs are stretched onto their ``w``-spaced lattices by one
-       vectorised scatter into a flat buffer;
-    4. per round, a shortest-first heap merges small lattice PMFs with
-       direct convolution while the pair cost stays under
-       :data:`_MERGE_FLOP_LIMIT`; the few surviving *finalists* are
-    5. zero-padded into one matrix and multiplied in Fourier space at a
-       shared length ``L``, and the half-point CDF and tie atom are read
-       off with spectral dot products (no inverse transform).  For even
-       totals ``L = total``: the only aliased product coefficient is the
-       top one, which equals the product of finalist top coefficients
-       and is subtracted exactly (it vanishes whenever truncation at
-       ``half + 1`` occurred, since then the computed degrees sum below
-       ``L``).
+       vectorised scatter into a flat buffer, truncated at ``half + 1``;
+    4. each round's bucket PMFs and ``base`` are merged shortest first,
+       all rounds in lockstep (:func:`_merge_rounds`), truncated at
+       ``half + 1``, down to two factors.  Their product is read at the
+       half point without being formed: a dot product with the reversed
+       cumulative sum of one factor gives the CDF, one with the factor
+       itself the tie atom.  Memory is O(total) per round.
     """
     W = np.asarray(weights)
     if W.ndim != 2:
@@ -542,49 +582,6 @@ def weighted_tails_batch(
         raise ValueError(f"total must be positive, got {total}")
     half = total // 2
     cap = half + 1
-    even = total % 2 == 0
-    if even:
-        L = max(2, total)
-    else:
-        L = 1 << int(total).bit_length()
-    # 0. factor out sinks whose weight (and competency) is constant
-    # across the whole batch: their joint PMF is shared by every round,
-    # so it is computed once with the per-profile kernel and multiplied
-    # into each round's spectral product at the finish.  Mechanisms with
-    # deterministic delegation conditions leave many sinks untouched
-    # round over round, making this a large cut of the per-round work.
-    shared: Optional[np.ndarray] = None
-    if rounds > 1 and S > 1:
-        const_cols = (W == W[0]).all(axis=0) & (W[0] > 0)
-        if P.strides[0] != 0:
-            const_cols &= (P == P[0]).all(axis=0)
-        if int(const_cols.sum()) >= 16:
-            wc = np.asarray(W[0, const_cols], dtype=np.int64)
-            pc = np.ascontiguousarray(P[0, const_cols])
-            if int(wc.sum()) + 1 <= L:
-                var_cols = ~const_cols
-                varW = np.ascontiguousarray(W[:, var_cols])
-                if not (varW > 0).any():
-                    # Every round is the same profile: one PMF decides all.
-                    pmf = weighted_bernoulli_pmf(wc, pc)
-                    strict = (
-                        min(1.0, float(pmf[half + 1 :].sum()))
-                        if len(pmf) > half + 1
-                        else 0.0
-                    )
-                    atom = float(pmf[half]) if even and len(pmf) > half else 0.0
-                    return np.full(rounds, strict), np.full(rounds, atom)
-                if (varW > 0).any(axis=1).all():
-                    shared = weighted_bernoulli_pmf(wc, pc)
-                    W = varW
-                    if P.strides[0] == 0:
-                        P = np.broadcast_to(
-                            np.ascontiguousarray(P[0, var_cols]),
-                            varW.shape,
-                        )
-                    else:
-                        P = np.ascontiguousarray(P[:, var_cols])
-                    S = W.shape[1]
     # 1. bucket sinks by weight: one cross-round sort + flat boundaries.
     # Weights are bounded by ``total``, so narrow the sort key when it
     # fits — NumPy's stable argsort uses radix sort for 16-bit integers,
@@ -596,14 +593,17 @@ def weighted_tails_batch(
     else:
         sort_key = W
     order = np.argsort(sort_key, axis=1, kind="stable")
+    del sort_key
     Wsort = np.take_along_axis(W, order, axis=1).astype(np.int64, copy=False)
     Psort = np.ascontiguousarray(np.take_along_axis(P, order, axis=1))
+    del order
     flatW = Wsort.ravel()
     newseg = np.empty(rounds * S, dtype=bool)
-    newseg[0] = True
+    newseg[:1] = True
     newseg[1:] = flatW[1:] != flatW[:-1]
-    newseg[::S] = True
+    newseg[:: max(S, 1)] = True
     seg_start = np.flatnonzero(newseg)
+    del newseg
     seg_len = np.diff(np.append(seg_start, rounds * S))
     seg_w = flatW[seg_start]
     keep = seg_w > 0
@@ -624,14 +624,14 @@ def weighted_tails_batch(
         )
         seg_w = np.repeat(seg_w, nch)
     seg_round = seg_start // S
-    G = len(seg_start)
-    present = np.zeros(rounds, dtype=bool)
-    present[seg_round] = True
-    if not present.all():
-        missing = int(np.flatnonzero(~present)[0])
-        raise ValueError(f"round {missing} has no positive sink weight")
+    if base is None:
+        present = np.zeros(rounds, dtype=bool)
+        present[seg_round] = True
+        if not present.all():
+            missing = int(np.flatnonzero(~present)[0])
+            raise ValueError(f"round {missing} has no positive sink weight")
     # 2. mega-batched bucket PMFs by power-of-two size class.
-    cls = np.ones(G, dtype=np.int64)
+    cls = np.ones(len(seg_start), dtype=np.int64)
     big = seg_len > 1
     cls[big] = 1 << (np.ceil(np.log2(seg_len[big])).astype(np.int64))
     pflat = Psort.ravel()
@@ -653,113 +653,26 @@ def weighted_tails_batch(
         colmask = pos[None, :] < n_pts[members][:, None]
         dst = seg_off[members][:, None] + seg_w[members][:, None] * pos[None, :]
         buf[dst[colmask]] = pmfs[colmask]
-    # 4. per-round shortest-first direct merges under the flop limit.
-    bounds = np.searchsorted(seg_round, np.arange(rounds + 1))
-    finalists: List[Tuple[np.ndarray, bool]] = []
-    fin_count = np.zeros(rounds, dtype=np.int64)
-    fin_start: List[int] = []
+    # 4. merge every round down to two factors (point masses pad), then
+    # P[X + Y <= half] = sum_i x[i] P[Y <= half - i], len(x) <= half + 1.
+    shared = [] if base is None else [base]
+    offs = seg_off.tolist()
+    bounds = np.searchsorted(seg_round, np.arange(rounds + 1)).tolist()
+    factors = []
     for r in range(rounds):
-        heap = [
-            (
-                int(out_len[g]),
-                nid,
-                buf[seg_off[g] : seg_off[g] + out_len[g]],
-                int(seg_len[g]) * int(seg_w[g]) + 1 > cap,
-            )
-            for nid, g in enumerate(range(int(bounds[r]), int(bounds[r + 1])))
-        ]
-        nid = len(heap)
-        heapq.heapify(heap)
-        while len(heap) > 1:
-            la, _, a, ca = heapq.heappop(heap)
-            lb, _, b, cb = heapq.heappop(heap)
-            if la * lb > _MERGE_FLOP_LIMIT:
-                heap.append((la, nid, a, ca))
-                heap.append((lb, nid + 1, b, cb))
-                nid += 2
-                heapq.heapify(heap)
-                break
-            c = _convolve(a, b)
-            capped = ca or cb
-            if len(c) > cap:
-                c = c[:cap]
-                capped = True
-            heapq.heappush(heap, (len(c), nid, c, capped))
-            nid += 1
-        fin_count[r] = len(heap)
-        fin_start.append(len(finalists))
-        for _, _, a, capped in sorted(heap, key=lambda t: (t[0], t[1])):
-            finalists.append((a, capped))
-    # 5. one shared-length FFT finish: rounds are laid out grouped by
-    # finalist count so the spectral product is a plain reshape-prod.
-    korder = np.argsort(fin_count, kind="stable")
-    nfin = len(finalists)
-    ordered = [
-        finalists[fin_start[r] + i]
-        for r in korder
-        for i in range(int(fin_count[r]))
-    ]
-    lens = np.fromiter((len(a) for a, _ in ordered), dtype=np.int64, count=nfin)
-    capped_row = np.fromiter(
-        (c for _, c in ordered), dtype=bool, count=nfin
-    )
-    cat = np.concatenate([a for a, _ in ordered]) if ordered else np.empty(0)
-    F = np.zeros((nfin, L))
-    ends = np.cumsum(lens)
-    within = np.arange(int(ends[-1]) if nfin else 0) - np.repeat(ends - lens, lens)
-    F.ravel()[np.repeat(np.arange(nfin) * L, lens) + within] = cat
-    # Per-round degree sums and top-coefficient products for the wrap
-    # correction; any capped finalist voids the round's correction.
-    row_round = np.repeat(korder, fin_count[korder])
-    sum_deg = np.bincount(row_round, weights=lens - 1, minlength=rounds).astype(
-        np.int64
-    )
-    prods = np.ones(rounds)
-    np.multiply.at(prods, row_round, cat[ends - 1])
-    round_capped = np.bincount(row_round, weights=capped_row, minlength=rounds) > 0
-    prods[round_capped] = 0.0
-    sum_deg[round_capped] = -1
-    spec = np.fft.rfft(F, axis=1)
-    nbins = L // 2 + 1
-    prod_spec = np.empty((rounds, nbins), dtype=complex)
-    kc = fin_count[korder]
-    row = 0
-    pos = 0
-    for K in np.unique(kc):
-        nk = int((kc == K).sum())
-        block = spec[row : row + nk * int(K)].reshape(nk, int(K), nbins)
-        prod_spec[korder[pos : pos + nk]] = block.prod(axis=1)
-        row += nk * int(K)
-        pos += nk
-    if shared is not None:
-        # The constant-column PMF joins every round as one more factor:
-        # its spectrum multiplies in once, and its degree and top
-        # coefficient extend the wrap-correction bookkeeping.
-        prod_spec *= np.fft.rfft(shared, n=L)[None, :]
-        uncapped = sum_deg >= 0
-        sum_deg[uncapped] += len(shared) - 1
-        prods *= shared[-1]
-    # Spectral dot products: cdf(half) = <product, indicator>, tie atom =
-    # pmf[half]; rfft bins 0 and L/2 count once, the rest twice.
-    indicator = np.zeros(L)
-    indicator[: half + 1] = 1.0
-    ispec = np.conj(np.fft.rfft(indicator))
-    wgt = np.full(nbins, 2.0)
-    wgt[0] = 1.0
-    if L % 2 == 0:
-        wgt[-1] = 1.0
-    cdf_half = (prod_spec * (wgt * ispec)[None, :]).real.sum(axis=1) / L
-    wrap = np.where(sum_deg == L, prods, 0.0)
-    cdf_half -= wrap
-    win = np.clip(1.0 - cdf_half, 0.0, 1.0)
-    if even:
-        phase = np.exp(2j * np.pi * np.arange(nbins) * (half / L))
-        atom_w = wgt * phase
-        atom = (prod_spec * atom_w[None, :]).real.sum(axis=1) / L
-        atom = np.clip(atom, 0.0, 1.0)
-    else:
-        atom = np.zeros(rounds)
-    return win, atom
+        parts = [buf[offs[g] : offs[g + 1]] for g in range(bounds[r], bounds[r + 1])]
+        parts += shared
+        factors.append(parts + [np.ones(1)] * (2 - len(parts)))
+    _merge_rounds(factors, cap)
+    win = np.empty(rounds)
+    atom = np.zeros(rounds)
+    for r, (x, y) in enumerate(factors):
+        reach = half - np.arange(len(x))
+        win[r] = 1.0 - (x * np.cumsum(y)[np.minimum(reach, len(y) - 1)]).sum()
+        if total % 2 == 0:
+            inside = reach < len(y)
+            atom[r] = (x[inside] * y[reach[inside]]).sum()
+    return np.clip(win, 0.0, 1.0), np.clip(atom, 0.0, 1.0)
 
 
 def normal_approx_probability(

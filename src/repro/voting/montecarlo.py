@@ -19,10 +19,10 @@ level-ordered kernel and its rounds in the naive vote loop, on
 ``min(tasks, CPUs in the affinity mask)`` threads once the rows are
 wide (:mod:`repro._util.threads`; one thread inside a pool worker).
 Peak memory is O(E + chunk·n + workers·block).  For a fixed seed the
-forests and the naive vote draws are bitwise identical regardless of
-``n_jobs``, thread count, chunking or worker partitioning;
-Rao–Blackwellised values are only bit-close (their tails may differ
-in the last bit with the rows batched together).  A live
+forests, the naive vote draws and each round's exact tail are bitwise
+identical regardless of ``n_jobs``, thread count, chunking, worker
+partitioning or the estimator's cache history, so both estimators are
+bitwise invariant.  A live
 ``Generator`` seed is consumed to draw the root seed
 (:func:`repro._util.rng.as_seed_sequence`), so consecutive estimates
 sharing one generator are independent.
@@ -37,9 +37,10 @@ level order and weigh their non-movers only; every other mechanism
 samples a ``(rounds, n)`` delegate matrix through its vectorised
 uniform kernel, resolves it with one pointer-doubling pass
 (:func:`~repro.delegation.graph.resolve_forests_batch`) and drops the
-never-sink columns.  All uncached profiles are evaluated in one
-spectral tail computation
-(:func:`~repro.voting.exact.weighted_tails_batch`).  Mechanisms without
+never-sink columns.  All uncached profiles are evaluated in one tails
+kernel call (:func:`~repro.voting.exact.weighted_tails_batch`), the
+sinks no delegation can reach joining every round as one PMF computed
+once per estimate.  Mechanisms without
 a kernel transparently fall back to per-round sampling on the same
 child seeds.  The per-round engine of an earlier revision survives as
 the oracle ``_reference_batch_rounds`` for benchmarking and
@@ -67,6 +68,7 @@ from repro._util.rng import SeedLike, as_seed_sequence, child_seed_sequence
 from repro._util.threads import run_split
 from repro.core.instance import ProblemInstance
 from repro.voting.exact import (
+    poisson_binomial_pmf,
     tail_from_pmf,
     weighted_bernoulli_pmf,
     weighted_tails_batch,
@@ -88,16 +90,23 @@ this budget (:meth:`~repro.mechanisms.base.DelegationMechanism.
 forest_bytes_per_voter`: the composition's uniform cube, delegate
 matrix and resolve scratch, or the level-ordered kernel's sink weights
 alone); peak memory is then O(E + chunk·n) rather than O(rounds·n).
-Chunking never changes the forests or the naive vote draws: round
-``r`` is pinned to absolute child seed ``r`` (the same contract that
-makes results ``n_jobs``-invariant).  Rao–Blackwellised values are
-exact per-round quantities up to rounding, which
-:func:`~repro.voting.exact.weighted_tails_batch` may vary in the last
-bit with the rows batched together."""
+Chunking never changes a bit of either estimator: round ``r`` is pinned
+to absolute child seed ``r`` (the same contract that makes results
+``n_jobs``-invariant), and
+:func:`~repro.voting.exact.weighted_tails_batch` computes each round's
+exact tail from that round alone."""
+
+
+TAILS_BYTES_PER_VOTER = 28
+"""Peak bytes per voter and round of the exact tails kernel: on the BA
+n = 10^6 electorate an 8-round RB chunk raised peak RSS by ~35 bytes
+per voter and round, 8 of them the forest's."""
 
 
 def _auto_chunk_rounds(
-    instance: ProblemInstance, mechanism: "DelegationMechanism"
+    instance: ProblemInstance,
+    mechanism: "DelegationMechanism",
+    exact_conditional: bool = False,
 ) -> int:
     """Rounds per streamed chunk under :data:`CHUNK_BUDGET_BYTES`.
 
@@ -105,13 +114,15 @@ def _auto_chunk_rounds(
     path that runs
     (:meth:`~repro.mechanisms.base.DelegationMechanism.forest_bytes_per_voter`):
     36 bytes per voter for the composition with one uniform row, 8 for
-    the level-ordered kernel.  Small instances resolve to chunks far
-    larger than any realistic round count, so the single-shot fast path
-    is unchanged below ~10^5 voters.
+    the level-ordered kernel; Rao–Blackwellised chunks add the tails
+    kernel's :data:`TAILS_BYTES_PER_VOTER`.  Small instances resolve to
+    chunks far larger than any realistic round count, so the single-shot
+    fast path is unchanged below ~10^5 voters.
     """
     n = max(1, instance.num_voters)
-    per_round = n * mechanism.forest_bytes_per_voter(instance)
-    return max(1, CHUNK_BUDGET_BYTES // per_round)
+    per_voter = mechanism.forest_bytes_per_voter(instance)
+    per_voter += TAILS_BYTES_PER_VOTER if exact_conditional else 0
+    return max(1, CHUNK_BUDGET_BYTES // (n * per_voter))
 
 
 @dataclass(frozen=True)
@@ -231,8 +242,16 @@ def _reference_batch_rounds(
     )
 
 
-_BATCH_DP_CUTOFF = 64
-"""Below this total weight the per-profile DP beats the spectral kernel."""
+def _fixed_block(
+    instance: ProblemInstance, mechanism: "DelegationMechanism"
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The mechanism's :meth:`~repro.mechanisms.base.DelegationMechanism.
+    fixed_sinks` and their Poisson-binomial PMF, once per estimate
+    (``None`` when there are none)."""
+    fixed = mechanism.fixed_sinks(instance)
+    if not fixed.size:
+        return None
+    return fixed, poisson_binomial_pmf(instance.competencies[fixed])
 
 
 # reprolint: reference=_conditional_values
@@ -242,25 +261,34 @@ def _batch_values(
     weights: np.ndarray,
     tie_policy: TiePolicy,
     cache: LRUCache,
+    block: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Exact conditional values for a compact sink profile.
 
     ``weights[r, j]`` is the weight voter ``sinks[j]`` carries in round
     ``r`` (0 where it delegates), as returned by
     :meth:`~repro.mechanisms.base.DelegationMechanism.sample_forests_batch`.
-    Rounds are deduplicated by the pair (column set, weight row)
-    (competencies are fixed, so equal pairs are equal profiles); the
-    cache stores ``(P[W > n/2], P[W = n/2])`` pairs, making cached
-    values reusable across tie policies.  All uncached rows go through
-    one :func:`~repro.voting.exact.weighted_tails_batch` call (or, for
-    small totals, the per-profile DP).
+    ``block`` is :func:`_fixed_block` (default: empty): its voters'
+    columns leave the profile and its PMF is the kernel's ``base``.
+    Rounds are deduplicated by (fixed voters, sinks, their competencies,
+    weight row), everything the kernel reads, so one cache can serve
+    several instances and mechanisms; it stores ``(P[W > n/2], P[W =
+    n/2])`` pairs, making cached values reusable across tie policies.
+    All uncached rows go through one
+    :func:`~repro.voting.exact.weighted_tails_batch` call, whose value
+    for a row does not depend on the other rows.
     """
     total = instance.num_voters
     rounds = weights.shape[0]
-    W = weights
-    comp_c = instance.competencies[sinks]
-    cols_tag = sinks.tobytes()
-    keys = [(cols_tag, W[r].tobytes()) for r in range(rounds)]
+    fixed, base = block or (np.empty(0, np.int64), None)
+    comp = instance.competencies[sinks]
+    tags = (fixed.tobytes(), sinks.tobytes(), comp.tobytes())
+    # Fixed sinks are sinks in every round, so each is a column.
+    var = np.ones(sinks.size, dtype=bool)
+    var[np.searchsorted(sinks, fixed)] = False
+    W = weights[:, var]
+    comp_c = comp[var]
+    keys = [tags + (W[r].tobytes(),) for r in range(rounds)]
     # `resolved` holds this call's values independently of the LRU: when
     # a batch has more distinct profiles than the cache holds, earlier
     # entries may already be evicted by read-back time.
@@ -279,21 +307,11 @@ def _batch_values(
             rows = slice(None)
         else:
             rows = np.fromiter(pending.values(), dtype=np.int64)
-        if total < _BATCH_DP_CUTOFF:
-            half = total // 2
-            for key, r in pending.items():
-                mask = W[r] > 0
-                pmf = weighted_bernoulli_pmf(W[r][mask], comp_c[mask])
-                strict = min(1.0, float(pmf[half + 1 :].sum()))
-                atom = float(pmf[half]) if total % 2 == 0 else 0.0
-                resolved[key] = (strict, atom)
-                cache.put(key, (strict, atom))
-        else:
-            win, atom = weighted_tails_batch(W[rows], comp_c, total)
-            for j, key in enumerate(pending):
-                pair = (float(win[j]), float(atom[j]))
-                resolved[key] = pair
-                cache.put(key, pair)
+        win, atom = weighted_tails_batch(W[rows], comp_c, total, base)
+        for j, key in enumerate(pending):
+            pair = (float(win[j]), float(atom[j]))
+            resolved[key] = pair
+            cache.put(key, pair)
     values = np.empty(rounds)
     coin = tie_policy is TiePolicy.COIN_FLIP
     for r, key in enumerate(keys):
@@ -364,10 +382,13 @@ def _streamed_rounds(
     own spawned generator and writes its own slot of ``values``.
     """
     count = stop - start
-    chunk = chunk_rounds or _auto_chunk_rounds(instance, mechanism)
+    chunk = chunk_rounds or _auto_chunk_rounds(
+        instance, mechanism, exact_conditional
+    )
     values = np.empty(count)
     comp = instance.competencies
     total = float(instance.num_voters)
+    block = _fixed_block(instance, mechanism) if exact_conditional else None
     for cstart in range(start, stop, chunk):
         cstop = min(cstart + chunk, stop)
         sinks, weights = mechanism.sample_forests_batch(
@@ -375,7 +396,7 @@ def _streamed_rounds(
         )
         if exact_conditional:
             values[cstart - start : cstop - start] = _batch_values(
-                instance, sinks, weights, tie_policy, cache
+                instance, sinks, weights, tie_policy, cache, block
             )
             continue
         comp_c = np.take(comp, sinks)
@@ -598,9 +619,9 @@ class BatchEstimator:
 
     Determinism contract: round ``r`` derives its generator from the
     absolute child seed ``r`` of the root seed, so for a fixed ``seed``
-    every round's forest and naive vote draw is identical for every
-    ``n_jobs``: naive estimates are bitwise invariant, Rao–Blackwellised
-    ones bit-close (they may differ in the last bit).  If the instance or
+    every round's forest, naive vote draw and exact tail is identical
+    for every ``n_jobs``: both estimators are bitwise invariant, also to
+    what the estimator's cache already holds.  If the instance or
     mechanism cannot be pickled (e.g. a lambda threshold), the estimator
     falls back to in-process evaluation with a warning — same result,
     no pool.
@@ -610,8 +631,7 @@ class BatchEstimator:
     ``None`` sizes chunks to :data:`CHUNK_BUDGET_BYTES`), keeping peak
     memory O(E + chunk·n + workers·block).  Chunk boundaries, like
     worker partitions and thread counts, cannot shift round seeds, so
-    any value yields the same forests and bit-identical naive
-    estimates; Rao–Blackwellised estimates are bit-close.
+    any value yields the same forests and bit-identical estimates.
     """
 
     n_jobs: int = 1

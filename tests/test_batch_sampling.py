@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._util.mathx import LRUCache
 from repro._util.rng import as_seed_sequence, child_seed_sequence
@@ -39,6 +41,7 @@ from repro.voting.exact import (
 from repro.voting.montecarlo import (
     BatchEstimator,
     _batch_values,
+    _fixed_block,
     _reference_batch_rounds,
 )
 from repro.voting.outcome import TiePolicy
@@ -373,6 +376,68 @@ class TestWeightedTailsBatch:
         assert np.abs(atom - want_atom).max() < 1e-12
         assert (win == win[0]).all()
 
+    @pytest.mark.parametrize("total", [160, 161])
+    def test_base_block_matches_oracle(self, total):
+        # The constant columns leave the matrix and join every round as
+        # the ``base`` PMF: the tails of the whole profile.
+        rng = np.random.default_rng(5)
+        W = _balanced_profiles(rng, 30, 260, 40, total, wmax=2)
+        P = rng.uniform(0.2, 0.8, 260)
+        base = weighted_bernoulli_pmf(W[0, :40], P[:40])
+        win, atom = weighted_tails_batch(W[:, 40:], P[40:], total, base)
+        want_win, want_atom = _tails_oracle(W, P, total)
+        assert np.abs(win - want_win).max() < 1e-12
+        assert np.abs(atom - want_atom).max() < 1e-12
+
+    def test_base_block_alone(self):
+        # Every sink in the block: empty rows are the point mass.
+        rng = np.random.default_rng(9)
+        P = rng.uniform(0.2, 0.8, 100)
+        base = weighted_bernoulli_pmf(np.ones(100, dtype=np.int64), P)
+        win, atom = weighted_tails_batch(
+            np.zeros((3, 0), dtype=np.int64), np.empty(0), 100, base
+        )
+        want_win, want_atom = _tails_oracle(np.ones((1, 100), dtype=np.int64), P, 100)
+        assert (win == win[0]).all() and (atom == atom[0]).all()
+        assert abs(win[0] - want_win[0]) < 1e-12
+        assert abs(atom[0] - want_atom[0]) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rounds=st.integers(1, 6),
+        sinks=st.integers(1, 300),
+        wmax=st.sampled_from([2, 3, 8, 40]),
+        base_size=st.sampled_from([None, 0, 1, 90]),
+    )
+    def test_every_row_equals_itself_alone(self, seed, rounds, sinks, wmax, base_size):
+        """Rows share sorts and ladder calls but no arithmetic.
+
+        Bucket sizes vary by row, so a size class often has a single
+        member in one call and peers in another.
+        """
+        rng = np.random.default_rng(seed)
+        W = rng.integers(0, wmax, (rounds, sinks))
+        W[:, 0] += 1
+        ones = rng.random(rounds) < 0.5
+        W[ones, : sinks // 2] = 1  # a wide weight-1 bucket in some rows
+        P = rng.uniform(0.05, 0.95, sinks)
+        total = int(W.sum(axis=1).max())
+        base = None
+        if base_size is not None:
+            base = weighted_bernoulli_pmf(
+                np.ones(base_size, dtype=np.int64), rng.uniform(0.1, 0.9, base_size)
+            )
+            total += base_size
+        win, atom = weighted_tails_batch(W, P, total, base)
+        for r in range(rounds):
+            alone = weighted_tails_batch(W[r : r + 1], P, total, base)
+            assert (alone[0][0], alone[1][0]) == (win[r], atom[r])
+            # Zero columns are ignored bit for bit as well.
+            keep = W[r] > 0
+            packed = weighted_tails_batch(W[r : r + 1, keep], P[keep], total, base)
+            assert (packed[0][0], packed[1][0]) == (win[r], atom[r])
+
     def test_round_without_positive_weight_rejected(self):
         W = np.array([[1, 2], [0, 0]], dtype=np.int64)
         with pytest.raises(ValueError):
@@ -426,6 +491,43 @@ class TestBatchValues:
                         tie_policy,
                         r,
                     )
+
+    def test_fixed_block_matches_forest_oracle(self):
+        # The fixed sinks leave the profile and join as one base PMF.
+        n = 300
+        instance = ProblemInstance(
+            G.barabasi_albert_graph(n, 2, seed=5),
+            bounded_uniform_competencies(n, 0.35, seed=0),
+            alpha=0.05,
+        )
+        mech = ApprovalThreshold(lambda d: max(1.0, d ** (1 / 3)))
+        block = _fixed_block(instance, mech)
+        assert block[0].size > 0
+        sinks, weights = mech.sample_forests_batch(instance, 20, seed=4)
+        values = _batch_values(
+            instance, sinks, weights, TiePolicy.COIN_FLIP, LRUCache(256), block
+        )
+        plain = _batch_values(
+            instance, sinks, weights, TiePolicy.COIN_FLIP, LRUCache(256)
+        )
+        assert np.abs(values - plain).max() <= 1e-12
+
+    def test_cache_key_carries_the_fixed_block(self):
+        # One cache, one profile, two blocks: no entry crosses over.
+        instance = ProblemInstance(
+            G.barabasi_albert_graph(120, 2, seed=1),
+            bounded_uniform_competencies(120, 0.35, seed=2),
+            alpha=0.05,
+        )
+        mech = ApprovalThreshold(2)
+        sinks, weights = mech.sample_forests_batch(instance, 4, seed=0)
+        block = _fixed_block(instance, mech)
+        assert block[0].size > 0
+        cache = LRUCache(64)
+        _batch_values(instance, sinks, weights, TiePolicy.INCORRECT, cache)
+        misses = cache.misses
+        _batch_values(instance, sinks, weights, TiePolicy.INCORRECT, cache, block)
+        assert cache.misses == misses + len({w.tobytes() for w in weights})
 
     def test_cache_shared_across_tie_policies(self):
         # The cache stores (strict, atom) pairs, so a COIN_FLIP pass

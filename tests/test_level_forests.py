@@ -35,6 +35,7 @@ from repro.mechanisms.sampled import SampledNeighbourhood
 from repro.mechanisms.threshold import ApprovalThreshold, RandomApproved
 from repro.voting.montecarlo import (
     CHUNK_BUDGET_BYTES,
+    TAILS_BYTES_PER_VOTER,
     BatchEstimator,
     _auto_chunk_rounds,
     _streamed_rounds,
@@ -79,6 +80,17 @@ def level_cases(draw):
     return ProblemInstance(graph, p, alpha=draw(st.sampled_from(ALPHAS)))
 
 
+@st.composite
+def complete_cases(draw):
+    """Complete graphs: the approval structure's O(n) suffix form."""
+    n = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(["uniform", "tied", "two-valued"]))
+    p = _competencies(kind, n, draw(st.integers(0, 10**6)))
+    return ProblemInstance(
+        G.complete_graph(n), p, alpha=draw(st.sampled_from(ALPHAS))
+    )
+
+
 MECHANISMS = st.sampled_from(
     [
         ApprovalThreshold(1),
@@ -116,6 +128,8 @@ def _assert_fixed_sinks(mechanism, instance, got):
     movers = mechanism._movers(instance.compiled())
     assert np.array_equal(sinks, np.flatnonzero(~movers))
     assert (weights >= 1).all()
+    # The voters no mover approves keep exactly their own vote.
+    assert (weights[:, np.isin(sinks, mechanism.fixed_sinks(instance))] == 1).all()
 
 
 class TestSampleForestsBatch:
@@ -392,6 +406,10 @@ class TestChunkSizing:
         assert instance.compiled().approval_levels() is not None
         for mechanism in (ApprovalThreshold(1), FractionApproved(0.5)):
             assert _auto_chunk_rounds(instance, mechanism) == CHUNK_BUDGET_BYTES // (8 * n)
+            # Rao-Blackwellised chunks also hold the tails kernel's arrays.
+            assert _auto_chunk_rounds(instance, mechanism, True) == (
+                CHUNK_BUDGET_BYTES // ((8 + TAILS_BYTES_PER_VOTER) * n)
+            )
 
     def test_composition_figure_is_unchanged(self):
         n = 400
@@ -476,6 +494,23 @@ class TestApprovalLevels:
 
 
 class TestMoverMask:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(level_cases(), complete_cases()), MECHANISMS)
+    def test_fixed_sinks_are_the_unapproved_non_movers(self, instance, mechanism):
+        movers = mechanism._movers(instance.compiled())
+        approved = {
+            int(u)
+            for v in np.flatnonzero(movers)
+            for u in instance.local_view(int(v)).approved
+        }
+        want = [
+            v for v in range(instance.num_voters)
+            if not movers[v] and v not in approved
+        ]
+        got = mechanism.fixed_sinks(instance)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
     @settings(max_examples=40, deadline=None)
     @given(level_cases(), MECHANISMS, st.integers(0, 10**6))
     def test_subset_mask_is_full_mask_restricted(self, instance, mechanism, seed):

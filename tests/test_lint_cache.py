@@ -146,6 +146,35 @@ class TestIncrementalCache:
         assert {f.rule for f in warm.findings} == {"R101"}
 
 
+class TestLookupFingerprint:
+    """C302 checks the first ``repro/service/protocol.py`` in the lint set.
+
+    Linting ``good_c302 bad_c302`` picks the good file, so bad_c302's
+    protocol has no findings; linting ``bad_c302`` alone picks it and
+    gives four.  The pick is part of the matching files' fingerprints,
+    so a warm run after a run over a different set equals a cold one.
+    """
+
+    BOTH = [FIXTURES / "good_c302", FIXTURES / "bad_c302"]
+    BAD = [FIXTURES / "bad_c302"]
+
+    def test_narrower_set_after_wider(self, tmp_path):
+        cache = tmp_path / "cache"
+        assert run_lint(self.BOTH, cache_dir=cache).findings == []
+        warm = run_lint(self.BAD, cache_dir=cache)
+        assert [f.rule for f in warm.findings] == ["C302"] * 4
+        assert _summary(warm.findings) == _summary(run_lint(self.BAD).findings)
+
+    def test_wider_set_after_narrower(self, tmp_path):
+        cache = tmp_path / "cache"
+        assert len(run_lint(self.BAD, cache_dir=cache).findings) == 4
+        assert run_lint(self.BOTH, cache_dir=cache).findings == []
+        assert len(run_lint(self.BAD, cache_dir=cache).findings) == 4
+        # An unchanged pick is still served from the cache.
+        warm = run_lint(self.BAD, cache_dir=cache)
+        assert warm.analyzed == () and len(warm.findings) == 4
+
+
 class TestJobs:
     """Separate ``repro lint`` invocations sharing one ``--cache-dir``."""
 

@@ -371,66 +371,66 @@ def _pin_bodies():
 _PIN_KEYS = {
     "estimate": {
         "coalesce": (
-            "estimate:371fedd993e57fa37258946b8d623ee2"
-            "4188ad309c0c86a1f9ed8b3339d6a50d"
+            "estimate:81fae34cb0bee290b0a9de93406d4613"
+            "b2ffb3ab6035cd2ba64b0fae4f953cfd"
         ),
         "group": (
             "2d70b2e1bcc62a0122a8fa0f84b76bf0"
             "1ad7f5bfcd9d3fa743cf54a1850985ba"
         ),
         "routing": (
-            "estimate:371fedd993e57fa37258946b8d623ee2"
-            "4188ad309c0c86a1f9ed8b3339d6a50d"
+            "estimate:81fae34cb0bee290b0a9de93406d4613"
+            "b2ffb3ab6035cd2ba64b0fae4f953cfd"
         ),
     },
     "gain": {
         "coalesce": (
-            "gain:aee6db643397c35924d2d4311c56fb42"
-            "66d74884d4dfbe21ebc14e21eb0d1c03"
+            "gain:c3d0cb4c9bf27722a10ee90138f659fe"
+            "e859496ff917f279dbe3d7637d96ef1a"
         ),
         "group": (
             "2d70b2e1bcc62a0122a8fa0f84b76bf0"
             "1ad7f5bfcd9d3fa743cf54a1850985ba"
         ),
         "routing": (
-            "gain:aee6db643397c35924d2d4311c56fb42"
-            "66d74884d4dfbe21ebc14e21eb0d1c03"
+            "gain:c3d0cb4c9bf27722a10ee90138f659fe"
+            "e859496ff917f279dbe3d7637d96ef1a"
         ),
     },
     "ballot": {
         "coalesce": (
-            "ballot:d19cc964e5e4b3757ac7a8cb62033fc1"
-            "58bdcc23d085c8e97cf111fde041408e"
+            "ballot:e59e41b72bd39a7371f3cf2ef9f7b98e"
+            "ecc8719cc5616d32d1ebb94e9f33c711"
         ),
         "group": (
             "2d70b2e1bcc62a0122a8fa0f84b76bf0"
             "1ad7f5bfcd9d3fa743cf54a1850985ba"
         ),
         "routing": (
-            "ballot:d19cc964e5e4b3757ac7a8cb62033fc1"
-            "58bdcc23d085c8e97cf111fde041408e"
+            "ballot:e59e41b72bd39a7371f3cf2ef9f7b98e"
+            "ecc8719cc5616d32d1ebb94e9f33c711"
         ),
     },
     "sweep": {
         "points": [
-            "gain:fde6248288a410cd9d04fbbdb5674605"
-            "7be9e530a24639330562d3a9cbfe0c7c",
-            "gain:9a81ce2dbbf33ff0f8f09e1e41816d11"
-            "2485885c08205461ee557aa619b2be4d",
-            "gain:fde6248288a410cd9d04fbbdb5674605"
-            "7be9e530a24639330562d3a9cbfe0c7c",
+            "gain:288a018ca6946d0563bb65567ee9548a"
+            "c6d3eb4ce227ee9aa000f51836a4d572",
+            "gain:fe333b708725089819d47927a09d7c6d"
+            "60a0e4086dfc32fba27779ed0f7e146d",
+            "gain:288a018ca6946d0563bb65567ee9548a"
+            "c6d3eb4ce227ee9aa000f51836a4d572",
         ],
         "coalesce": (
-            "gain:9a81ce2dbbf33ff0f8f09e1e41816d11"
-            "2485885c08205461ee557aa619b2be4d"
+            "gain:fe333b708725089819d47927a09d7c6d"
+            "60a0e4086dfc32fba27779ed0f7e146d"
         ),
         "group": (
             "2d70b2e1bcc62a0122a8fa0f84b76bf0"
             "1ad7f5bfcd9d3fa743cf54a1850985ba"
         ),
         "routing": (
-            "gain:9a81ce2dbbf33ff0f8f09e1e41816d11"
-            "2485885c08205461ee557aa619b2be4d"
+            "gain:fe333b708725089819d47927a09d7c6d"
+            "60a0e4086dfc32fba27779ed0f7e146d"
         ),
     },
     "experiment": {
@@ -449,38 +449,38 @@ _PIN_KEYS = {
     },
     "delta": {
         "coalesce": (
-            "delta:87bea9657f1718e8cda85314b50d69f6"
-            "f0d715171439ee88b64296082476691e"
+            "delta:9f8efa50f62b18d768d68a255e1584ff"
+            "db69b9a60ab129317ccfba01b792a653"
         ),
         "group": (
-            "5c4647db0052aacce55d955dcdc17472"
-            "ff4ada4ee8e961661cd334bee06a27c6"
+            "a505a5753100e403b1b375db3632204b"
+            "7a3b4f2833026fb479a6d28e6086a369"
         ),
         "routing": (
-            "delta:5c4647db0052aacce55d955dcdc17472"
-            "ff4ada4ee8e961661cd334bee06a27c6"
+            "delta:a505a5753100e403b1b375db3632204b"
+            "7a3b4f2833026fb479a6d28e6086a369"
         ),
         "session": (
-            "5c4647db0052aacce55d955dcdc17472"
-            "ff4ada4ee8e961661cd334bee06a27c6"
+            "a505a5753100e403b1b375db3632204b"
+            "7a3b4f2833026fb479a6d28e6086a369"
         ),
     },
     "attack": {
         "coalesce": (
-            "attack:9cd2173b10b0eb0b59d390946fa96613"
-            "629ead59de07db0e0a897946d205238f"
+            "attack:451a471cb53a25b739126de68cb8381f"
+            "48ced8b25e3d1ccf2a70b402aba7fc45"
         ),
         "group": (
-            "1df521a640f1239f0b10eb2ae7643428"
-            "f0375773b6fd4564f63b27709327fce0"
+            "4dcb15baff4b72515a700af1a9452032"
+            "8d6bb2a3addaedca0c842b042eab9e25"
         ),
         "routing": (
-            "attack:1df521a640f1239f0b10eb2ae7643428"
-            "f0375773b6fd4564f63b27709327fce0"
+            "attack:4dcb15baff4b72515a700af1a9452032"
+            "8d6bb2a3addaedca0c842b042eab9e25"
         ),
         "base": (
-            "1df521a640f1239f0b10eb2ae7643428"
-            "f0375773b6fd4564f63b27709327fce0"
+            "4dcb15baff4b72515a700af1a9452032"
+            "8d6bb2a3addaedca0c842b042eab9e25"
         ),
     },
 }

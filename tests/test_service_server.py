@@ -20,13 +20,14 @@ import sys
 import time
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.cache import EstimateCache
 from repro.core.competencies import bounded_uniform_competencies
 from repro.core.instance import ProblemInstance
 from repro.experiments import ExperimentConfig, get_experiment
-from repro.graphs.generators import complete_graph
+from repro.graphs.generators import barabasi_albert_graph, complete_graph
 from repro.io import instance_to_dict
 from repro.service import (
     BackgroundServer,
@@ -84,6 +85,30 @@ class TestDeterminism:
             _instance(), build_mechanism(MECH_SPEC),
             rounds=60, seed=7, engine="batch", n_jobs=1,
         )
+        assert served == direct
+
+    def test_estimate_independent_of_server_history(self):
+        """A warm per-group estimator serves the bits of a fresh one.
+
+        BA(300, m=3, seed 3): after requests for rounds 1, 3 and 9 on
+        the same instance and mechanism, 17 rounds were once served as
+        ...822 against the direct ...825, because cached profile values
+        carried the rounding of the batches they were computed in.
+        """
+        n = 300
+        instance = ProblemInstance(
+            barabasi_albert_graph(n, 3, seed=3),
+            np.random.default_rng(3).uniform(0.3, 0.7, n),
+            alpha=0.05,
+        )
+        direct = estimate_correct_probability(
+            instance, build_mechanism(MECH_SPEC), rounds=17, seed=3
+        )
+        with BackgroundServer(ServerConfig(port=0, workers=1)) as bg:
+            client = ServiceClient(port=bg.port)
+            for rounds in (1, 3, 9):
+                client.estimate(instance, MECH_SPEC, rounds=rounds, seed=3)
+            served = client.estimate(instance, MECH_SPEC, rounds=17, seed=3)
         assert served == direct
 
     def test_estimate_serial_engine_rejected(self, server):

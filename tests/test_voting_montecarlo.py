@@ -7,6 +7,7 @@ from repro.core.competencies import bounded_uniform_competencies
 from repro.core.instance import ProblemInstance
 from repro.graphs.generators import barabasi_albert_graph, complete_graph
 from repro.mechanisms.direct import DirectVoting
+from repro.mechanisms.fraction import FractionApproved
 from repro.mechanisms.greedy import GreedyBest
 from repro.mechanisms.sampled import SampledNeighbourhood
 from repro.mechanisms.threshold import ApprovalThreshold, RandomApproved
@@ -187,11 +188,11 @@ class TestVaryingSinkSet:
         ]
         assert estimates[0] == estimates[1] == estimates[2]
 
-    def test_exact_estimates_bit_close(self, instance):
-        """Only bit-close: the spectral tails factor out the sinks whose
-        weight is constant over a chunk's rows, so the rounding of a
-        round's value depends on the rounds batched with it (chunks of 3
-        differ from 1 and None in the last bit here)."""
+    def test_exact_estimates_bitwise(self, instance):
+        """A round's exact value does not depend on the rounds batched
+        with it (chunks of 3 differed from 1 and None in the last bit
+        while the tails kernel factored out the chunk's constant
+        columns)."""
         mechanism = SampledNeighbourhood(1, d=3)
         estimates = [
             BatchEstimator(chunk_rounds=chunk).estimate(
@@ -199,9 +200,80 @@ class TestVaryingSinkSet:
             )
             for chunk in self.CHUNKS
         ]
-        for est in estimates[1:]:
-            assert est.probability == pytest.approx(estimates[0].probability, rel=1e-12)
-            assert est.std_error == pytest.approx(estimates[0].std_error, rel=1e-9)
+        assert estimates[0] == estimates[1] == estimates[2]
+
+
+class TestRaoBlackwellisedBitwise:
+    """Exact estimates are a function of (instance, mechanism, seed).
+
+    Every round's value comes from that round's profile alone, so
+    neither a warm estimator's cache, nor chunking, nor worker slices,
+    nor adaptive batch boundaries move a bit.  BA n = 300 with U(0.3,
+    0.7) competencies; each case differed in the last bit on at least
+    one of these axes while the tails kernel batched rows together.
+    """
+
+    MECHANISMS = (ApprovalThreshold(2), RandomApproved(), FractionApproved(0.5))
+
+    @staticmethod
+    def _instance(graph_seed):
+        n = 300
+        return ProblemInstance(
+            barabasi_albert_graph(n, 3, seed=graph_seed),
+            np.random.default_rng(graph_seed).uniform(0.3, 0.7, n),
+            alpha=0.05,
+        )
+
+    @pytest.mark.parametrize("graph_seed", [0, 3, 5, 8])
+    def test_history_and_chunking(self, graph_seed):
+        instance = self._instance(graph_seed)
+        for mechanism in self.MECHANISMS:
+            want = BatchEstimator().estimate(instance, mechanism, rounds=17, seed=3)
+            warm = BatchEstimator()
+            for rounds in (1, 3, 9):
+                warm.estimate(instance, mechanism, rounds=rounds, seed=3)
+            assert warm.estimate(instance, mechanism, rounds=17, seed=3) == want
+            for chunk in (1, 2, 3, 5):
+                got = BatchEstimator(chunk_rounds=chunk).estimate(
+                    instance, mechanism, rounds=17, seed=3
+                )
+                assert got == want
+
+    def test_shared_estimator_across_instances(self):
+        # Same sinks and weight rows, other competencies: the profile
+        # cache must not hand one instance's value to the other.
+        low, high = (
+            ProblemInstance(complete_graph(30), np.full(30, p), alpha=0.05)
+            for p in (0.4, 0.6)
+        )
+        shared = BatchEstimator()
+        for instance in (high, low):
+            got = shared.estimate(instance, DirectVoting(), rounds=4, seed=0)
+            want = BatchEstimator().estimate(instance, DirectVoting(), rounds=4, seed=0)
+            assert got == want
+
+    def test_n_jobs(self):
+        instance = self._instance(3)
+        for mechanism in self.MECHANISMS:
+            serial = BatchEstimator().estimate(instance, mechanism, rounds=17, seed=3)
+            pooled = BatchEstimator(n_jobs=3).estimate(
+                instance, mechanism, rounds=17, seed=3
+            )
+            assert pooled == serial
+
+    def test_adaptive_batch_boundaries(self):
+        # An unreachable target runs the 64, 128, 150 batches: the same
+        # rounds as one fixed run, cut at different places.
+        instance = self._instance(3)
+        for mechanism in self.MECHANISMS:
+            fixed = BatchEstimator().estimate(instance, mechanism, rounds=150, seed=3)
+            adaptive = BatchEstimator().estimate(
+                instance, mechanism, rounds=150, seed=3, target_se=1e-30
+            )
+            assert adaptive.rounds == 150 and not adaptive.converged
+            assert (adaptive.probability, adaptive.std_error) == (
+                fixed.probability, fixed.std_error,
+            )
 
 
 class TestGeneratorSeeds:
