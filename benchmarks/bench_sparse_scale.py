@@ -18,7 +18,9 @@ contract: a dense ``(n, max_degree)`` regression at n = 10^6 blows the
 ceiling immediately rather than slipping in as a slow constant.  The
 speed floors time BA generation, ``compiled()`` and the level-ordered
 forest kernel against their ``_reference_`` oracles, best of
-:data:`FLOOR_REPEATS` interleaved runs.
+:data:`FLOOR_REPEATS` interleaved runs, and bound what the kernel's
+first call on a new mover mask (which builds the mask's level plan)
+costs over a warm call.
 """
 
 import os
@@ -58,6 +60,14 @@ FLOOR_REPEATS = 3
 BA_SPEEDUP_FLOOR = 1.7
 COMPILE_SPEEDUP_FLOOR = 7.5
 LEVEL_FORESTS_SPEEDUP_FLOOR = 1.1
+#: A first call on a new mover mask builds the mask's level plan.  On a
+#: 2-core Xeon it took 1.1-1.5x a warm 16-round call at n = 10^5 and
+#: 1.4-1.5x at n = 10^6, and its traced peak exceeded the warm call's
+#: by the plan itself (2.6 MiB at n = 10^5, 26 MiB at n = 10^6), the
+#: build's transients fitting inside the kernel's working set.
+PLAN_FIRST_CALL_RATIO = 2.5
+PLAN_PEAK_FACTOR = 2.0
+PLAN_PEAK_SLACK_MIB = 8.0
 
 
 @pytest.fixture(scope="module")
@@ -261,4 +271,61 @@ def test_level_forests_speedup_vs_composition(ba_instance, sparse_record, capsys
         )
     assert speedup >= LEVEL_FORESTS_SPEEDUP_FLOOR, (
         f"level-ordered forest speedup only {speedup:.2f}x"
+    )
+
+
+def _call_cost(call):
+    """Wall seconds and added peak RSS (MiB) of one call."""
+    was_reset = reset_peak_rss()
+    before = peak_rss_mib()
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start, peak_rss_mib() - before, was_reset
+
+
+def test_level_plan_first_call(ba_instance, sparse_record, capsys):
+    """The first call on a new mover mask builds its level plan once.
+
+    ``ApprovalThreshold(1)`` and ``(2)`` have different masks and the
+    compiled instance keeps one plan, so alternating them makes every
+    first call a build; the repeat call right after it is a memo hit.
+    Best of :data:`FLOOR_REPEATS` times, largest added peaks.
+    """
+    compiled = ba_instance.compiled()
+    compiled.approval_levels()  # one-time table, not timed
+    first_s = warm_s = float("inf")
+    first_mib = warm_mib = 0.0
+    for _ in range(FLOOR_REPEATS):
+        for mechanism in (ApprovalThreshold(2), ApprovalThreshold(1)):
+            def call():
+                return mechanism.sample_forests_batch(ba_instance, ROUNDS, SEED)
+
+            seconds, added, was_reset = _call_cost(call)
+            first_s, first_mib = min(first_s, seconds), max(first_mib, added)
+            seconds, added, _ = _call_cost(call)
+            warm_s, warm_mib = min(warm_s, seconds), max(warm_mib, added)
+    (plan,) = [
+        value for key, value in compiled._memo.items()
+        if isinstance(key, tuple) and key[0] == "level_plan"
+    ]
+    plan_mib = sum(
+        array.nbytes
+        for array in (plan.sinks, plan.movers, plan.counts, plan.starts, plan.targets)
+    ) / 2**20
+    ratio = first_s / warm_s
+    sparse_record(
+        "ba_level_plan_first_call", N, first_s, was_reset,
+        rounds=ROUNDS, warm_seconds=warm_s, ratio=ratio,
+        first_added_peak_mib=first_mib, warm_added_peak_mib=warm_mib,
+        plan_mib=plan_mib,
+    )
+    with capsys.disabled():
+        print(
+            f"\nlevel plan first call n={N} x {ROUNDS} rounds: "
+            f"{first_s * 1e3:.0f} ms vs warm {warm_s * 1e3:.0f} ms = {ratio:.2f}x; "
+            f"added peak {first_mib:.1f} vs {warm_mib:.1f} MiB (plan {plan_mib:.1f} MiB)"
+        )
+    assert ratio <= PLAN_FIRST_CALL_RATIO, f"first call {ratio:.2f}x a warm call"
+    assert first_mib - warm_mib <= PLAN_PEAK_FACTOR * plan_mib + PLAN_PEAK_SLACK_MIB, (
+        f"first call added {first_mib:.1f} MiB, a warm call {warm_mib:.1f} MiB"
     )

@@ -181,22 +181,18 @@ class CompiledInstance:
 
         The delta engine rebuilds the compiled view after splicing an
         edited instance; when the degree vector is unchanged (competency
-        edits never change it) the memoised ``unique_degrees`` pass — and
-        any mechanism table keyed off it — is still valid, so adopting it
-        keeps the patched compile O(1) instead of O(n log n).  A degree
-        mismatch makes this a no-op rather than an error, so callers can
-        invoke it unconditionally.  Only keys tagged degree-derived are
-        adopted (``unique_degrees`` and mechanism per-degree tables);
-        competency-dependent tables are rebuilt lazily as usual.
+        edits never change it) the memoised ``unique_degrees`` pass is
+        still valid, so adopting it keeps the patched compile O(1)
+        instead of O(n log n).  A degree mismatch makes this a no-op
+        rather than an error, so callers can invoke it unconditionally.
+        Only ``unique_degrees`` is adopted; competency-dependent tables
+        (the level order, level plans) are rebuilt lazily as usual.
         """
         if not np.array_equal(self.degrees, other.degrees):
             return
-        for key, value in other._memo.items():
-            if isinstance(key, tuple) and key and key[0] in (
-                "unique_degrees",
-                "per_degree_thresholds",
-            ):
-                self._memo.setdefault(key, value)
+        key = ("unique_degrees",)
+        if key in other._memo:
+            self._memo.setdefault(key, other._memo[key])
 
     def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """Memoise a derived table under ``key`` (built on first use).
@@ -208,6 +204,18 @@ class CompiledInstance:
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
+
+    def memo_last(self, key: Tuple[Hashable, ...], build: Callable[[], Any]) -> Any:
+        """:meth:`memo` that keeps only the last key tagged ``key[0]``.
+
+        For tables keyed by content that callers vary (a mover mask's
+        digest): a stream of distinct keys replaces one entry instead of
+        growing the memo.
+        """
+        for old in list(self._memo):
+            if isinstance(old, tuple) and old[:1] == key[:1] and old != key:
+                self._memo.pop(old, None)
+        return self.memo(key, build)
 
 
 # reprolint: reference=_reference_approval_levels

@@ -20,7 +20,7 @@ import abc
 import hashlib
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro._util.rng import (
     child_seed_sequence,
 )
 from repro._util.threads import run_split
+from repro.core.compiled import _reference_approval_levels
 from repro.core.instance import LocalView, ProblemInstance
 from repro.delegation.graph import SELF, DelegationGraph, resolve_forests_batch
 from repro.graphs.graph import csr_index_dtype
@@ -621,11 +622,130 @@ class UniformApprovedDelegation(LocalDelegationMechanism):
 
         The kernel's other arrays are per block of
         :data:`LEVEL_BLOCK_CELLS` cells, not per round, and its weight
-        rows hold the sinks only.
+        rows hold the sinks only.  The mask's :class:`LevelPlan` is O(E)
+        once per compiled instance, not per round, so it is outside
+        this figure.
         """
         if instance.compiled().approval_levels() is not None:
             return 8
         return super().forest_bytes_per_voter(instance)
+
+
+class LevelPlan(NamedTuple):
+    """A fixed mover set laid out in level-ordered position coordinates.
+
+    Positions ``[0, S)`` are the ``S`` sinks (the non-movers) in rank
+    order, ``S`` is the spare slot and ``S + 1 + j`` is mover
+    ``movers[j]``.  ``movers`` holds the movers in the approval DAG's
+    level order, and ``movers[lo:hi]`` for ``(lo, hi)`` in ``spans`` is
+    one level.  Mover ``j``'s approved row is ``targets[starts[j]:
+    starts[j] + counts[j]]``, in ``LocalView.approved`` order, each entry
+    the target's position: its sink rank, the mover position, or ``S``
+    for a mover outside the level order (one with no approved
+    neighbour, which only a broken mask names).  A target's position is
+    always below its owner's, so a round resolves the movers by one
+    slice write per level.  Every array is read-only: the kernel's
+    threads share one plan.
+    """
+
+    sinks: np.ndarray
+    movers: np.ndarray
+    spans: Tuple[Tuple[int, int], ...]
+    counts: np.ndarray
+    starts: np.ndarray
+    targets: np.ndarray
+
+
+def level_plan(compiled, levels, mask: np.ndarray) -> LevelPlan:
+    """The memoised :class:`LevelPlan` of ``mask`` on ``compiled``.
+
+    Keyed by the mask's content, so mechanisms with equal masks share
+    one plan; the compiled instance keeps only the last mask's plan, so
+    a stream of distinct masks cannot grow memory.
+    """
+    digest = hashlib.blake2b(np.packbits(mask).tobytes(), digest_size=16)
+    return compiled.memo_last(
+        ("level_plan", mask.size, digest.hexdigest()),
+        lambda: _level_plan(compiled, levels, mask),
+    )
+
+
+# reprolint: reference=_reference_level_plan
+def _level_plan(compiled, levels, mask: np.ndarray) -> LevelPlan:
+    """Build a :class:`LevelPlan` level by level, in O(E) memory.
+
+    Each level's approved rows are cut out of the CSR with that level's
+    owner mask (one byte per approved edge, never an index per edge)
+    and written as int32 positions (int64 past 2^31 voters).
+    """
+    n = compiled.num_voters
+    indices = compiled.approved_csr()[1]
+    # Every index below is in range by construction (level order, movers
+    # and CSR entries), so ``take`` runs unchecked in "clip" mode.
+    keep = np.take(mask, levels.order, mode="clip")
+    movers = np.compress(keep, levels.order).astype(np.intp)
+    sinks = np.flatnonzero(~mask)
+    n_sinks = sinks.size
+    dtype = np.int32 if n + 1 <= np.iinfo(np.int32).max else np.int64
+    position = np.full(n, n_sinks, dtype=dtype)
+    position[sinks] = np.arange(n_sinks, dtype=dtype)
+    position[movers] = np.arange(n_sinks + 1, n_sinks + 1 + movers.size, dtype=dtype)
+    counts = np.take(compiled.approved_counts, movers, mode="clip")
+    starts = np.zeros(movers.size, dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    targets = np.empty(int(counts.sum()), dtype=dtype)
+    # Per approved edge, the level of its owner if the owner moves, else 0.
+    owner_level = np.where(mask, levels.level, 0).astype(np.int8)
+    edge_level = np.repeat(owner_level, compiled.approved_counts)
+    spans, hi = [], 0
+    for depth, (start, stop) in enumerate(zip(levels.bounds[:-1], levels.bounds[1:]), 1):
+        lo, hi = hi, hi + int(np.count_nonzero(keep[start:stop]))
+        if hi == lo:
+            continue
+        spans.append((lo, hi))
+        row = np.compress(edge_level == depth, indices)
+        first = int(starts[lo])
+        np.take(position, row, out=targets[first:first + row.size], mode="clip")
+    plan = LevelPlan(
+        sinks, movers, tuple(spans), counts.astype(np.float64), starts, targets
+    )
+    for array in (sinks, movers, plan.counts, starts, targets):
+        array.setflags(write=False)
+    return plan
+
+
+def _reference_level_plan(instance: ProblemInstance, mask: np.ndarray) -> LevelPlan:
+    """Brute-force oracle of :func:`_level_plan`, voter by voter.
+
+    Reads each mover's approved set from its ``LocalView`` and the level
+    from :func:`~repro.core.compiled._reference_approval_levels`.
+    """
+    levels = _reference_approval_levels(instance.compiled())
+    n = instance.num_voters
+    sinks = [v for v in range(n) if not mask[v]]
+    movers = [int(v) for v in levels.order if mask[v]]
+    position = {v: len(sinks) for v in range(n)}
+    position.update({v: r for r, v in enumerate(sinks)})
+    position.update({v: len(sinks) + 1 + j for j, v in enumerate(movers)})
+    spans, counts, starts, targets = [], [], [], []
+    for depth in range(1, len(levels.bounds)):
+        level = [j for j, v in enumerate(movers) if levels.level[v] == depth]
+        if level:
+            spans.append((level[0], level[-1] + 1))
+    for v in movers:
+        approved = instance.local_view(v).approved
+        starts.append(len(targets))
+        counts.append(len(approved))
+        targets.extend(position[u] for u in approved)
+    dtype = np.int32 if n + 1 <= np.iinfo(np.int32).max else np.int64
+    return LevelPlan(
+        np.array(sinks, dtype=np.int64),
+        np.array(movers, dtype=np.intp),
+        tuple(spans),
+        np.array(counts, dtype=np.float64),
+        np.array(starts, dtype=np.intp),
+        np.array(targets, dtype=dtype),
+    )
 
 
 def _level_ordered_forests(
@@ -638,67 +758,54 @@ def _level_ordered_forests(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One-pass pick and resolve of a fixed mover set, in level order.
 
-    The movers are taken in the static level order of the approval DAG
-    (level 1 first), and each round's targets are picked in that order
-    with :func:`batched_uniform_approved_targets`' formula.  A mover's
-    target sits on a strictly lower level, so its sink is final by the
-    time the mover's level is reached, and one gather and one scatter
-    per delegating cell resolve the forest: ``rank[movers_l] =
-    rank[targets_l]``.  No delegate matrix is built and no cycle check
-    is needed, because every target comes from the approved CSR.
+    Works in the position coordinates of the mask's memoised
+    :class:`LevelPlan` (:func:`level_plan`).  A round gathers the
+    movers' uniforms, picks each mover's target with
+    :func:`batched_uniform_approved_targets`' formula by reading the
+    plan's targets (a near-sequential walk), and resolves the movers
+    level by level: a mover's target sits on a strictly lower level or
+    is a sink, so ``rank[S+1+lo:S+1+hi] = rank[targets]`` reads only
+    final ranks.  No delegate matrix is built and no cycle check is
+    needed, because every target comes from the approved CSR.
 
-    The sinks are the non-movers in every round.  Rounds run in blocks
-    of :data:`LEVEL_BLOCK_CELLS` cells over flat indices of a
-    ``(block, n)`` scratch, one per thread
+    Rounds run in blocks of :data:`LEVEL_BLOCK_CELLS` cells over flat
+    indices of a ``(block, S + 1 + M)`` scratch, one per thread
     (:func:`~repro._util.threads.run_split`), reused across that
-    thread's blocks; each row is seeded once with every non-mover's
-    rank among the sinks, and a voter that is neither a level-ordered
-    mover nor a sink holds the spare rank ``n_sinks``.  A round rewrites
-    every mover cell before reading it, so the seeds need no refresh.
-    A sink's weight is its own vote plus the count of mover cells
-    landing on it, so the ``bincount`` runs over ``rounds × n_sinks``
-    cells (plus the spare column).  Returns the compact profile
-    ``(sinks, weights)``, bitwise equal to
+    thread's blocks; each row's first ``S + 1`` cells hold the ranks
+    ``0 .. S`` once, and a round rewrites every mover cell before
+    reading it.  A sink's weight is its own vote plus the count of
+    mover cells landing on it, so the ``bincount`` runs over the mover
+    tail into ``rounds × (S + 1)`` bins (the last one the spare).
+    Returns the compact profile ``(sinks, weights)``, bitwise equal to
     :meth:`~DelegationMechanism._reference_sample_forests_batch`,
     dtypes included; a weight row not summing to ``n`` (a mover with
-    no approved neighbour, so outside the level order, feeds the spare
-    column) raises ``RuntimeError``.
+    no approved neighbour, so outside the level order, leaves its vote
+    out and feeds the spare) raises ``RuntimeError``.
     """
     n = compiled.num_voters
-    # Every index below is in range by construction (level order, movers
-    # and CSR offsets), so ``take`` runs unchecked in "clip" mode: checked
-    # mode buffers ``out`` and costs about three times as much.
-    keep = np.take(mask, levels.order, mode="clip")
-    movers = np.compress(keep, levels.order)
-    spans, hi = [], 0
-    for start, stop in zip(levels.bounds[:-1], levels.bounds[1:]):
-        lo, hi = hi, hi + int(np.count_nonzero(keep[start:stop]))
-        if hi > lo:
-            spans.append((lo, hi))
-    indptr, indices = compiled.approved_csr()
-    # Float counts give the same products as the int64 counts of
-    # ``batched_uniform_approved_targets`` (exact below 2^53).  Its
-    # ``counts - 1`` clamp is left out: ``random()`` draws u < 1, and for
-    # u < 1 and an integer 1 <= c < 2^53 the rounded product u·c is
-    # below c, so the clamp never fires here.
-    counts = np.take(compiled.approved_counts, movers, mode="clip").astype(np.float64)
-    starts = np.take(indptr, movers, mode="clip").astype(np.intp)
-    sinks = np.flatnonzero(~mask)
-    width = sinks.size + 1
-    rank_dtype = np.int32 if width <= np.iinfo(np.int32).max else np.int64
-    seeded = np.full(n, sinks.size, dtype=rank_dtype)
-    seeded[sinks] = np.arange(sinks.size, dtype=rank_dtype)
-    weights = np.empty((n_rounds, sinks.size), dtype=np.intp)
+    plan = level_plan(compiled, levels, mask)
+    counts, starts, targets = plan.counts, plan.starts, plan.targets
+    # ``np.take`` copies a read-only index array on every call; one
+    # writeable copy per call serves every round.
+    movers = plan.movers.copy()
+    n_sinks = plan.sinks.size
+    tail = n_sinks + 1
+    width = tail + movers.size
+    weights = np.empty((n_rounds, n_sinks), dtype=np.intp)
+    sums = np.empty(n_rounds, dtype=np.intp)
     block = max(1, min(n_rounds, LEVEL_BLOCK_CELLS // n))
-    rows = np.arange(block, dtype=np.intp)[:, None]
-    base = rows * n
-    bins = rows * width
-    sources = movers + base
+    rows = np.arange(block, dtype=targets.dtype)[:, None]
+    base = rows * width
+    bins = rows * tail
+    # The lowest level's targets can only be sinks or the spare, whose
+    # positions are their own ranks: that level needs no resolve.
+    lowest = plan.spans[0][1] if plan.spans else 0
 
     def run_blocks(blocks: range) -> None:
         # Each thread owns its buffers and writes only its own weight rows.
         uniforms = np.empty((block, n))
-        scratch = np.full((block, n), seeded, dtype=rank_dtype)
+        rank = np.empty((block, width), dtype=targets.dtype)
+        rank[:, :tail] = np.arange(tail, dtype=targets.dtype)
         picked = np.empty((block, movers.size))
         cells = np.empty((block, movers.size), dtype=np.intp)
         for b0 in (k * block for k in blocks):
@@ -710,28 +817,41 @@ def _level_ordered_forests(
                 rng.random(out=uniforms[i])
             u = picked[:b]
             np.take(uniforms[:b], movers, axis=1, out=u, mode="clip")
+            # ``random()`` draws u < 1, and for an integer 1 <= c < 2^53
+            # the rounded product u·c is below c, so the ``counts - 1``
+            # clamp of ``batched_uniform_approved_targets`` never fires.
             u *= counts
             cell = cells[:b]
             np.copyto(cell, u, casting="unsafe")
             cell += starts
-            np.add(np.take(indices, cell, mode="clip"), base[:b], out=cell)
-            flat = scratch[:b].reshape(-1)
-            for lo, hi in spans:
-                landed = np.take(flat, cell[:, lo:hi], mode="clip")
-                flat[sources[:b, lo:hi]] = landed
-                cell[:, lo:hi] = landed
-            cell += bins[:b]
-            landing = np.bincount(cell.reshape(-1), minlength=b * width)
-            np.add(landing.reshape(b, width)[:, :-1], 1, out=weights[b0:b0 + b])
+            moved = rank[:b, tail:]
+            np.take(targets, cell, out=moved, mode="clip")
+            moved[:, lowest:] += base[:b]
+            flat = rank[:b].reshape(-1)
+            for lo, hi in plan.spans[1:]:
+                moved[:, lo:hi] = np.take(flat, moved[:, lo:hi], mode="clip")
+            np.add(moved, bins[:b], out=cell)
+            landing = np.bincount(cell.reshape(-1), minlength=b * tail)
+            rows_out = weights[b0:b0 + b]
+            np.add(landing.reshape(b, tail)[:, :-1], 1, out=rows_out)
+            # Summed while the rows are still in cache.
+            rows_out.sum(axis=1, out=sums[b0:b0 + b])
 
     run_split(run_blocks, -(-n_rounds // block), n)
-    _check_weight_rows(weights, n, first_round)
-    return sinks, weights
+    _check_weight_rows(weights, n, first_round, sums)
+    return plan.sinks, weights
 
 
-def _check_weight_rows(weights: np.ndarray, n: int, first_round: int) -> None:
-    """Raise ``RuntimeError`` unless every round's sink weights sum to ``n``."""
-    bad = np.flatnonzero(weights.sum(axis=1) != n)
+def _check_weight_rows(
+    weights: np.ndarray, n: int, first_round: int, sums: Optional[np.ndarray] = None
+) -> None:
+    """Raise ``RuntimeError`` unless every round's sink weights sum to ``n``.
+
+    ``sums`` are the row sums when the caller already has them.
+    """
+    if sums is None:
+        sums = weights.sum(axis=1)
+    bad = np.flatnonzero(sums != n)
     if bad.size:
         raise RuntimeError(
             f"round {first_round + int(bad[0])}: sink weights sum to "

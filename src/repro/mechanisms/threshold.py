@@ -95,43 +95,28 @@ class ApprovalThreshold(UniformApprovedDelegation):
     def should_delegate(self, view: LocalView) -> bool:
         return view.approval_count >= self.threshold_at(view.num_neighbors)
 
-    def _per_degree_thresholds(self, compiled) -> np.ndarray:
-        """Threshold evaluated once per distinct degree, memoised when safe.
-
-        Constant thresholds memoise on the compiled instance keyed by the
-        value (the table survives :meth:`CompiledInstance.adopt_degree_tables`
-        across degree-preserving incremental patches); callable thresholds
-        are re-evaluated per call because their identity has no stable
-        token to key a shared memo by.
-        """
-        unique_degrees, _ = compiled.unique_degrees()
-
-        def build() -> np.ndarray:
-            return np.array(
-                [self.threshold_at(int(d)) for d in unique_degrees], dtype=float
-            )
-
-        if isinstance(self._threshold, _ConstantThreshold):
-            return compiled.memo(
-                (
-                    "per_degree_thresholds",
-                    type(self).__qualname__,
-                    self._threshold.value,
-                ),
-                build,
-            )
-        return build()
-
     def _movers(
         self, compiled, voters: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Voters whose approved count reaches ``j(degree)`` (and is non-zero)."""
+        """Voters whose approved count reaches ``j(degree)`` (and is non-zero).
+
+        A constant threshold is one float for every degree and is
+        compared directly; a callable one is evaluated once per distinct
+        degree (per call: its identity has no stable token to memoise
+        by) and gathered per voter.
+        """
         counts = compiled.approved_counts
-        _, inverse = compiled.unique_degrees()
+        if isinstance(self._threshold, _ConstantThreshold):
+            if voters is not None:
+                counts = counts[voters]
+            return (counts > 0) & (counts >= self._threshold.value)
+        unique_degrees, inverse = compiled.unique_degrees()
         if voters is not None:
             counts, inverse = counts[voters], inverse[voters]
-        thresholds = self._per_degree_thresholds(compiled)[inverse]
-        return (counts > 0) & (counts >= thresholds)
+        per_degree = np.array(
+            [self.threshold_at(int(d)) for d in unique_degrees], dtype=float
+        )
+        return (counts > 0) & (counts >= per_degree[inverse])
 
 
 class RandomApproved(ApprovalThreshold):

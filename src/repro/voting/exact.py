@@ -34,7 +34,7 @@ Performance architecture (see ``docs/performance.md``):
 
 from __future__ import annotations
 
-from functools import lru_cache
+from bisect import bisect_left
 from math import erf, sqrt
 from typing import List, Optional, Sequence, Tuple
 
@@ -90,7 +90,28 @@ def _pb_dp(p: np.ndarray) -> np.ndarray:
     return pmf
 
 
-@lru_cache(maxsize=None)
+def _smooth_numbers(limit: int) -> np.ndarray:
+    """Every 5-smooth integer ``2^a 3^b 5^c <= limit``, ascending."""
+    out = []
+    p2 = 1
+    while p2 <= limit:
+        p3 = p2
+        while p3 <= limit:
+            p5 = p3
+            while p5 <= limit:
+                out.append(p5)
+                p5 *= 5
+            p3 *= 3
+        p2 *= 2
+    return np.sort(np.array(out, dtype=np.int64))
+
+
+_SMOOTH_LENGTHS = _smooth_numbers(1 << 62)
+"""The 12,119 5-smooth integers up to 2^62 (95 KiB of int64):
+:func:`_smooth_fft_len` is one ``bisect`` into them, not a
+trial-division walk."""
+
+
 def _smooth_fft_len(n: int) -> int:
     """Smallest 5-smooth integer ``>= n`` (a fast pocketfft length).
 
@@ -98,6 +119,12 @@ def _smooth_fft_len(n: int) -> int:
     mixed-radix lengths with factors {2, 3, 5} stay within ~5% of the
     minimum and measure >2x faster on the doubling-ladder shapes.
     """
+    return int(_SMOOTH_LENGTHS[bisect_left(_SMOOTH_LENGTHS, max(1, n))])
+
+
+def _reference_smooth_fft_len(n: int) -> int:
+    """Trial-division oracle of :func:`_smooth_fft_len`: test each
+    integer from ``n`` up until one has no prime factor above 5."""
     k = max(1, n)
     while True:
         m = k

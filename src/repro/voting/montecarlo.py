@@ -399,7 +399,9 @@ def _streamed_rounds(
                 instance, sinks, weights, tie_policy, cache, block
             )
             continue
-        comp_c = np.take(comp, sinks)
+        # Fancy indexing, not ``np.take``: take copies a read-only index
+        # array (the fixed-mover kernels' shared ``sinks``) on every call.
+        comp_c = comp[sinks]
         # Fixed-mover kernels weigh every sink in every round, so their
         # rows need no compress.
         dense = bool((weights > 0).all())

@@ -29,7 +29,7 @@ from repro.core.instance import ProblemInstance
 from repro.delegation.graph import SELF, resolve_forests_batch
 from repro.graphs import generators as G
 from repro.graphs.graph import Graph
-from repro.mechanisms.base import LEVEL_BLOCK_CELLS
+from repro.mechanisms.base import LEVEL_BLOCK_CELLS, _reference_level_plan, level_plan
 from repro.mechanisms.fraction import FractionApproved
 from repro.mechanisms.sampled import SampledNeighbourhood
 from repro.mechanisms.threshold import ApprovalThreshold, RandomApproved
@@ -122,6 +122,37 @@ def _assert_bitwise(got, want):
         assert np.array_equal(a, b)
 
 
+def _assert_plan(mechanism, instance):
+    """The memoised level plan equals its voter-by-voter oracle."""
+    compiled = instance.compiled()
+    levels = compiled.approval_levels()
+    if levels is None:
+        return
+    mask = mechanism._movers(compiled)
+    got, want = level_plan(compiled, levels, mask), _reference_level_plan(instance, mask)
+    assert got.spans == want.spans
+    for a, b in zip(got, want):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _plans(compiled):
+    """The level plans memoised on ``compiled``."""
+    return [
+        value for key, value in compiled._memo.items()
+        if isinstance(key, tuple) and key[0] == "level_plan"
+    ]
+
+
+class _BrokenMask(RandomApproved):
+    """Names every voter without an approved neighbour as a mover."""
+
+    def _movers(self, compiled, voters=None):
+        mask = super()._movers(compiled, voters)
+        mask[compiled.approved_counts == 0] = True
+        return mask
+
+
 def _assert_fixed_sinks(mechanism, instance, got):
     """Fixed-mover forests: the sinks are the non-movers, every weight >= 1."""
     sinks, weights = got
@@ -155,6 +186,7 @@ class TestSampleForestsBatch:
         _assert_bitwise(mechanism._reference_sample_forests_batch(*args), want)
         assert got[0].dtype == np.int64 and got[1].dtype == np.intp
         _assert_fixed_sinks(mechanism, instance, got)
+        _assert_plan(mechanism, instance)
 
     def test_fused_path_runs_on_every_family(self):
         """The property above must exercise the fused kernel, not only
@@ -486,11 +518,104 @@ class TestApprovalLevels:
         before = ProblemInstance(graph, _competencies("uniform", 60, 4), alpha=0.05)
         after = before.with_competencies(before.competencies[::-1].copy())
         table = before.compiled().approval_levels()
+        mechanism = ApprovalThreshold(1)
+        mechanism.sample_forests_batch(before, 2, 0)
+        plan = _plans(before.compiled())[0]
         after.compiled().adopt_degree_tables(before.compiled())
+        assert _plans(after.compiled()) == []
         got = after.compiled().approval_levels()
         assert got is not table
         for a, b in zip(got, _reference_approval_levels(after.compiled())):
             assert np.array_equal(a, b)
+        mechanism.sample_forests_batch(after, 2, 0)
+        assert _plans(after.compiled())[0] is not plan
+        _assert_plan(mechanism, after)
+
+
+class TestLevelPlan:
+    """One plan per compiled instance, keyed by the mover mask's content."""
+
+    @pytest.fixture
+    def instance(self):
+        graph = _with_isolated(G.barabasi_albert_graph(80, 3, seed=6), 2)
+        p = 0.35 + 0.3 * _competencies("uniform", graph.num_vertices, 7)
+        instance = ProblemInstance(graph, p, alpha=0.05)
+        assert instance.compiled().approval_levels() is not None
+        return instance
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count plan builds: a memo miss calls ``_level_plan``."""
+        calls = []
+        build = mechanisms_base._level_plan
+
+        def spy(*args):
+            calls.append(args[-1].copy())
+            return build(*args)
+
+        monkeypatch.setattr(mechanisms_base, "_level_plan", spy)
+        return calls
+
+    def test_equal_masks_share_one_plan(self, instance, builds):
+        compiled = instance.compiled()
+        threshold, eager = ApprovalThreshold(1), RandomApproved()
+        assert np.array_equal(threshold._movers(compiled), eager._movers(compiled))
+        threshold.sample_forests_batch(instance, 3, 1)
+        eager.sample_forests_batch(instance, 3, 2)
+        assert len(builds) == 1
+        plans = _plans(compiled)
+        assert len(plans) == 1
+        levels = compiled.approval_levels()
+        assert level_plan(compiled, levels, eager._movers(compiled)) is plans[0]
+
+    def test_a_new_mask_replaces_the_plan(self, instance, builds):
+        compiled = instance.compiled()
+        eager, strict = RandomApproved(), ApprovalThreshold(3)
+        assert not np.array_equal(eager._movers(compiled), strict._movers(compiled))
+        eager.sample_forests_batch(instance, 2, 0)
+        first = _plans(compiled)
+        strict.sample_forests_batch(instance, 2, 0)
+        second = _plans(compiled)
+        assert len(first) == len(second) == 1
+        assert second[0] is not first[0]
+        eager.sample_forests_batch(instance, 2, 0)
+        assert len(builds) == 3
+        assert len(_plans(compiled)) == 1
+        assert len(compiled._memo) == len(set(compiled._memo))
+
+    def test_arrays_are_read_only(self, instance):
+        FractionApproved(0.5).sample_forests_batch(instance, 2, 0)
+        (plan,) = _plans(instance.compiled())
+        for array in (plan.sinks, plan.movers, plan.counts, plan.starts, plan.targets):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_callable_threshold_hits_the_memo(self, instance, builds):
+        for mechanism in (
+            ApprovalThreshold(lambda d: d ** 0.5 / 2),
+            ApprovalThreshold(lambda d: d ** 0.5 / 2),
+            ApprovalThreshold(lambda d: d ** 0.5 / 2),
+        ):
+            got = mechanism.sample_forests_batch(instance, 4, 3)
+            _assert_bitwise(got, mechanism._reference_sample_forests_batch(instance, 4, 3))
+        assert len(builds) == 1
+
+    def test_broken_mask_lands_on_the_spare_slot(self):
+        competencies = np.full(6, 0.3)
+        competencies[0] = 0.9
+        instance = ProblemInstance(G.star_graph(6), competencies, alpha=0.05)
+        compiled = instance.compiled()
+        mask = _BrokenMask()._movers(compiled)
+        plan = level_plan(compiled, compiled.approval_levels(), mask)
+        # The hub moves but has no approved neighbour: it is outside the
+        # level order, so every leaf's one target is the spare slot.
+        assert plan.sinks.size == 0
+        assert plan.movers.tolist() == [1, 2, 3, 4, 5]
+        assert plan.targets.tolist() == [0] * 5
+        _assert_plan(_BrokenMask(), instance)
+        with pytest.raises(RuntimeError, match="sink weights sum to 0, not 6"):
+            _BrokenMask().sample_forests_batch(instance, 1, 0)
 
 
 class TestMoverMask:

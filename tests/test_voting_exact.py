@@ -8,6 +8,8 @@ import pytest
 
 from repro.delegation.graph import SELF, DelegationGraph
 from repro.voting.exact import (
+    _reference_smooth_fft_len,
+    _smooth_fft_len,
     direct_voting_probability,
     forest_correct_probability,
     normal_approx_probability,
@@ -30,6 +32,36 @@ def brute_force_pmf(weights, probs):
             value += w * x
         pmf[value] += prob
     return pmf
+
+
+class TestSmoothFftLen:
+    """The table-and-bisect FFT length against trial division."""
+
+    def test_every_length_up_to_2_16(self):
+        top = 1 << 16
+        # Trial division of every k <= top (vectorised), then the next
+        # smooth k >= n for each n by a reverse running minimum.
+        span = np.arange(1, top + 100)
+        m = span.copy()
+        for p in (2, 3, 5):
+            while True:
+                hit = m % p == 0
+                if not hit.any():
+                    break
+                m[hit] //= p
+        nxt = np.where(m == 1, span, np.iinfo(np.int64).max)
+        nxt = np.minimum.accumulate(nxt[::-1])[::-1]
+        got = [_smooth_fft_len(n) for n in range(top + 1)]
+        assert got[0] == 1
+        assert got[1:] == nxt[:top].tolist()
+        for n in range(0, top + 1, 997):
+            assert _reference_smooth_fft_len(n) == got[n]
+
+    def test_sampled_lengths_up_to_2_26(self):
+        rng = np.random.default_rng(0)
+        lengths = np.exp2(rng.uniform(16, 26, 16)).astype(np.int64)
+        for n in (1 << 26, 3 ** 16 + 1, *lengths.tolist()):
+            assert _smooth_fft_len(n) == _reference_smooth_fft_len(n)
 
 
 class TestPoissonBinomialPmf:
