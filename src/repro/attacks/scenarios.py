@@ -157,12 +157,40 @@ def _degree_ranked(instance: ProblemInstance, count: int) -> List[int]:
     return [int(v) for v in order[:count]]
 
 
-def _neighbor_sets(instance: ProblemInstance) -> List[set]:
+# reprolint: reference=_reference_non_neighbours
+def _non_neighbours(instance: ProblemInstance, target: int, count: int) -> List[int]:
+    """The ``count`` least competent voters not adjacent to ``target``.
+
+    Ties break by lowest index, and ``target`` itself is never eligible.
+    A voter is adjacent when its own adjacency row holds ``target``: one
+    comparison over the CSR indices marks those rows, so a call costs
+    O(edges) array work instead of a Python set per voter.
+    """
+    competencies = np.asarray(instance.competencies, dtype=float)
     indptr, indices = instance.graph.adjacency_csr()
-    return [
+    blocked = np.zeros(len(competencies), dtype=bool)
+    hits = np.flatnonzero(indices == target)
+    blocked[np.searchsorted(indptr, hits, side="right") - 1] = True
+    blocked[target] = True
+    order = np.lexsort((np.arange(len(competencies)), competencies))
+    return [int(v) for v in order[~blocked[order]][:count]]
+
+
+def _reference_non_neighbours(
+    instance: ProblemInstance, target: int, count: int
+) -> List[int]:
+    """Per-voter oracle of :func:`_non_neighbours` over Python sets."""
+    competencies = np.asarray(instance.competencies, dtype=float)
+    indptr, indices = instance.graph.adjacency_csr()
+    neighbours = [
         set(int(w) for w in indices[indptr[v]: indptr[v + 1]])
         for v in range(instance.num_voters)
     ]
+    order = np.lexsort((np.arange(len(competencies)), competencies))
+    return [
+        int(v) for v in order
+        if int(v) != target and target not in neighbours[int(v)]
+    ][:count]
 
 
 class CompetencyMisreport(AttackScenario):
@@ -273,15 +301,10 @@ class CollusionRing(AttackScenario):
     ) -> List[AttackMove]:
         competencies = np.asarray(instance.competencies, dtype=float)
         boss = int(np.argmax(competencies))
-        neighbors = _neighbor_sets(instance)
         # Least-competent voters first: they approve the boss (their own
         # competency clears the alpha gap) and carry the least direct
         # voting value, so rewiring them is the cheapest concentration.
-        order = np.lexsort((np.arange(len(competencies)), competencies))
-        members = [
-            int(v) for v in order
-            if int(v) != boss and boss not in neighbors[int(v)]
-        ][: self._ring]
+        members = _non_neighbours(instance, boss, self._ring)
         moves = [
             _move(
                 [Rewire(voter=member, add=(boss,))],
@@ -417,12 +440,7 @@ class AdaptiveLemmaProbe(AttackScenario):
     ) -> List[AttackMove]:
         sink, _weight = self.heaviest_sink(instance, mechanism, rng)
         competencies = np.asarray(instance.competencies, dtype=float)
-        neighbors = _neighbor_sets(instance)
-        order = np.lexsort((np.arange(len(competencies)), competencies))
-        feeders = [
-            int(v) for v in order
-            if int(v) != sink and sink not in neighbors[int(v)]
-        ][: self._feeders]
+        feeders = _non_neighbours(instance, sink, self._feeders)
         moves = [
             _move(
                 [Rewire(voter=feeder, add=(sink,))],

@@ -65,7 +65,6 @@ class CompiledInstance:
     """Flat-array view of one problem instance for batched kernels."""
 
     def __init__(self, instance: "ProblemInstance") -> None:
-        self._instance = instance
         structure = instance.approval_structure()
         self._structure = structure
         self.num_voters: int = instance.num_voters

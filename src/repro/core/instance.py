@@ -75,7 +75,7 @@ class ProblemInstance:
         induced delegation graph is acyclic (Section 2.2).
     """
 
-    __slots__ = ("_graph", "_p", "_alpha", "_structure", "_compiled")
+    __slots__ = ("_graph", "_p", "_alpha", "_structure", "_compiled", "__weakref__")
 
     def __init__(
         self, graph: Graph, competencies: Sequence[float], alpha: float = 1e-9

@@ -38,7 +38,6 @@ class ApprovalStructure:
     """Per-instance approval relation in sampling-friendly form."""
 
     def __init__(self, instance: "ProblemInstance") -> None:
-        self._instance = instance
         graph = instance.graph
         p = instance.competencies
         alpha = instance.alpha
@@ -84,7 +83,6 @@ class ApprovalStructure:
         O(n) suffix form is cheap from scratch).
         """
         self = object.__new__(cls)
-        self._instance = instance
         self._degrees = np.asarray(instance.graph.degrees(), dtype=np.int64)
         self._complete = False
         self._indptr = indptr

@@ -201,12 +201,14 @@ class DeltaSession:
 
         Re-delegation batches log their weight moves instead of applying
         them: the MC engine's correct-total delta never reads the dense
-        weight matrix, so a pure churn stream skips the O(rounds · n)
-        scatter entirely.  Any consumer that does need weights (the
-        exact engine's merge trees, the competency-flip term, state
-        comparisons) reads through this property, which folds every
-        pending move in one signed bincount first.  Integer addition is
-        associative, so the deferred fold is bitwise the eager one.
+        weight matrix, so a pure churn stream skips the weight update
+        entirely.  Any consumer that does need weights (the exact
+        engine's merge trees, the competency-flip term, state
+        comparisons) reads through this property, which first scatters
+        every pending move into the int64 matrix: one unit off each old
+        sink cell, one unit onto each new one.  The scatter touches only
+        the moved cells, and integer addition is associative, so the
+        deferred fold is bitwise the eager one.
         """
         self._flush_weights()
         return self._weights_arr
@@ -214,18 +216,11 @@ class DeltaSession:
     def _flush_weights(self) -> None:
         if not self._pending_moves:
             return
-        old = np.concatenate([m[0] for m in self._pending_moves])
-        new = np.concatenate([m[1] for m in self._pending_moves])
-        self._pending_moves = []
-        moves = np.concatenate((old, new))
-        signs = np.concatenate(
-            (np.full(old.size, -1.0), np.full(new.size, 1.0))
-        )
-        w_delta = np.bincount(
-            moves, weights=signs, minlength=self._weights_arr.size
-        )
         w_flat = self._weights_arr.reshape(-1)
-        np.add(w_flat, w_delta, out=w_flat, casting="unsafe")
+        for old, new in self._pending_moves:
+            np.subtract.at(w_flat, old, 1)
+            np.add.at(w_flat, new, 1)
+        self._pending_moves = []
 
     # -- accessors ---------------------------------------------------------
 
@@ -289,7 +284,7 @@ class DeltaSession:
         triplets of :func:`patch_forests_delta`: each affected voter
         moves one unit of weight from its old sink to its new sink, so
 
-        * the weight update is one signed bincount over the moves, and
+        * the weight update scatters the moves into the moved cells, and
         * the MC delta decomposes exactly as ``Σ w_new·v_new − Σ
           w_old·v_old = Σ_moves (v_old[new] − v_old[old]) +
           Σ_{c ∈ comp_changed} w_new[c]·(v_new[c] − v_old[c])`` —

@@ -35,10 +35,21 @@ from repro.attacks import (
     scenario_spec,
     verify_certificate,
 )
-from repro.attacks.scenarios import FIGURE1_HUB_COMPETENCY
+from repro.attacks.scenarios import (
+    FIGURE1_HUB_COMPETENCY,
+    _non_neighbours,
+    _reference_non_neighbours,
+)
 from repro.core.competencies import bounded_uniform_competencies
 from repro.core.instance import ProblemInstance
-from repro.graphs.generators import random_regular_graph
+from repro.graphs.generators import (
+    barabasi_albert_graph,
+    connected_caveman_graph,
+    erdos_renyi_graph,
+    random_regular_graph,
+    star_graph,
+)
+from repro.graphs.graph import Graph
 from repro.incremental import (
     DeltaSession,
     Join,
@@ -180,6 +191,103 @@ class TestScenarios:
             scenario_spec("misreport", bogus=1)
         with pytest.raises(ValueError, match="unknown scenario"):
             build_scenario({"name": "nope"})
+
+
+def _with_isolated():
+    """Twelve voters; 5..11 have no edge at all."""
+    return Graph(12, [(0, 1), (1, 2), (3, 4), (0, 4)])
+
+
+NON_NEIGHBOUR_GRAPHS = {
+    "ba": lambda: barabasi_albert_graph(60, 2, seed=3),
+    "er": lambda: erdos_renyi_graph(60, 0.05, seed=4),
+    "regular": lambda: random_regular_graph(60, 4, seed=5),
+    "caveman": lambda: connected_caveman_graph(6, 5),
+    "star": lambda: star_graph(20),
+    "isolated": _with_isolated,
+}
+
+
+def _graph_instance(graph, seed=0, hub=None):
+    n = graph.num_vertices
+    comp = bounded_uniform_competencies(n, 0.35, seed=seed).copy()
+    comp[n // 3] = comp[n // 2]  # a competency tie: broken by index
+    if hub is not None:
+        comp[hub] = 0.99
+    return ProblemInstance(graph, comp, alpha=0.05)
+
+
+class TestNonNeighbours:
+    """The vectorised non-neighbour pick equals its per-voter Python-set
+    oracle, and the ring and probe proposals built on it are unchanged."""
+
+    @pytest.mark.parametrize("name", sorted(NON_NEIGHBOUR_GRAPHS))
+    def test_every_target_matches_the_oracle(self, name):
+        instance = _graph_instance(NON_NEIGHBOUR_GRAPHS[name]())
+        n = instance.num_voters
+        for target in range(n):
+            for count in (1, 4, n + 5):
+                want = _reference_non_neighbours(instance, target, count)
+                assert _non_neighbours(instance, target, count) == want
+
+    def test_isolated_target_and_isolated_voters(self):
+        instance = _graph_instance(_with_isolated())
+        # An isolated target: every other voter is eligible.
+        assert sorted(_non_neighbours(instance, 7, 100)) == [
+            v for v in range(12) if v != 7
+        ]
+        # Isolated voters never see the target.
+        assert set(range(5, 12)) <= set(_non_neighbours(instance, 0, 100))
+
+    def test_target_adjacent_to_everyone(self):
+        instance = _graph_instance(star_graph(20), hub=0)
+        assert _non_neighbours(instance, 0, 5) == []
+        assert CollusionRing(ring=3).propose(
+            instance, RandomApproved(), as_generator(0)
+        ) == []
+
+    @pytest.mark.parametrize("name", sorted(NON_NEIGHBOUR_GRAPHS))
+    @pytest.mark.parametrize("ring", [1, 4, 500])
+    def test_collusion_ring_proposals(self, name, ring):
+        instance = _graph_instance(NON_NEIGHBOUR_GRAPHS[name](), seed=2)
+        boss = int(np.argmax(instance.competencies))
+        members = _reference_non_neighbours(instance, boss, ring)
+        want = [
+            ([Rewire(voter=m, add=(boss,))], f"collude:v{m}->v{boss}")
+            for m in members
+        ]
+        if len(members) > 1:
+            want.append((
+                [Rewire(voter=m, add=(boss,)) for m in members],
+                f"collude:ring{len(members)}->v{boss}",
+            ))
+        got = CollusionRing(ring=ring).propose(
+            instance, RandomApproved(), as_generator(0)
+        )
+        assert [(list(m.edits), m.label) for m in got] == want[:64]
+        if ring == 500:
+            assert len(members) < ring  # the pool is smaller than the ring
+
+    @pytest.mark.parametrize("name", sorted(NON_NEIGHBOUR_GRAPHS))
+    @pytest.mark.parametrize("feeders", [1, 3, 500])
+    def test_lemma_probe_proposals(self, name, feeders):
+        instance = _graph_instance(NON_NEIGHBOUR_GRAPHS[name](), seed=6)
+        probe = AdaptiveLemmaProbe(feeders=feeders)
+        mechanism = RandomApproved()
+        sink, _ = probe.heaviest_sink(instance, mechanism, as_generator(9))
+        want = [
+            ([Rewire(voter=f, add=(sink,))], f"probe:feed v{f}->v{sink}")
+            for f in _reference_non_neighbours(instance, sink, feeders)
+        ]
+        comp = float(instance.competencies[sink])
+        boosted = min(1.0, comp + 0.125)
+        if boosted != comp:
+            want.append((
+                [SetCompetency(voter=sink, competency=boosted)],
+                f"probe:boost v{sink}->{boosted:g}",
+            ))
+        got = probe.propose(instance, mechanism, as_generator(9))
+        assert [(list(m.edits), m.label) for m in got] == want[:64]
 
 
 class TestStarRediscovery:

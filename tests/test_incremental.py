@@ -10,6 +10,9 @@ even-length-cycle regression (pointer doubling collapses ``x→y→x`` to a
 spurious fixed point) is pinned for both delta resolvers.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from repro.graphs.generators import (
     cycle_graph,
     erdos_renyi_graph,
     random_regular_graph,
+    star_graph,
 )
 from repro.incremental import DeltaSession, Join, Leave, Rewire, SetCompetency
 from repro.incremental.forest import (
@@ -169,6 +173,89 @@ def test_patch_stats_pure_churn(engine):
         session.apply([edit])
     assert session.patch_stats["full_rebuilds"] == 0
     assert session.patch_stats["edit_batches"] == 4
+
+
+def _dense_weight_fold(weights, pending_moves):
+    """The signed-bincount fold the sparse scatter replaced."""
+    old = np.concatenate([m[0] for m in pending_moves])
+    new = np.concatenate([m[1] for m in pending_moves])
+    moves = np.concatenate((old, new))
+    signs = np.concatenate((np.full(old.size, -1.0), np.full(new.size, 1.0)))
+    w_delta = np.bincount(moves, weights=signs, minlength=weights.size)
+    out = weights.copy()
+    w_flat = out.reshape(-1)
+    np.add(w_flat, w_delta, out=w_flat, casting="unsafe")
+    return out
+
+
+def _check_weight_fold(session):
+    """Flush ``session``'s pending moves; compare with the dense fold."""
+    pending = list(session._pending_moves)
+    before = session._weights_arr.copy()
+    want = _dense_weight_fold(before, pending) if pending else before
+    session._flush_weights()
+    assert session._pending_moves == []
+    assert session._weights_arr.dtype == np.int64
+    assert np.array_equal(session._weights_arr, want)
+    return sum(old.size for old, _new in pending)
+
+
+def test_weight_fold_matches_dense_bincount():
+    """The sparse scatter of pending weight moves equals the dense fold,
+    for an empty flush, several pending batches and a hub rewire."""
+    n = 200
+    graph = star_graph(n)
+    comp = bounded_uniform_competencies(n, 0.35, seed=7).copy()
+    comp[0] = 0.99  # every leaf approves the hub
+    instance = ProblemInstance(graph, comp, alpha=0.05)
+    session = DeltaSession(
+        instance, ApprovalThreshold(1), rounds=8, seed=3, engine="mc"
+    )
+    assert _check_weight_fold(session) == 0
+
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        leaf = int(rng.integers(1, n))
+        other = int(rng.integers(1, n))
+        if other != leaf:
+            session.apply([Rewire(voter=leaf, add=(other,))])
+    session.apply([Rewire(voter=1, remove=(0,))])
+    assert len(session._pending_moves) >= 2
+    _check_weight_fold(session)
+
+    # Cutting the hub from half the leaves moves every cut leaf's vote
+    # in every round.
+    session.apply([Rewire(voter=0, remove=tuple(range(2, n, 2)))])
+    moved = _check_weight_fold(session)
+    assert moved >= session.rounds * (n // 2 - 1)
+    fresh = _fresh_session(
+        session.instance, ApprovalThreshold(1), rounds=8, engine="mc"
+    )
+    assert np.array_equal(session._weights, fresh._weights)
+
+
+def test_instances_free_without_the_cycle_collector():
+    """Compiled and patched instances die on ``del`` by reference count:
+    no compiled view or approval structure points back at its instance."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        graph = random_regular_graph(40, 6, seed=1)
+        instance = ProblemInstance(
+            graph, bounded_uniform_competencies(40, 0.35, seed=7), alpha=0.05
+        )
+        instance.compiled()
+        patched, dirty = patched_instance(
+            instance, [SetCompetency(voter=3, competency=0.9)]
+        )
+        assert dirty is not None
+        patched.compiled()
+        refs = (weakref.ref(instance), weakref.ref(patched))
+        del instance, patched
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_spliced_structure_matches_rebuilt():
