@@ -31,6 +31,12 @@ _WS_MAX_REJECTION_TRIES = 64
 """Rejection-sampling attempts per Watts–Strogatz rewire before the
 exact (enumerate-all-candidates) fallback."""
 
+_BOUNDED_DEGREE_BLOCK = 4096
+"""Most ``(u, v)`` attempts :func:`random_bounded_degree_graph` draws at
+once: a block costs O(block) memory however large ``max_attempts``
+(~40 n) grows, and overshooting the stopping attempt costs at most one
+block's redraw."""
+
 
 def _graph_from_edge_array(n: int, edges: np.ndarray) -> Graph:
     """Assemble a :class:`Graph` straight from a trusted edge array.
@@ -597,7 +603,74 @@ def random_bounded_degree_graph(
     adds uniformly random edges between vertices that still have spare
     degree, starting from a spanning path (itself degree ≤ 2) so that the
     result is connected whenever ``max_degree >= 2``.
+
+    The ``(u, v)`` attempts are drawn in blocks of at most
+    :data:`_BOUNDED_DEGREE_BLOCK` pairs: ``rng.integers(n, size=2 * b)``
+    is the stream of ``2 * b`` scalar ``rng.integers(n)`` calls, the
+    draws of :func:`_reference_random_bounded_degree_graph`.  Attempts
+    that are rejected whatever came before them in the block (loops, and
+    pairs with an endpoint already saturated when the block was drawn)
+    are dropped with one mask; the rest run in order.  When the
+    target is reached inside a block, the generator is reset to its
+    state before the block and advanced by the attempts the loop
+    consumed, so its end state matches the per-attempt loop's too.
     """
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    rng = as_generator(seed)
+    if n < 2:
+        path = np.empty((0, 2), dtype=np.int64)
+    else:
+        order = rng.permutation(n).astype(np.int64)
+        step = 1 if max_degree >= 2 else 2
+        path = np.column_stack((order[:-1:step], order[1::step]))
+        if max_degree == 1:
+            return _graph_from_edge_array(n, path)
+    keys = set((np.minimum(path[:, 0], path[:, 1]) * n
+                + np.maximum(path[:, 0], path[:, 1])).tolist())
+    degrees = np.bincount(path.ravel(), minlength=n)
+    if target_edges is None:
+        target_edges = min(n * max_degree // 2, 2 * n)
+    attempts = 0
+    max_attempts = 20 * max(target_edges, 1) + 100
+    while len(keys) < target_edges and attempts < max_attempts:
+        block = min(_BOUNDED_DEGREE_BLOCK, max_attempts - attempts)
+        state = rng.bit_generator.state
+        pairs = rng.integers(n, size=2 * block).reshape(block, 2)
+        lo = pairs.min(axis=1)
+        hi = pairs.max(axis=1)
+        block_keys = lo * n + hi
+        spare = (lo != hi) & (degrees[lo] < max_degree) & (degrees[hi] < max_degree)
+        candidates = np.flatnonzero(spare)
+        used = block
+        for i, key, u, v in zip(
+            candidates.tolist(),
+            block_keys[candidates].tolist(),
+            lo[candidates].tolist(),
+            hi[candidates].tolist(),
+        ):
+            if key in keys or degrees[u] >= max_degree or degrees[v] >= max_degree:
+                continue
+            keys.add(key)
+            degrees[u] += 1
+            degrees[v] += 1
+            if len(keys) >= target_edges:
+                used = i + 1
+                break
+        if used < block:
+            rng.bit_generator.state = state
+            rng.integers(n, size=2 * used)
+        attempts += used
+    flat = np.fromiter(keys, dtype=np.int64, count=len(keys))
+    return _graph_from_edge_array(n, np.column_stack(np.divmod(flat, n)))
+
+
+def _reference_random_bounded_degree_graph(
+    n: int, max_degree: int, target_edges: Optional[int] = None, seed: SeedLike = None
+) -> Graph:
+    """Per-attempt oracle for :func:`random_bounded_degree_graph`."""
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     if n < 1:
@@ -647,7 +720,37 @@ def random_min_degree_graph(n: int, min_degree: int, seed: SeedLike = None) -> G
     Realises the ``δ ≥ k`` restriction (Theorem 5 workloads).  Each vertex
     links to ``min_degree`` distinct uniform partners; union of the
     resulting directed picks gives minimum degree ≥ ``min_degree``.
+
+    ``rng.choice(n - 1, k, replace=False)`` shifted past ``u`` is the
+    stream and the value of :func:`_reference_random_min_degree_graph`'s
+    ``rng.choice`` over the array of the other vertices; the picks'
+    undirected keys are deduplicated once, with no edge tuples.
     """
+    if min_degree < 0:
+        raise ValueError(f"min_degree must be >= 0, got {min_degree}")
+    if min_degree >= n and n > 0:
+        raise ValueError(
+            f"min_degree must be < n for a simple graph, got "
+            f"min_degree={min_degree}, n={n}"
+        )
+    rng = as_generator(seed)
+    picks = np.empty(n * min_degree, dtype=np.int64)
+    for u in range(n):
+        picks[u * min_degree:(u + 1) * min_degree] = rng.choice(
+            n - 1, size=min_degree, replace=False
+        )
+    if picks.size == 0:
+        return Graph(n)
+    owners = np.repeat(np.arange(n, dtype=np.int64), min_degree)
+    picks += picks >= owners
+    keys = np.unique(np.minimum(owners, picks) * n + np.maximum(owners, picks))
+    return _graph_from_edge_array(n, np.column_stack(np.divmod(keys, n)))
+
+
+def _reference_random_min_degree_graph(
+    n: int, min_degree: int, seed: SeedLike = None
+) -> Graph:
+    """Per-vertex oracle for :func:`random_min_degree_graph`."""
     if min_degree < 0:
         raise ValueError(f"min_degree must be >= 0, got {min_degree}")
     if min_degree >= n and n > 0:

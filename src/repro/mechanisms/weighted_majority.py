@@ -59,6 +59,12 @@ class WeightedMajorityDelegation:
         self._k = int(k)
         self._threshold = float(threshold)
         self._weighting = weighting
+        # Weights of a voter naming ``m`` delegates, at index ``m - 1``;
+        # rank: better-ranked (higher) advisors weigh more.
+        self._weights = tuple(
+            tuple(1.0 if weighting == "uniform" else float(r + 1) for r in range(m))
+            for m in range(1, self._k + 1)
+        )
 
     @property
     def name(self) -> str:
@@ -76,7 +82,38 @@ class WeightedMajorityDelegation:
     def sample_dag(
         self, instance: ProblemInstance, rng: SeedLike = None
     ) -> WeightedDelegationDag:
-        """Draw one weighted delegation DAG for ``instance``."""
+        """Draw one weighted delegation DAG for ``instance``.
+
+        Delegates are read as offsets into the compiled approval
+        segments, which are already in local-view order (competency
+        ascending, ties by index); the per-voter ``gen.choice`` calls of
+        :meth:`_reference_sample_dag` stay, since they fix the stream.
+        """
+        gen = as_generator(rng)
+        compiled = instance.compiled()
+        counts = compiled.approved_counts
+        voters = np.flatnonzero((counts > 0) & (counts >= self._threshold))
+        picks = []
+        for count in counts[voters].tolist():
+            picks.append(np.sort(gen.choice(count, size=min(self._k, count), replace=False)))
+        choices: Dict[int, DelegateWeights] = {}
+        if voters.size:
+            sizes = [len(p) for p in picks]
+            delegates = compiled.resolve_approved_offsets(
+                np.repeat(voters, sizes), np.concatenate(picks)
+            ).tolist()
+            start = 0
+            for voter, size in zip(voters.tolist(), sizes):
+                choices[voter] = DelegateWeights(
+                    tuple(delegates[start:start + size]), self._weights[size - 1]
+                )
+                start += size
+        return WeightedDelegationDag(instance.num_voters, choices)
+
+    def _reference_sample_dag(
+        self, instance: ProblemInstance, rng: SeedLike = None
+    ) -> WeightedDelegationDag:
+        """Per-voter local-view oracle for :meth:`sample_dag`."""
         gen = as_generator(rng)
         choices: Dict[int, DelegateWeights] = {}
         for voter in range(instance.num_voters):

@@ -24,7 +24,7 @@ only by a factor proportional to ``c``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,13 +82,29 @@ class RecycleSamplingGraph:
     ) -> None:
         self._nodes: Tuple[RecycleNode, ...] = tuple(nodes)
         n = len(self._nodes)
+        # Successor CSR over the *distinct* successor tuples, keyed by
+        # identity: ``layered`` hands a whole layer one shared tuple, so
+        # each tuple is converted, range-checked and (in the kernels
+        # below) reduced once rather than once per node.
+        set_of: Dict[int, int] = {}
+        members: List[np.ndarray] = []
+        ranges: List[Tuple[int, int]] = []
+        node_set: List[int] = []
         for i, node in enumerate(self._nodes):
-            for s in node.successors:
-                if not 0 <= s < i:
-                    raise ValueError(
-                        f"node {i} has successor {s}; successors must be "
-                        f"earlier vertices"
-                    )
+            sid = set_of.get(id(node.successors))
+            if sid is None:
+                sid = set_of[id(node.successors)] = len(members)
+                arr = np.array(node.successors, dtype=np.int64)
+                members.append(arr)
+                ranges.append((int(arr.min()), int(arr.max())) if arr.size else (0, -1))
+            low, high = ranges[sid]
+            if low < 0 or high >= i:
+                bad = next(s for s in node.successors if not 0 <= s < i)
+                raise ValueError(
+                    f"node {i} has successor {bad}; successors must be "
+                    f"earlier vertices"
+                )
+            node_set.append(sid)
         if not 0 <= independent_prefix <= n:
             raise ValueError(
                 f"independent_prefix must lie in [0, {n}], got {independent_prefix}"
@@ -100,6 +116,17 @@ class RecycleSamplingGraph:
                     f"{independent_prefix} but has successors"
                 )
         self._j = independent_prefix
+        sizes = np.array([arr.size for arr in members], dtype=np.int64)
+        self._node_set = np.array(node_set, dtype=np.int64)
+        self._set_ptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(sizes)))
+        self._set_idx = (
+            np.concatenate(members) if members else np.empty(0, dtype=np.int64)
+        )
+        self._counts = sizes[self._node_set]
+        self._fresh = np.array([node.fresh_prob for node in self._nodes], dtype=float)
+        self._bern = np.array(
+            [node.bernoulli_param for node in self._nodes], dtype=float
+        )
 
     # -- structure ---------------------------------------------------------
 
@@ -122,8 +149,25 @@ class RecycleSamplingGraph:
         """Number of vertices on the longest directed path (``c``).
 
         Computed by DP over the DAG (edges point to smaller indices); an
-        isolated vertex has complexity 1.
+        isolated vertex has complexity 1.  A successor set's deepest
+        member is found once, at the set's first node: every member
+        precedes that node, so its depth is already final.
         """
+        n = self.num_nodes
+        if n == 0:
+            return 0
+        depth = np.ones(n, dtype=np.int64)
+        set_depth: List[Optional[int]] = [None] * (len(self._set_ptr) - 1)
+        for i, sid in enumerate(self._node_set.tolist()):
+            below = set_depth[sid]
+            if below is None:
+                members = self._successors(sid)
+                below = set_depth[sid] = int(depth[members].max()) if members.size else 0
+            depth[i] = below + 1
+        return int(depth.max())
+
+    def _reference_partition_complexity(self) -> int:
+        """Per-edge DP oracle for :meth:`partition_complexity`."""
         n = self.num_nodes
         if n == 0:
             return 0
@@ -132,6 +176,10 @@ class RecycleSamplingGraph:
             for s in node.successors:
                 depth[i] = max(depth[i], depth[s] + 1)
         return max(depth)
+
+    def _successors(self, sid: int) -> np.ndarray:
+        """The members of distinct successor tuple ``sid``, in tuple order."""
+        return self._set_idx[self._set_ptr[sid]:self._set_ptr[sid + 1]]
 
     def is_recycle_graph(self, j: int, c: int) -> bool:
         """Whether this is a valid ``(j, c, n)``-recycle sampling graph."""
@@ -143,7 +191,26 @@ class RecycleSamplingGraph:
         """``E[x_i]`` for every node, by the recycling recurrence.
 
         ``E[x_i] = z_i p_i + (1 − z_i) · mean_{s ∈ succ(i)} E[x_s]``.
+        The mean over a successor set is taken once, at the set's first
+        node (its members all precede it), with the same ``np.mean`` over
+        the same values in the same order as the per-node oracle.
         """
+        out = np.empty(self.num_nodes)
+        set_mean: List[Optional[float]] = [None] * (len(self._set_ptr) - 1)
+        for i, (node, sid) in enumerate(zip(self._nodes, self._node_set.tolist())):
+            fresh = node.fresh_prob * node.bernoulli_param
+            if node.successors:
+                mean = set_mean[sid]
+                if mean is None:
+                    mean = set_mean[sid] = float(np.mean(out[self._successors(sid)]))
+                recycled = (1.0 - node.fresh_prob) * mean
+            else:
+                recycled = 0.0
+            out[i] = fresh + recycled
+        return out
+
+    def _reference_expectations(self) -> np.ndarray:
+        """Per-node oracle for :meth:`expectations`."""
         out = np.empty(self.num_nodes)
         for i, node in enumerate(self._nodes):
             fresh = node.fresh_prob * node.bernoulli_param
@@ -173,7 +240,37 @@ class RecycleSamplingGraph:
         Realisation follows Definition 6: for increasing ``i``, ``x_i`` is
         fresh with probability ``z_i``, otherwise equal to the already
         realised value of a uniformly random successor.
+
+        The per-node loop (:meth:`_reference_sample`) draws its successor
+        picks one ``integers(len(successors))`` call at a time, but which
+        nodes draw depends only on the pre-drawn ``fresh_draws``.  One
+        ``integers(0, bounds)`` call over the recycled nodes in index
+        order is the same stream (pinned in the tests, end state
+        included); each recycled node then takes its value from the
+        fresh node its picks lead to, found by pointer doubling.
         """
+        gen = as_generator(rng)
+        n = self.num_nodes
+        fresh_draws = gen.random(n)
+        bern_draws = gen.random(n)
+        values = (bern_draws < self._bern).astype(np.int8)
+        recycled = np.flatnonzero((self._counts > 0) & ~(fresh_draws < self._fresh))
+        if recycled.size == 0:
+            return values
+        offsets = gen.integers(0, self._counts[recycled])
+        parent = np.arange(n, dtype=np.int64)
+        parent[recycled] = self._set_idx[
+            self._set_ptr[self._node_set[recycled]] + offsets
+        ]
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        return values[parent]
+
+    def _reference_sample(self, rng: SeedLike = None) -> np.ndarray:
+        """Per-node oracle for :meth:`sample` (same stream, same values)."""
         gen = as_generator(rng)
         n = self.num_nodes
         values = np.empty(n, dtype=np.int8)
@@ -226,19 +323,16 @@ class RecycleSamplingGraph:
         """
         check_probability("fresh_prob", fresh_prob)
         nodes: List[RecycleNode] = []
-        prev_layer: List[int] = []
+        prev_layer: Tuple[int, ...] = ()
         for t, layer in enumerate(layer_params):
             if not layer:
                 raise ValueError(f"layer {t} is empty")
-            current: List[int] = []
+            start = len(nodes)
             for p in layer:
-                idx = len(nodes)
                 if t == 0:
                     nodes.append(RecycleNode(1.0, float(p)))
                 else:
-                    nodes.append(
-                        RecycleNode(fresh_prob, float(p), tuple(prev_layer))
-                    )
-                current.append(idx)
-            prev_layer = current
+                    # One tuple shared by the whole layer (see __init__).
+                    nodes.append(RecycleNode(fresh_prob, float(p), prev_layer))
+            prev_layer = tuple(range(start, len(nodes)))
         return cls(nodes, independent_prefix=len(layer_params[0]))

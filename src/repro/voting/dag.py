@@ -20,13 +20,15 @@ vote realisations; the estimator and its error are reported explicitly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._util.mathx import wilson_interval
 from repro._util.rng import SeedLike, as_generator
+from repro.voting import montecarlo
 
 
 @dataclass(frozen=True)
@@ -58,51 +60,111 @@ class WeightedDelegationDag:
         Mapping from voter to its :class:`DelegateWeights`; voters absent
         from the mapping vote directly.  The induced delegate relation
         must be acyclic (checked).
+
+    The choices are also held as a delegate CSR over the voters
+    (``indptr``, delegates and float weights in each tuple's order) from
+    which one level plan is built: level 0 holds the direct voters and
+    level ``t`` the voters whose deepest delegate sits on level
+    ``t - 1``.  Votes then resolve one level at a time for a whole block
+    of rounds.
     """
 
     def __init__(self, n: int, choices: Dict[int, DelegateWeights]) -> None:
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        for voter, choice in choices.items():
-            if not 0 <= voter < n:
+        self._n = n
+        self._choices = dict(choices)
+        voters = np.array(sorted(self._choices), dtype=np.int64)
+        counts = np.zeros(n, dtype=np.int64)
+        if voters.size and (voters[0] < 0 or voters[-1] >= n):
+            self._raise_invalid()
+        entries = [self._choices[v] for v in voters.tolist()]
+        counts[voters] = [len(c.delegates) for c in entries]
+        self._indptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))
+        self._delegates = np.fromiter(
+            itertools.chain.from_iterable(c.delegates for c in entries),
+            dtype=np.int64, count=int(self._indptr[-1]),
+        )
+        self._weights = np.fromiter(
+            itertools.chain.from_iterable(c.weights for c in entries),
+            dtype=float, count=int(self._indptr[-1]),
+        )
+        owners = np.repeat(np.arange(n, dtype=np.int64), counts)
+        d = self._delegates
+        if d.size and (d.min() < 0 or d.max() >= n or np.any(d == owners)):
+            self._raise_invalid()
+        self._levels = self._level_sets(counts, owners)
+        self._plan = self._level_plan(counts)
+
+    def _raise_invalid(self) -> None:
+        """Raise the first range or self-delegation error, in dict order."""
+        for voter, choice in self._choices.items():
+            if not 0 <= voter < self._n:
                 raise ValueError(f"voter {voter} out of range")
             for d in choice.delegates:
-                if not 0 <= d < n:
+                if not 0 <= d < self._n:
                     raise ValueError(
                         f"voter {voter} delegates to out-of-range {d}"
                     )
                 if d == voter:
                     raise ValueError(f"voter {voter} delegates to itself")
-        self._n = n
-        self._choices = dict(choices)
-        self._order = self._topological_order()
 
-    def _topological_order(self) -> List[int]:
-        """Resolution order: delegates before their delegators.
+    def _level_sets(self, counts: np.ndarray, owners: np.ndarray) -> List[np.ndarray]:
+        """Kahn's algorithm one whole level at a time.
 
-        Raises ``ValueError`` on a cycle.
+        ``remaining[v]`` counts ``v``'s unresolved delegates; a level is
+        every voter whose count reached 0 while resolving the previous
+        one.  Raises ``ValueError`` on a cycle, naming the voters no
+        level reaches (the voters Kahn's algorithm leaves unresolved).
         """
-        # Kahn's algorithm on edges voter -> delegate (delegate resolves
-        # first, so we sort by reversed edges).
-        dependents: Dict[int, List[int]] = {v: [] for v in range(self._n)}
-        remaining = {v: 0 for v in range(self._n)}
-        for voter, choice in self._choices.items():
-            remaining[voter] = len(choice.delegates)
-            for d in choice.delegates:
-                dependents[d].append(voter)
-        ready = [v for v in range(self._n) if remaining[v] == 0]
-        order: List[int] = []
-        while ready:
-            v = ready.pop()
-            order.append(v)
-            for dep in dependents[v]:
-                remaining[dep] -= 1
-                if remaining[dep] == 0:
-                    ready.append(dep)
-        if len(order) != self._n:
-            cyclic = sorted(v for v, r in remaining.items() if r > 0)
+        remaining = counts.copy()
+        by_delegate = np.argsort(self._delegates, kind="stable")
+        dependents = owners[by_delegate]
+        dep_ptr = np.concatenate(
+            (np.zeros(1, dtype=np.int64),
+             np.cumsum(np.bincount(self._delegates, minlength=self._n)))
+        )
+        levels: List[np.ndarray] = []
+        ready = np.flatnonzero(remaining == 0)
+        resolved = 0
+        while ready.size:
+            levels.append(ready)
+            resolved += ready.size
+            lo = dep_ptr[ready]
+            fan = dep_ptr[ready + 1] - lo
+            offsets = np.repeat(lo - (np.cumsum(fan) - fan), fan)
+            deps = dependents[offsets + np.arange(int(fan.sum()))]
+            np.subtract.at(remaining, deps, 1)
+            ready = np.unique(deps[remaining[deps] == 0])
+        if resolved != self._n:
+            cyclic = np.flatnonzero(remaining > 0).tolist()
             raise ValueError(f"delegation cycle among voters {cyclic}")
-        return order
+        return levels
+
+    def _level_plan(self, counts: np.ndarray) -> List["_Level"]:
+        """Per delegating level: its voters and one entry per delegate slot.
+
+        A level's voters are ordered by delegate count, descending
+        (stable), so the voters holding slot ``s`` are a prefix of the
+        level; slot ``s`` stores that prefix's ``s``-th delegates and
+        weights.  ``half`` is each voter's total weight over 2, summed
+        slot by slot from 0.0 — Python's left-to-right ``sum``.
+        """
+        plan = []
+        for level in self._levels[1:]:
+            voters = level[np.argsort(-counts[level], kind="stable")]
+            held = counts[voters]
+            starts = self._indptr[voters]
+            slots = []
+            total = np.zeros(voters.size)
+            for slot in range(int(held[0])):
+                width = int(np.count_nonzero(held > slot))
+                cells = starts[:width] + slot
+                weights = self._weights[cells]
+                total[:width] += weights
+                slots.append((self._delegates[cells], weights[:, None]))
+            plan.append(_Level(voters, slots, (total / 2.0)[:, None]))
+        return plan
 
     # -- accessors ---------------------------------------------------------
 
@@ -129,8 +191,15 @@ class WeightedDelegationDag:
         """Maximum number of delegators naming any single voter.
 
         The DAG analogue of the maximum sink weight: the quantity the
-        Lemma 5-style condition would need to bound.
+        Lemma 5-style condition would need to bound.  One ``bincount``
+        over the delegate CSR.
         """
+        if not self._n:
+            return 0
+        return int(np.bincount(self._delegates, minlength=self._n).max())
+
+    def _reference_max_fan_in(self) -> int:
+        """Per-delegate loop oracle for :meth:`max_fan_in`."""
         fan = np.zeros(self._n, dtype=np.int64)
         for choice in self._choices.values():
             for d in choice.delegates:
@@ -138,6 +207,42 @@ class WeightedDelegationDag:
         return int(fan.max()) if self._n else 0
 
     # -- realisation ----------------------------------------------------------
+
+    def _competencies(self, competencies: Sequence[float]) -> np.ndarray:
+        comp = np.asarray(competencies, dtype=float)
+        if len(comp) != self._n:
+            raise ValueError(
+                f"competency vector length {len(comp)} does not match n={self._n}"
+            )
+        return comp
+
+    def _resolve_votes(
+        self, draws: np.ndarray, comp: np.ndarray, tie_break_own_vote: bool
+    ) -> np.ndarray:
+        """Effective votes of a block of rounds, voter-major ``(n, rounds)``.
+
+        ``draws[r, 0]`` and ``draws[r, 1]`` are round ``r``'s two
+        ``random(n)`` rows of the per-round loop.  Each level's correct
+        weight is accumulated one delegate slot at a time from 0.0, a
+        wrong delegate adding an exact 0.0, so it equals the loop's
+        left-to-right ``sum`` bit for bit.
+        """
+        own = (draws[:, 0, :] < comp).T
+        votes = own.copy()
+        for level in self._plan:
+            correct = np.zeros((level.voters.size, votes.shape[1]))
+            for delegates, weights in level.slots:
+                correct[: delegates.size] += np.where(votes[delegates], weights, 0.0)
+            vote = correct > level.half
+            tie = correct == level.half
+            if tie.any():
+                if tie_break_own_vote:
+                    fallback = own[level.voters]
+                else:
+                    fallback = (draws[:, 1, level.voters] < 0.5).T
+                vote |= tie & fallback
+            votes[level.voters] = vote
+        return votes
 
     def sample_effective_votes(
         self,
@@ -151,18 +256,31 @@ class WeightedDelegationDag:
         the weighted majority of its delegates' effective votes; a tied
         weighted majority falls back to the voter's own fresh
         Bernoulli(p_i) draw when ``tie_break_own_vote`` (the "you decide
-        when your advisors disagree" rule), else a fair coin.
+        when your advisors disagree" rule), else a fair coin.  One round
+        of the level kernel; :meth:`_reference_sample_effective_votes`
+        is the per-voter oracle.
         """
-        comp = np.asarray(competencies, dtype=float)
-        if len(comp) != self._n:
-            raise ValueError(
-                f"competency vector length {len(comp)} does not match n={self._n}"
-            )
+        comp = self._competencies(competencies)
+        draws = as_generator(rng).random((1, 2, self._n))
+        return self._resolve_votes(draws, comp, tie_break_own_vote)[:, 0].astype(np.int8)
+
+    def _reference_sample_effective_votes(
+        self,
+        competencies: Sequence[float],
+        rng: SeedLike = None,
+        tie_break_own_vote: bool = True,
+    ) -> np.ndarray:
+        """Per-voter oracle for :meth:`sample_effective_votes`.
+
+        Voters resolve in level order; any order that puts delegates
+        before their delegators gives the same votes.
+        """
+        comp = self._competencies(competencies)
         gen = as_generator(rng)
         votes = np.zeros(self._n, dtype=np.int8)
         draws = gen.random(self._n)
         tie_draws = gen.random(self._n)
-        for v in self._order:
+        for v in np.concatenate(self._levels).tolist() if self._n else ():
             choice = self._choices.get(v)
             if choice is None:
                 votes[v] = 1 if draws[v] < comp[v] else 0
@@ -193,13 +311,40 @@ class WeightedDelegationDag:
         Returns ``(estimate, ci_low, ci_high)`` with a Wilson 95%
         interval.  The final decision uses the strict-majority rule over
         all ``n`` effective votes (ties incorrect), matching the paper.
+
+        Rounds run in blocks under
+        :data:`~repro.voting.montecarlo.CHUNK_BUDGET_BYTES`; a block's
+        ``random((block, 2, n))`` draw is the per-round loop's stream
+        (:meth:`_reference_estimate_correct_probability`), so the
+        estimate and the generator's end state match it bit for bit.
         """
+        if rounds <= 0:
+            raise ValueError(f"rounds must be positive, got {rounds}")
+        gen = as_generator(seed)
+        comp = self._competencies(competencies)
+        block = max(1, montecarlo.CHUNK_BUDGET_BYTES // (_BYTES_PER_CELL * max(1, self._n)))
+        wins = 0
+        for done in range(0, rounds, block):
+            draws = gen.random((min(block, rounds - done), 2, self._n))
+            votes = self._resolve_votes(draws, comp, tie_break_own_vote)
+            wins += int(np.count_nonzero(votes.sum(axis=0) * 2 > self._n))
+        lo, hi = wilson_interval(wins, rounds)
+        return (wins / rounds, lo, hi)
+
+    def _reference_estimate_correct_probability(
+        self,
+        competencies: Sequence[float],
+        rounds: int = 400,
+        seed: SeedLike = None,
+        tie_break_own_vote: bool = True,
+    ) -> Tuple[float, float, float]:
+        """Per-round oracle for :meth:`estimate_correct_probability`."""
         if rounds <= 0:
             raise ValueError(f"rounds must be positive, got {rounds}")
         gen = as_generator(seed)
         wins = 0
         for _ in range(rounds):
-            votes = self.sample_effective_votes(
+            votes = self._reference_sample_effective_votes(
                 competencies, gen, tie_break_own_vote
             )
             if int(votes.sum()) * 2 > self._n:
@@ -212,3 +357,18 @@ class WeightedDelegationDag:
             f"WeightedDelegationDag(n={self._n}, "
             f"delegators={self.num_delegators}, max_fan_in={self.max_fan_in()})"
         )
+
+
+_BYTES_PER_CELL = 40
+"""Peak bytes per voter and round of :meth:`WeightedDelegationDag.
+estimate_correct_probability`: the two float64 draws, the own-vote and
+vote masks, and one level's float64 weight sums and gathers."""
+
+
+class _Level(NamedTuple):
+    """One delegating level of :meth:`WeightedDelegationDag._level_plan`."""
+
+    voters: np.ndarray
+    slots: List[Tuple[np.ndarray, np.ndarray]]
+    half: np.ndarray
+
