@@ -42,23 +42,6 @@ def instance_digest(instance: ProblemInstance) -> str:
     return _sha256_hex(_canonical_json(instance_token(instance)).encode())
 
 
-def _estimate_payload(est: CorrectnessEstimate) -> Dict[str, Any]:
-    """JSON form of an estimate; floats round-trip exactly."""
-    return {
-        "probability": est.probability,
-        "rounds": est.rounds,
-        "std_error": est.std_error,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "converged": est.converged,
-    }
-
-
-_ESTIMATE_FIELDS = (
-    "probability", "rounds", "std_error", "ci_low", "ci_high", "converged",
-)
-
-
 @dataclass(frozen=True)
 class ViolationCertificate:
     """A machine-checkable claim that a scenario broke do-no-harm.
@@ -197,13 +180,12 @@ def _match_estimate(
     recorded: Mapping[str, Any],
     replayed: CorrectnessEstimate,
 ) -> None:
-    replay_payload = _estimate_payload(replayed)
-    for key in _ESTIMATE_FIELDS:
-        if recorded.get(key) != replay_payload[key]:
+    for key, value in replayed.to_dict().items():
+        if recorded.get(key) != value:
             report.record(
                 check, False,
                 f"field {key!r}: recorded {recorded.get(key)!r} != "
-                f"replayed {replay_payload[key]!r}",
+                f"replayed {value!r}",
             )
             return
     report.record(check, True, "all estimate fields bitwise equal")

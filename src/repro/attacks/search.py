@@ -31,11 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro._util.rng import as_generator, as_seed_sequence, child_seed_sequence, derive_seed
-from repro.attacks.certificates import (
-    ViolationCertificate,
-    _estimate_payload,
-    instance_digest,
-)
+from repro.attacks.certificates import ViolationCertificate, instance_digest
 from repro.attacks.scenarios import AttackMove, AttackScenario, build_scenario
 from repro.core.instance import ProblemInstance
 from repro.incremental.edits import (
@@ -48,12 +44,11 @@ from repro.incremental.edits import (
     edit_chain_digest,
     invert_batch,
 )
-from repro.incremental.session import DeltaSession
+from repro.incremental.session import ENGINES, DeltaSession
 from repro.voting.exact import DirectVotingTerm, direct_voting_probability
 from repro.voting.montecarlo import CorrectnessEstimate
 from repro.voting.outcome import TiePolicy
 
-ENGINES = ("mc", "exact")
 INNER_LOOPS = ("delta", "scratch")
 
 #: Scores within this of each other are treated as ties (the earlier
@@ -414,11 +409,11 @@ class AttackSearch:
                 ]
             ),
             pre={
-                "estimate": _estimate_payload(pre_estimate),
+                "estimate": pre_estimate.to_dict(),
                 "direct": pre_direct,
             },
             post={
-                "estimate": _estimate_payload(post_estimate),
+                "estimate": post_estimate.to_dict(),
                 "direct": post_direct,
             },
             harm=post_direct - post_estimate.probability,

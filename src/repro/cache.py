@@ -58,10 +58,13 @@ import os
 import tempfile
 import threading
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
+
+from repro.voting.montecarlo import CorrectnessEstimate
 
 SCHEMA_VERSION = 4
 """Bumped whenever digest components, the entry layout or the bits an
@@ -108,16 +111,6 @@ def label_cache_ops(op: str) -> Iterator[None]:
 def current_cache_op() -> str:
     """The op label charged for cache lookups on this thread."""
     return getattr(_op_label, "op", None) or DEFAULT_OP
-
-_ESTIMATE_FIELDS = (
-    "probability",
-    "rounds",
-    "std_error",
-    "ci_low",
-    "ci_high",
-    "converged",
-)
-
 
 def _sha256_hex(*parts: bytes) -> str:
     digest = hashlib.sha256()
@@ -438,7 +431,7 @@ class EstimateCache:
         estimate = data.get("estimate")
         if not isinstance(estimate, dict):
             return False
-        return all(field in estimate for field in _ESTIMATE_FIELDS)
+        return all(field.name in estimate for field in fields(CorrectnessEstimate))
 
     @staticmethod
     def _discard(path: Path) -> None:

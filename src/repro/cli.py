@@ -24,6 +24,7 @@ from typing import List, Optional
 
 from repro import __version__
 from repro.experiments import ExperimentConfig, get_experiment, list_experiments
+from repro.incremental.session import ENGINES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--seed", type=int, default=0, help="top-level seed")
     attack.add_argument(
         "--engine",
-        choices=("mc", "exact"),
+        choices=ENGINES,
         default="mc",
         help="delta-session estimation engine (default: mc)",
     )

@@ -6,6 +6,12 @@ API returns — :meth:`ServiceClient.estimate` gives back a
 :class:`~repro.voting.montecarlo.CorrectnessEstimate` bit-identical to
 the one ``estimate_correct_probability`` would have produced locally.
 
+Request keywords are the op's :data:`~repro.service.protocol.FIELDS`
+keys.  The client sends only the fields a caller gives (``None`` means
+not given), so every default lives in that table and the server fills
+it in; a keyword the op does not accept is a ``TypeError`` before
+anything is sent.
+
 Connections are keep-alive and per-thread (``http.client`` connections
 are not thread-safe), so one ``ServiceClient`` may be shared by many
 threads — each quietly gets its own socket.  A *stale* keep-alive
@@ -28,6 +34,7 @@ import socket
 import threading
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -40,9 +47,13 @@ from typing import (
 
 from repro.incremental.edits import canonical_batch
 from repro.service.protocol import (
+    _SWEEP_FIELDS,
+    FIELDS,
+    HTTP_STATUS,
     PROTOCOL_VERSION,
     ServiceError,
     estimate_from_payload,
+    gain_from_payload,
 )
 from repro.voting.montecarlo import CorrectnessEstimate
 
@@ -55,6 +66,40 @@ _STALE_SOCKET_ERRORS = (
     http.client.CannotSendRequest,
 )
 """Failures meaning *this socket* died, not the server: reconnect once."""
+
+_POINT_RESULTS: Dict[str, Callable[[Any], Any]] = {
+    "estimate": estimate_from_payload,
+    "gain": gain_from_payload,
+    "ballot": estimate_from_payload,
+}
+"""Point op → decoder of its result payload."""
+
+
+def _typed_error(error: Any, fallback: str, prefix: str = "") -> ServiceError:
+    """The typed error a response's ``error`` object names.
+
+    A missing or malformed object, or a code this client does not know
+    (a newer server's), becomes ``internal`` with the ``fallback`` text.
+    """
+    if isinstance(error, dict) and error.get("code") in HTTP_STATUS:
+        return ServiceError(error["code"], prefix + str(error.get("message", "")))
+    return ServiceError("internal", prefix + fallback)
+
+
+def _check_fields(op: str, fields: Mapping[str, Any], *owned: str) -> None:
+    """Reject, as Python would, a keyword that ``op`` does not accept.
+
+    The accepted names are ``FIELDS[op]`` apart from its wire-only
+    fields and the ``owned`` ones a handle fills in itself; a sweep
+    accepts those of its ``point_op``, so a ballot sweep has no
+    ``exact_conditional``.
+    """
+    allowed = FIELDS[op]
+    if op == "sweep":
+        allowed = _SWEEP_FIELDS.get(fields.get("point_op"), allowed)
+    for key in fields:
+        if key not in allowed or allowed[key].wire_only or key in owned:
+            raise TypeError(f"{op}() got an unexpected keyword argument {key!r}")
 
 
 class ServiceClient:
@@ -138,10 +183,16 @@ class ServiceClient:
                 f"transport failure talking to "
                 f"{self.host}:{self.port}: {type(exc).__name__}: {exc}",
             ) from None
-        return self._decode(response.status, raw)
+        return self._decode(response.status, raw, health=path == "/healthz")
 
     @staticmethod
-    def _decode(status: int, raw: bytes) -> Dict[str, Any]:
+    def _decode(status: int, raw: bytes, health: bool = False) -> Dict[str, Any]:
+        """The JSON payload of a success, else its typed error raised.
+
+        A ``health`` answer is returned whenever it is HTTP 200: a
+        degraded or draining fleet says ``ok: false`` there and is still
+        answering.
+        """
         try:
             data = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
@@ -149,19 +200,12 @@ class ServiceClient:
                 "internal",
                 f"server returned non-JSON response (HTTP {status})",
             ) from None
-        if not isinstance(data, dict) or data.get("ok") is not True:
-            error = data.get("error") if isinstance(data, dict) else None
-            if isinstance(error, dict) and "code" in error:
-                try:
-                    raise ServiceError(
-                        error["code"], str(error.get("message", ""))
-                    )
-                except ValueError:  # unknown code from a newer server
-                    pass
-            raise ServiceError(
-                "internal", f"unexpected server response (HTTP {status})"
-            )
-        return data
+        if isinstance(data, dict) and (
+            data.get("ok") is True or (health and status == 200)
+        ):
+            return data
+        error = data.get("error") if isinstance(data, dict) else None
+        raise _typed_error(error, f"unexpected server response (HTTP {status})")
 
     def close(self) -> None:
         """Close this thread's connection (others close on GC)."""
@@ -187,143 +231,64 @@ class ServiceClient:
 
         return instance_to_dict(instance)
 
-    def _estimate_body(
-        self,
-        op: str,
-        instance: InstanceLike,
-        mechanism: Mapping[str, Any],
-        rounds: int,
-        seed: int,
-        tie_policy: str,
-        target_se: Optional[float],
-        max_rounds: Optional[int],
-        exact_conditional: Optional[bool],
-    ) -> Dict[str, Any]:
-        body: Dict[str, Any] = {
-            "v": PROTOCOL_VERSION,
-            "op": op,
-            "instance": self.serialise_instance(instance),
-            "mechanism": dict(mechanism),
-            "rounds": rounds,
-            "seed": seed,
-            "tie_policy": tie_policy,
-        }
-        if exact_conditional is not None:
-            body["exact_conditional"] = exact_conditional
-        if target_se is not None:
-            body["target_se"] = target_se
-        if max_rounds is not None:
-            body["max_rounds"] = max_rounds
+    @staticmethod
+    def _body(op: str, **fields: Any) -> Dict[str, Any]:
+        """The request body of ``op``: the given ``fields`` in wire form.
+
+        Keyword names are checked against the field table; ``None``
+        values are dropped and nothing else is added, so the server
+        applies the table's defaults.
+        """
+        _check_fields(op, fields)
+        body: Dict[str, Any] = {"v": PROTOCOL_VERSION, "op": op}
+        for key, value in fields.items():
+            if value is not None:
+                encode = _ENCODERS.get(key)
+                body[key] = value if encode is None else encode(value)
         return body
+
+    def _call(self, op: str, **fields: Any) -> Any:
+        """One ``POST /v1/<op>`` round trip; returns the ``result``."""
+        return self._request("POST", f"/v1/{op}", self._body(op, **fields))["result"]
+
+    def _point(
+        self, op: str, instance: InstanceLike, mechanism: Any, fields: Dict[str, Any]
+    ) -> Any:
+        """One estimate, gain or ballot round trip, decoded."""
+        result = self._call(op, instance=instance, mechanism=mechanism, **fields)
+        return _POINT_RESULTS[op](result)
 
     # -- operations --------------------------------------------------------
 
     def estimate(
-        self,
-        instance: InstanceLike,
-        mechanism: Mapping[str, Any],
-        *,
-        rounds: int = 400,
-        seed: int = 0,
-        tie_policy: str = "INCORRECT",
-        exact_conditional: bool = True,
-        target_se: Optional[float] = None,
-        max_rounds: Optional[int] = None,
+        self, instance: InstanceLike, mechanism: Mapping[str, Any], **fields: Any
     ) -> CorrectnessEstimate:
         """Served :func:`~repro.voting.montecarlo.estimate_correct_probability`."""
-        body = self._estimate_body(
-            "estimate", instance, mechanism, rounds, seed, tie_policy,
-            target_se, max_rounds, exact_conditional,
-        )
-        data = self._request("POST", "/v1/estimate", body)
-        return estimate_from_payload(data["result"])
+        return self._point("estimate", instance, mechanism, fields)
 
     def gain(
-        self,
-        instance: InstanceLike,
-        mechanism: Mapping[str, Any],
-        *,
-        rounds: int = 400,
-        seed: int = 0,
-        tie_policy: str = "INCORRECT",
-        exact_conditional: bool = True,
-        target_se: Optional[float] = None,
-        max_rounds: Optional[int] = None,
+        self, instance: InstanceLike, mechanism: Mapping[str, Any], **fields: Any
     ) -> Tuple[float, CorrectnessEstimate, float]:
         """Served :func:`~repro.voting.montecarlo.estimate_gain` triple."""
-        body = self._estimate_body(
-            "gain", instance, mechanism, rounds, seed, tie_policy,
-            target_se, max_rounds, exact_conditional,
-        )
-        result = self._request("POST", "/v1/gain", body)["result"]
-        try:
-            return (
-                float(result["gain"]),
-                estimate_from_payload(result["estimate"]),
-                float(result["direct"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(
-                "internal", f"malformed gain payload from server: {exc}"
-            ) from None
+        return self._point("gain", instance, mechanism, fields)
 
     def ballot(
-        self,
-        instance: InstanceLike,
-        mechanism: Mapping[str, Any],
-        *,
-        rounds: int = 400,
-        seed: int = 0,
-        tie_policy: str = "INCORRECT",
-        target_se: Optional[float] = None,
-        max_rounds: Optional[int] = None,
+        self, instance: InstanceLike, mechanism: Mapping[str, Any], **fields: Any
     ) -> CorrectnessEstimate:
         """Served :func:`~repro.voting.montecarlo.estimate_ballot_probability`."""
-        body = self._estimate_body(
-            "ballot", instance, mechanism, rounds, seed, tie_policy,
-            target_se, max_rounds, exact_conditional=None,
-        )
-        data = self._request("POST", "/v1/ballot", body)
-        return estimate_from_payload(data["result"])
+        return self._point("ballot", instance, mechanism, fields)
 
-    def experiment(
-        self,
-        experiment: str,
-        *,
-        scale: str = "default",
-        seed: int = 0,
-        target_se: Optional[float] = None,
-    ) -> Dict[str, Any]:
+    def experiment(self, experiment: str, **fields: Any) -> Dict[str, Any]:
         """Run a registered experiment table server-side.
 
         Returns the serialised :class:`~repro.experiments.base.
         ExperimentResult` dict (``repro.io.result_from_dict`` rebuilds
         the dataclass if needed).
         """
-        body: Dict[str, Any] = {
-            "v": PROTOCOL_VERSION,
-            "op": "experiment",
-            "experiment": experiment,
-            "scale": scale,
-            "seed": seed,
-        }
-        if target_se is not None:
-            body["target_se"] = target_se
-        return self._request("POST", "/v1/experiment", body)["result"]
+        return self._call("experiment", experiment=experiment, **fields)
 
     def iter_sweep(
-        self,
-        instance: InstanceLike,
-        mechanism: Mapping[str, Any],
-        *,
-        seeds: Sequence[int],
-        point_op: str = "estimate",
-        rounds: int = 400,
-        tie_policy: str = "INCORRECT",
-        exact_conditional: bool = True,
-        target_se: Optional[float] = None,
-        max_rounds: Optional[int] = None,
-        indices: Optional[Sequence[int]] = None,
+        self, instance: InstanceLike, mechanism: Mapping[str, Any], **fields: Any
     ) -> Iterator[Tuple[int, Any]]:
         """Stream a sweep: yield ``(index, result)`` as points complete.
 
@@ -337,17 +302,12 @@ class ServiceClient:
         closes this thread's connection (the unread tail poisons it for
         keep-alive reuse).
         """
-        body = self._estimate_body(
-            "sweep", instance, mechanism, rounds, 0, tie_policy,
-            target_se, max_rounds,
-            None if point_op == "ballot" else exact_conditional,
-        )
-        del body["seed"]
-        body["seeds"] = [int(seed) for seed in seeds]
-        body["point_op"] = point_op
-        if indices is not None:
-            body["indices"] = [int(index) for index in indices]
-        expected = len(body.get("indices", body["seeds"]))
+        body = self._body("sweep", instance=instance, mechanism=mechanism, **fields)
+        return self._stream_sweep(body)
+
+    def _stream_sweep(self, body: Dict[str, Any]) -> Iterator[Tuple[int, Any]]:
+        point_op = body.get("point_op", FIELDS["sweep"]["point_op"].default)
+        expected = len(body.get("indices", body.get("seeds", ())))
         payload = json.dumps(body).encode()
         headers = {"Content-Type": "application/json"}
         clean = False
@@ -382,14 +342,12 @@ class ServiceClient:
                     clean = True
                     return
                 if data.get("ok") is not True:
-                    error = data.get("error") or {}
-                    raise ServiceError(
-                        error.get("code", "internal"),
-                        f"sweep point {data.get('i')}: "
-                        f"{error.get('message', 'unknown failure')}",
+                    raise _typed_error(
+                        data.get("error"), "unknown failure",
+                        prefix=f"sweep point {data.get('i')}: ",
                     )
                 seen += 1
-                yield int(data["i"]), self._point_result(point_op, data["result"])
+                yield int(data["i"]), _POINT_RESULTS[point_op](data["result"])
         except socket.timeout:
             raise ServiceError(
                 "timeout",
@@ -407,60 +365,21 @@ class ServiceClient:
                 self.close()
 
     def sweep(
-        self,
-        instance: InstanceLike,
-        mechanism: Mapping[str, Any],
-        *,
-        seeds: Sequence[int],
-        point_op: str = "estimate",
-        rounds: int = 400,
-        tie_policy: str = "INCORRECT",
-        exact_conditional: bool = True,
-        target_se: Optional[float] = None,
-        max_rounds: Optional[int] = None,
+        self, instance: InstanceLike, mechanism: Mapping[str, Any], **fields: Any
     ) -> List[Any]:
         """A whole sweep, reassembled into seed order.
 
         Convenience over :meth:`iter_sweep`: blocks until every point
         has streamed back and returns ``results[i]`` for ``seeds[i]``.
         """
-        results: List[Any] = [None] * len(seeds)
-        for index, result in self.iter_sweep(
-            instance, mechanism, seeds=seeds, point_op=point_op,
-            rounds=rounds, tie_policy=tie_policy,
-            exact_conditional=exact_conditional,
-            target_se=target_se, max_rounds=max_rounds,
-        ):
+        body = self._body("sweep", instance=instance, mechanism=mechanism, **fields)
+        results: List[Any] = [None] * len(body.get("seeds", ()))
+        for index, result in self._stream_sweep(body):
             results[index] = result
         return results
 
-    @staticmethod
-    def _point_result(point_op: str, result: Mapping[str, Any]) -> Any:
-        if point_op == "gain":
-            try:
-                return (
-                    float(result["gain"]),
-                    estimate_from_payload(result["estimate"]),
-                    float(result["direct"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ServiceError(
-                    "internal", f"malformed gain payload from server: {exc}"
-                ) from None
-        return estimate_from_payload(result)
-
     def delta(
-        self,
-        instance: InstanceLike,
-        mechanism: Mapping[str, Any],
-        *,
-        edits: Sequence[Sequence[Any]] = (),
-        rounds: int = 64,
-        seed: int = 0,
-        tie_policy: str = "INCORRECT",
-        engine: str = "mc",
-        target_se: Optional[float] = None,
-        max_rounds: Optional[int] = None,
+        self, instance: InstanceLike, mechanism: Mapping[str, Any], **fields: Any
     ) -> Dict[str, Any]:
         """One raw ``/v1/delta`` round trip.
 
@@ -472,53 +391,20 @@ class ServiceClient:
         chain was patched onto a warm session vs rebuilt).  Most callers
         want :meth:`delta_session` instead.
         """
-        body: Dict[str, Any] = {
-            "v": PROTOCOL_VERSION,
-            "op": "delta",
-            "instance": self.serialise_instance(instance),
-            "mechanism": dict(mechanism),
-            "rounds": rounds,
-            "seed": seed,
-            "tie_policy": tie_policy,
-            "engine": engine,
-            "edits": [canonical_batch(batch) for batch in edits],
-        }
-        if target_se is not None:
-            body["target_se"] = target_se
-        if max_rounds is not None:
-            body["max_rounds"] = max_rounds
-        return self._request("POST", "/v1/delta", body)["result"]
+        return self._call("delta", instance=instance, mechanism=mechanism, **fields)
 
     def delta_session(
-        self,
-        instance: InstanceLike,
-        mechanism: Mapping[str, Any],
-        *,
-        rounds: int = 64,
-        seed: int = 0,
-        tie_policy: str = "INCORRECT",
-        engine: str = "mc",
+        self, instance: InstanceLike, mechanism: Mapping[str, Any], **fields: Any
     ) -> "RemoteDeltaSession":
         """Open a client-side handle on a served delta session."""
-        return RemoteDeltaSession(
-            self, instance, mechanism, rounds=rounds, seed=seed,
-            tie_policy=tie_policy, engine=engine,
-        )
+        return RemoteDeltaSession(self, instance, mechanism, **fields)
 
     def attack(
         self,
         instance: InstanceLike,
         mechanism: Mapping[str, Any],
         scenario: Mapping[str, Any],
-        *,
-        budget: int = 8,
-        rounds: int = 64,
-        seed: int = 0,
-        tie_policy: str = "INCORRECT",
-        engine: str = "mc",
-        min_harm: float = 0.05,
-        margin: float = 2.0,
-        max_steps: Optional[int] = None,
+        **fields: Any,
     ) -> Dict[str, Any]:
         """One raw ``/v1/attack`` round trip.
 
@@ -530,43 +416,42 @@ class ServiceClient:
         violation is found.  Most callers want :class:`RemoteAttackSearch`
         (:meth:`attack_search`) for typed results.
         """
-        body: Dict[str, Any] = {
-            "v": PROTOCOL_VERSION,
-            "op": "attack",
-            "instance": self.serialise_instance(instance),
-            "mechanism": dict(mechanism),
-            "scenario": dict(scenario),
-            "budget": budget,
-            "rounds": rounds,
-            "seed": seed,
-            "tie_policy": tie_policy,
-            "engine": engine,
-            "min_harm": min_harm,
-            "margin": margin,
-        }
-        if max_steps is not None:
-            body["max_steps"] = max_steps
-        return self._request("POST", "/v1/attack", body)["result"]
+        return self._call(
+            "attack", instance=instance, mechanism=mechanism, scenario=scenario,
+            **fields,
+        )
 
     def attack_search(
         self,
         instance: InstanceLike,
         mechanism: Mapping[str, Any],
         scenario: Mapping[str, Any],
-        **kwargs: Any,
+        **fields: Any,
     ) -> "RemoteAttackSearch":
         """A client-side handle on a served attack search."""
-        return RemoteAttackSearch(self, instance, mechanism, scenario, **kwargs)
+        return RemoteAttackSearch(self, instance, mechanism, scenario, **fields)
 
     # -- introspection -----------------------------------------------------
 
     def healthz(self) -> Dict[str, Any]:
-        """The server's liveness payload."""
+        """The server's liveness payload, also a degraded or draining
+        fleet's ``ok: false`` one (see ``docs/serving.md``)."""
         return self._request("GET", "/healthz")
 
     def metrics(self) -> Dict[str, Any]:
         """The server's metrics snapshot (see ``docs/serving.md``)."""
         return self._request("GET", "/metrics")["metrics"]
+
+
+_ENCODERS: Dict[str, Callable[[Any], Any]] = {
+    "instance": ServiceClient.serialise_instance,
+    "mechanism": dict,
+    "scenario": dict,
+    "edits": lambda batches: [canonical_batch(batch) for batch in batches],
+    "seeds": lambda seeds: [int(seed) for seed in seeds],
+    "indices": lambda indices: [int(index) for index in indices],
+}
+"""Field → its wire form, for the fields callers may pass as objects."""
 
 
 class RemoteDeltaSession:
@@ -589,19 +474,13 @@ class RemoteDeltaSession:
         client: ServiceClient,
         instance: InstanceLike,
         mechanism: Mapping[str, Any],
-        *,
-        rounds: int = 64,
-        seed: int = 0,
-        tie_policy: str = "INCORRECT",
-        engine: str = "mc",
+        **fields: Any,
     ) -> None:
+        _check_fields("delta", fields, "edits", "target_se", "max_rounds")
         self._client = client
         self._instance = client.serialise_instance(instance)
         self._mechanism = dict(mechanism)
-        self._rounds = rounds
-        self._seed = seed
-        self._tie_policy = tie_policy
-        self._engine = engine
+        self._fields = fields
         self._batches: List[List[Dict[str, Any]]] = []
         self.last_delta: Optional[Dict[str, Any]] = None
         """Server-side metadata of the most recent estimate (patched
@@ -624,15 +503,8 @@ class RemoteDeltaSession:
     ) -> CorrectnessEstimate:
         """The served estimate of the current patched state."""
         result = self._client.delta(
-            self._instance,
-            self._mechanism,
-            edits=self._batches,
-            rounds=self._rounds,
-            seed=self._seed,
-            tie_policy=self._tie_policy,
-            engine=self._engine,
-            target_se=target_se,
-            max_rounds=max_rounds,
+            self._instance, self._mechanism, edits=self._batches,
+            target_se=target_se, max_rounds=max_rounds, **self._fields,
         )
         try:
             estimate = estimate_from_payload(result["estimate"])
@@ -661,28 +533,14 @@ class RemoteAttackSearch:
         instance: InstanceLike,
         mechanism: Mapping[str, Any],
         scenario: Mapping[str, Any],
-        *,
-        budget: int = 8,
-        rounds: int = 64,
-        seed: int = 0,
-        tie_policy: str = "INCORRECT",
-        engine: str = "mc",
-        min_harm: float = 0.05,
-        margin: float = 2.0,
-        max_steps: Optional[int] = None,
+        **fields: Any,
     ) -> None:
+        _check_fields("attack", fields)
         self._client = client
         self._instance = client.serialise_instance(instance)
         self._mechanism = dict(mechanism)
         self._scenario = dict(scenario)
-        self._budget = budget
-        self._rounds = rounds
-        self._seed = seed
-        self._tie_policy = tie_policy
-        self._engine = engine
-        self._min_harm = min_harm
-        self._margin = margin
-        self._max_steps = max_steps
+        self._fields = fields
         self.last_result: Optional[Dict[str, Any]] = None
         """Raw wire dict of the most recent :meth:`run`."""
 
@@ -692,18 +550,9 @@ class RemoteAttackSearch:
         ``budget`` overrides the configured budget for this run only
         (the budget-ladder pattern: same base, growing budgets).
         """
+        fields = self._fields if budget is None else dict(self._fields, budget=budget)
         result = self._client.attack(
-            self._instance,
-            self._mechanism,
-            self._scenario,
-            budget=self._budget if budget is None else budget,
-            rounds=self._rounds,
-            seed=self._seed,
-            tie_policy=self._tie_policy,
-            engine=self._engine,
-            min_harm=self._min_harm,
-            margin=self._margin,
-            max_steps=self._max_steps,
+            self._instance, self._mechanism, self._scenario, **fields
         )
         self.last_result = result
         from repro.attacks.search import AttackResult

@@ -48,6 +48,7 @@ from repro.cache import (
 )
 from repro.core.instance import ProblemInstance
 from repro.incremental.edits import Edit, edit_chain_digest, edit_from_dict, edit_to_dict
+from repro.incremental.session import ENGINES
 from repro.mechanisms import (
     AbstentionMechanism,
     ApprovalThreshold,
@@ -72,7 +73,6 @@ MAX_PAYLOAD_BYTES = 8 * 1024 * 1024
 OPS = ("estimate", "gain", "ballot", "experiment", "sweep", "delta", "attack")
 """Recognised operations (each served at ``POST /v1/<op>``)."""
 
-DELTA_ENGINES = ("mc", "exact")
 SCALES = ("smoke", "default", "full")
 TIE_POLICIES = ("INCORRECT", "COIN_FLIP")
 
@@ -952,7 +952,7 @@ _MC_FIELDS = {
 _SESSION_FIELDS = dict(
     _MC_FIELDS,
     rounds=Field(_int, 64, 1, MAX_DELTA_ROUNDS),
-    engine=Field(_choice, "mc", choices=DELTA_ENGINES),
+    engine=Field(_choice, "mc", choices=ENGINES),
     max_rounds=Field(_capped_rounds, None, 1, MAX_DELTA_ROUNDS),
 )
 
@@ -1093,29 +1093,13 @@ def parse_request(
 # -- result payloads -------------------------------------------------------
 
 
-def estimate_payload(est: CorrectnessEstimate) -> Dict[str, Any]:
-    """Wire form of a :class:`CorrectnessEstimate` (exact float round trip)."""
-    return {
-        "probability": est.probability,
-        "rounds": est.rounds,
-        "std_error": est.std_error,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "converged": est.converged,
-    }
-
-
 def estimate_from_payload(data: Mapping[str, Any]) -> CorrectnessEstimate:
-    """Inverse of :func:`estimate_payload` (client side)."""
+    """A :class:`CorrectnessEstimate` from its wire dict (client side).
+
+    A malformed payload is a typed ``internal`` error.
+    """
     try:
-        return CorrectnessEstimate(
-            probability=float(data["probability"]),
-            rounds=int(data["rounds"]),
-            std_error=float(data["std_error"]),
-            ci_low=float(data["ci_low"]),
-            ci_high=float(data["ci_high"]),
-            converged=bool(data["converged"]),
-        )
+        return CorrectnessEstimate.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(
             "internal", f"malformed estimate payload from server: {exc}"
@@ -1126,4 +1110,20 @@ def gain_payload(
     gain: float, est: CorrectnessEstimate, direct: float
 ) -> Dict[str, Any]:
     """Wire form of an :func:`~repro.voting.montecarlo.estimate_gain` triple."""
-    return {"gain": gain, "direct": direct, "estimate": estimate_payload(est)}
+    return {"gain": gain, "direct": direct, "estimate": est.to_dict()}
+
+
+def gain_from_payload(
+    data: Mapping[str, Any],
+) -> Tuple[float, CorrectnessEstimate, float]:
+    """Inverse of :func:`gain_payload` (client side)."""
+    try:
+        return (
+            float(data["gain"]),
+            estimate_from_payload(data["estimate"]),
+            float(data["direct"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ServiceError(
+            "internal", f"malformed gain payload from server: {exc}"
+        ) from None

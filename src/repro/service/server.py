@@ -56,7 +56,6 @@ from repro.service.protocol import (
     Request,
     ServiceError,
     SweepRequest,
-    estimate_payload,
     gain_payload,
     instance_pool,
     mechanism_pool,
@@ -759,11 +758,9 @@ class EstimationServer(_FrontDoor):
             cache=self.cache,
         )
         if request.op == "ballot":
-            return estimate_payload(
-                estimate_ballot_probability(
-                    request.instance, request.mechanism, **kwargs
-                )
-            )
+            return estimate_ballot_probability(
+                request.instance, request.mechanism, **kwargs
+            ).to_dict()
         kwargs["exact_conditional"] = request.exact_conditional
         kwargs["estimator"] = estimator
         if request.op == "gain":
@@ -771,11 +768,9 @@ class EstimationServer(_FrontDoor):
                 request.instance, request.mechanism, **kwargs
             )
             return gain_payload(gain, est, direct)
-        return estimate_payload(
-            estimate_correct_probability(
-                request.instance, request.mechanism, **kwargs
-            )
-        )
+        return estimate_correct_probability(
+            request.instance, request.mechanism, **kwargs
+        ).to_dict()
 
     def _serve_delta_request(self, request: DeltaRequest) -> Any:
         """Serve one delta request from the warm-session pool.
@@ -823,7 +818,7 @@ class EstimationServer(_FrontDoor):
             while len(self._delta_sessions) > self.config.delta_pool_size:
                 self._delta_sessions.popitem(last=False)
         return {
-            "estimate": estimate_payload(estimate),
+            "estimate": estimate.to_dict(),
             "delta": {
                 "session": token,
                 "chain": session.chain_digest(),

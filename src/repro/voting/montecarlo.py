@@ -59,7 +59,7 @@ from __future__ import annotations
 import pickle
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -145,6 +145,36 @@ class CorrectnessEstimate:
 
     def __float__(self) -> float:
         return self.probability
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The dict form shared by the wire, the cache and certificates.
+
+        Keys are the field names; floats round-trip through JSON exactly.
+        """
+        return {
+            "probability": self.probability,
+            "rounds": self.rounds,
+            "std_error": self.std_error,
+            "ci_low": self.ci_low,
+            "ci_high": self.ci_high,
+            "converged": self.converged,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "CorrectnessEstimate":
+        """Inverse of :meth:`to_dict`.
+
+        Raises ``KeyError``, ``TypeError`` or ``ValueError`` on a
+        malformed dict.
+        """
+        return cls(
+            probability=float(data["probability"]),
+            rounds=int(data["rounds"]),
+            std_error=float(data["std_error"]),
+            ci_low=float(data["ci_low"]),
+            ci_high=float(data["ci_high"]),
+            converged=bool(data["converged"]),
+        )
 
 
 def sample_outcome(
@@ -511,35 +541,16 @@ def _cached(
         return compute()
     entry = cache.get(digest)
     if entry is not None:
-        stored = entry["estimate"]
         if isinstance(seed, np.random.Generator) and entry.get("rng_state"):
             seed.bit_generator.state = entry["rng_state"]
-        return CorrectnessEstimate(
-            probability=float(stored["probability"]),
-            rounds=int(stored["rounds"]),
-            std_error=float(stored["std_error"]),
-            ci_low=float(stored["ci_low"]),
-            ci_high=float(stored["ci_high"]),
-            converged=bool(stored["converged"]),
-        )
+        return CorrectnessEstimate.from_dict(entry["estimate"])
     est = compute()
     rng_state = (
         seed.bit_generator.state
         if isinstance(seed, np.random.Generator)
         else None
     )
-    cache.put(
-        digest,
-        {
-            "probability": est.probability,
-            "rounds": est.rounds,
-            "std_error": est.std_error,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-            "converged": est.converged,
-        },
-        rng_state=rng_state,
-    )
+    cache.put(digest, est.to_dict(), rng_state=rng_state)
     return est
 
 

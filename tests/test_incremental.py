@@ -111,6 +111,14 @@ def _fresh_session(instance, mechanism, *, rounds, engine):
 
 
 def _assert_state_bitwise(session, fresh, engine):
+    # Structural invariants of the patched state: every round's sink
+    # weights sum to n, and every voter votes itself (SELF) or delegates
+    # to a neighbour it approves in the current instance.
+    n = session.num_voters
+    assert np.array_equal(session._weights.sum(axis=1), np.full(session.rounds, n))
+    for voter in range(n):
+        allowed = {SELF, *session.instance.approved_neighbors(voter)}
+        assert set(session._delegates[:, voter].tolist()) <= allowed
     assert np.array_equal(session._sinks_flat, fresh._sinks_flat)
     assert np.array_equal(session._weights, fresh._weights)
     assert np.array_equal(session.per_round_values(), fresh.per_round_values())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cache import estimate_digest
@@ -19,6 +20,7 @@ from repro.core.instance import ProblemInstance
 from repro.graphs.generators import complete_graph
 from repro.io import instance_to_dict
 from repro.mechanisms.threshold import ApprovalThreshold
+from repro.service.client import ServiceClient
 from repro.service.protocol import (
     HTTP_STATUS,
     MAX_PAYLOAD_BYTES,
@@ -580,3 +582,324 @@ class TestWireIdentityPin:
             assert excinfo.value.code == "bad_request"
             assert "unknown field" in excinfo.value.message
             assert key in excinfo.value.message
+
+
+# -- client bodies ---------------------------------------------------------
+
+
+class _Sent(Exception):
+    """Raised by the capturing transport once a body is handed over."""
+
+
+class _CapturingClient(ServiceClient):
+    """A client whose transport records each body instead of sending it."""
+
+    def __init__(self):
+        super().__init__(port=1)
+        self.sent = []
+
+    def _exchange(self, method, path, payload, headers):
+        self.sent.append((path, json.loads(payload)))
+        raise _Sent
+
+
+_SCENARIO = {"name": "misreport"}
+_EDITS = [[{"kind": "competency", "voter": 1, "competency": 0.6}]]
+
+# op -> (client call given only what it requires, the body that call
+# sent with every default spelled out, as the client did before it
+# left defaults to the field table).
+_DEFAULTED_CALLS = {
+    "estimate": (
+        lambda c, i, m: c.estimate(i, m),
+        dict(rounds=400, seed=0, tie_policy="INCORRECT", exact_conditional=True),
+    ),
+    "gain": (
+        lambda c, i, m: c.gain(i, m),
+        dict(rounds=400, seed=0, tie_policy="INCORRECT", exact_conditional=True),
+    ),
+    "ballot": (
+        lambda c, i, m: c.ballot(i, m),
+        dict(rounds=400, seed=0, tie_policy="INCORRECT"),
+    ),
+    "experiment": (
+        lambda c, i, m: c.experiment("T2"),
+        dict(experiment="T2", scale="default", seed=0),
+    ),
+    "sweep": (
+        lambda c, i, m: c.sweep(i, m, seeds=[4, 5]),
+        dict(
+            seeds=[4, 5], point_op="estimate", rounds=400,
+            tie_policy="INCORRECT", exact_conditional=True,
+        ),
+    ),
+    "sweep-gain": (
+        lambda c, i, m: c.sweep(i, m, seeds=[4, 5], point_op="gain"),
+        dict(
+            seeds=[4, 5], point_op="gain", rounds=400,
+            tie_policy="INCORRECT", exact_conditional=True,
+        ),
+    ),
+    "sweep-ballot": (
+        lambda c, i, m: list(c.iter_sweep(i, m, seeds=[4, 5], point_op="ballot")),
+        dict(seeds=[4, 5], point_op="ballot", rounds=400, tie_policy="INCORRECT"),
+    ),
+    "delta": (
+        lambda c, i, m: c.delta(i, m, edits=_EDITS),
+        dict(
+            rounds=64, seed=0, tie_policy="INCORRECT", engine="mc", edits=_EDITS,
+        ),
+    ),
+    "delta-session": (
+        lambda c, i, m: c.delta_session(i, m).apply(_EDITS[0]).estimate(),
+        dict(
+            rounds=64, seed=0, tie_policy="INCORRECT", engine="mc", edits=_EDITS,
+        ),
+    ),
+    "attack": (
+        lambda c, i, m: c.attack(i, m, _SCENARIO),
+        dict(
+            scenario=_SCENARIO, budget=8, rounds=64, seed=0,
+            tie_policy="INCORRECT", engine="mc", min_harm=0.05, margin=2.0,
+        ),
+    ),
+    "attack-search": (
+        lambda c, i, m: c.attack_search(i, m, _SCENARIO).run(),
+        dict(
+            scenario=_SCENARIO, budget=8, rounds=64, seed=0,
+            tie_policy="INCORRECT", engine="mc", min_harm=0.05, margin=2.0,
+        ),
+    ),
+}
+
+_GIVEN_KEYS = {
+    "v", "op", "instance", "mechanism", "experiment", "seeds", "point_op",
+    "edits", "scenario",
+}
+"""The keys the calls above give; the client adds no default to them."""
+
+_MC_VALUES = dict(
+    rounds=40, seed=1, tie_policy="COIN_FLIP", target_se=0.02, max_rounds=256,
+)
+_SWEEP_VALUES = dict(
+    rounds=40, seeds=[4, 5, 4], tie_policy="COIN_FLIP", target_se=0.02,
+    max_rounds=256, indices=[2, 0],
+)
+_SESSION_VALUES = dict(rounds=16, seed=7, tie_policy="COIN_FLIP", engine="exact")
+_PER_ESTIMATE_VALUES = dict(target_se=0.02, max_rounds=32)
+_ATTACK_VALUES = dict(
+    budget=3, rounds=32, seed=8, tie_policy="COIN_FLIP", engine="exact",
+    min_harm=0.1, margin=1.5, max_steps=4,
+)
+
+# op -> (client call with a non-default value for every field, its body).
+_EXPLICIT_CALLS = {
+    "estimate": (
+        lambda c, i, m: c.estimate(i, m, exact_conditional=False, **_MC_VALUES),
+        dict(_MC_VALUES, exact_conditional=False),
+    ),
+    "gain": (
+        lambda c, i, m: c.gain(i, m, exact_conditional=False, **_MC_VALUES),
+        dict(_MC_VALUES, exact_conditional=False),
+    ),
+    "ballot": (lambda c, i, m: c.ballot(i, m, **_MC_VALUES), _MC_VALUES),
+    "experiment": (
+        lambda c, i, m: c.experiment("T3", scale="smoke", seed=6, target_se=0.05),
+        dict(experiment="T3", scale="smoke", seed=6, target_se=0.05),
+    ),
+    "sweep-gain": (
+        lambda c, i, m: c.sweep(
+            i, m, point_op="gain", exact_conditional=False, **_SWEEP_VALUES,
+        ),
+        dict(_SWEEP_VALUES, point_op="gain", exact_conditional=False),
+    ),
+    "sweep-ballot": (
+        lambda c, i, m: c.sweep(i, m, point_op="ballot", **_SWEEP_VALUES),
+        dict(_SWEEP_VALUES, point_op="ballot"),
+    ),
+    "delta": (
+        lambda c, i, m: c.delta(
+            i, m, edits=_EDITS, **_SESSION_VALUES, **_PER_ESTIMATE_VALUES,
+        ),
+        dict(_SESSION_VALUES, **_PER_ESTIMATE_VALUES, edits=_EDITS),
+    ),
+    "delta-session": (
+        lambda c, i, m: c.delta_session(i, m, **_SESSION_VALUES)
+        .apply(_EDITS[0]).estimate(**_PER_ESTIMATE_VALUES),
+        dict(_SESSION_VALUES, **_PER_ESTIMATE_VALUES, edits=_EDITS),
+    ),
+    "attack": (
+        lambda c, i, m: c.attack(i, m, _SCENARIO, **_ATTACK_VALUES),
+        dict(_ATTACK_VALUES, scenario=_SCENARIO),
+    ),
+    "attack-search": (
+        lambda c, i, m: c.attack_search(i, m, _SCENARIO, **_ATTACK_VALUES).run(),
+        dict(_ATTACK_VALUES, scenario=_SCENARIO),
+    ),
+}
+
+
+def _sent_body(call):
+    """The one body ``call`` sends, captured without a network."""
+    client = _CapturingClient()
+    mechanism = {"name": "approval_threshold", "params": {"threshold": 2}}
+    with pytest.raises(_Sent):
+        call(client, _instance(n=8, seed=5), mechanism)
+    (path, body), = client.sent
+    assert path == f"/v1/{body['op']}"
+    return body
+
+
+def _spelled_body(op, fields):
+    body = {"v": PROTOCOL_VERSION, "op": op.split("-")[0], **fields}
+    if body["op"] != "experiment":
+        body["instance"] = instance_to_dict(_instance(n=8, seed=5))
+        body["mechanism"] = {"name": "approval_threshold", "params": {"threshold": 2}}
+    return body
+
+
+def _identity(body):
+    """Every identity the server derives from ``body``."""
+    req = parse_request(parse_body(json.dumps(body, sort_keys=True).encode()))
+    if req.op == "sweep":
+        return (
+            req.point_routing_keys(),
+            req.point_indices(),
+            [_identity_of(req.point(i)) for i in req.point_indices()],
+        )
+    return _identity_of(req)
+
+
+def _identity_of(req):
+    keys = [req.coalesce_key(), req.group_key(), req.routing_key()]
+    if req.op == "delta":
+        keys.append(req.session_token())
+    if req.op == "attack":
+        keys.append(req.base_token())
+    return keys
+
+
+class TestClientBodies:
+    """The client takes request shape and defaults from ``FIELDS`` alone:
+    a body with defaults omitted parses to the identities of the body
+    that spells them out, so cache entries and routing do not move."""
+
+    @pytest.mark.parametrize("op", sorted(_DEFAULTED_CALLS))
+    def test_defaults_omitted(self, op):
+        call, fields = _DEFAULTED_CALLS[op]
+        body = _sent_body(call)
+        spelled = _spelled_body(op, fields)
+        assert set(body) <= _GIVEN_KEYS
+        assert body == {key: spelled[key] for key in body}
+        assert _identity(body) == _identity(spelled)
+
+    @pytest.mark.parametrize("op", sorted(_EXPLICIT_CALLS))
+    def test_every_field_given(self, op):
+        call, fields = _EXPLICIT_CALLS[op]
+        body = _sent_body(call)
+        spelled = _spelled_body(op, fields)
+        assert body == spelled
+        assert _identity(body) == _identity(spelled)
+        assert _identity(body) != _identity(_sent_body(_DEFAULTED_CALLS[op][0]))
+
+    def test_sweep_takes_array_seeds(self):
+        body = _sent_body(lambda c, i, m: c.sweep(i, m, seeds=np.array([4, 5])))
+        assert body["seeds"] == [4, 5]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c, i, m: c.estimate(i, m, round=40),
+            lambda c, i, m: c.estimate(i, m, engine="batch"),
+            lambda c, i, m: c.gain(i, m, seeds=[1]),
+            lambda c, i, m: c.ballot(i, m, exact_conditional=True),
+            lambda c, i, m: c.experiment("T2", rounds=4),
+            lambda c, i, m: c.experiment("T2", engine="batch"),
+            lambda c, i, m: c.iter_sweep(i, m, seeds=[1], seed=1),
+            lambda c, i, m: c.sweep(i, m, seeds=[1], engine="batch"),
+            lambda c, i, m: c.iter_sweep(
+                i, m, seeds=[1], point_op="ballot", exact_conditional=False,
+            ),
+            lambda c, i, m: c.sweep(
+                i, m, seeds=[1], point_op="ballot", exact_conditional=True,
+            ),
+            lambda c, i, m: c.delta(i, m, budget=2),
+            lambda c, i, m: c.delta_session(i, m, scenario=_SCENARIO),
+            lambda c, i, m: c.delta_session(i, m, edits=_EDITS).estimate(),
+            lambda c, i, m: c.delta_session(i, m, target_se=0.1).estimate(),
+            lambda c, i, m: c.delta_session(i, m).estimate(edits=_EDITS),
+            lambda c, i, m: c.delta_session(i, m).estimate(rounds=8),
+            lambda c, i, m: c.attack(i, m, _SCENARIO, target_se=0.1),
+            lambda c, i, m: c.attack_search(i, m, _SCENARIO, edits=[]),
+        ],
+        ids=[
+            "estimate", "estimate-engine", "gain", "ballot", "experiment",
+            "experiment-engine", "sweep-seed", "sweep-engine",
+            "iter-sweep-ballot", "sweep-ballot", "delta", "delta-session",
+            "delta-session-edits", "delta-session-target-se",
+            "delta-session-estimate-edits", "delta-session-estimate-rounds",
+            "attack", "attack-search",
+        ],
+    )
+    def test_unknown_keyword_fails_before_sending(self, call):
+        client = _CapturingClient()
+        mechanism = {"name": "approval_threshold", "params": {"threshold": 2}}
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call(client, _instance(n=8), mechanism)
+        assert client.sent == []
+
+
+class _Replying(ServiceClient):
+    """A client whose transport answers every request with fixed bytes."""
+
+    def __init__(self, status, lines):
+        super().__init__(port=1)
+        self.status, self.lines = status, lines
+
+    def _exchange(self, method, path, payload, headers):
+        replying = self
+
+        class _Response:
+            status = replying.status
+
+            def read(self):
+                return b"".join(replying.lines)
+
+            def readline(self):
+                return replying.lines.pop(0) if replying.lines else b""
+
+        return _Response()
+
+
+class TestClientErrors:
+    """One decoder maps every error object the client reads to a typed error."""
+
+    def test_unknown_code_is_internal(self):
+        error = {"code": "novel", "message": "x"}
+        body = json.dumps({"v": 1, "ok": False, "error": error})
+        with pytest.raises(ServiceError) as excinfo:
+            _Replying(418, [body.encode()]).experiment("T2")
+        assert excinfo.value.code == "internal"
+
+    def test_sweep_point_with_unknown_code_is_internal(self):
+        line = json.dumps({"i": 0, "ok": False, "error": {"code": "novel"}})
+        client = _Replying(200, [line.encode() + b"\n"])
+        with pytest.raises(ServiceError) as excinfo:
+            client.sweep(_instance(n=8), {"name": "direct", "params": {}}, seeds=[1])
+        assert excinfo.value.code == "internal"
+        assert "sweep point 0" in excinfo.value.message
+
+    def test_sweep_point_keeps_a_known_code(self):
+        error = {"code": "timeout", "message": "slow"}
+        line = json.dumps({"i": 0, "ok": False, "error": error})
+        client = _Replying(200, [line.encode() + b"\n"])
+        with pytest.raises(ServiceError) as excinfo:
+            client.sweep(_instance(n=8), {"name": "direct", "params": {}}, seeds=[1])
+        assert excinfo.value.code == "timeout"
+        assert excinfo.value.message == "sweep point 0: slow"
+
+    def test_healthz_returns_a_degraded_fleet(self):
+        payload = {"v": 1, "ok": False, "status": "degraded",
+                   "shards": {"count": 2, "alive": 1}}
+        client = _Replying(200, [json.dumps(payload).encode()])
+        assert client.healthz() == payload

@@ -34,7 +34,13 @@ from repro.service import (
     ServiceError,
     mechanism_spec,
 )
-from repro.service.protocol import HTTP_STATUS, SweepRequest, build_mechanism
+from repro.service.protocol import (
+    HTTP_STATUS,
+    PROTOCOL_VERSION,
+    SweepRequest,
+    build_mechanism,
+    parse_request,
+)
 from repro.voting.montecarlo import (
     estimate_ballot_probability,
     estimate_correct_probability,
@@ -292,3 +298,38 @@ class TestFleetAccounting:
                     fleet[kind][scenario] = fleet[kind].get(scenario, 0) + count
         assert metrics["attacks"] == fleet
         assert fleet["searches"] == {result["scenario"]: 1}
+
+
+class TestKilledWorker:
+    """A dead worker degrades the fleet predictably, not silently."""
+
+    def test_dead_shard_is_typed_and_live_shard_serves(self):
+        instance = _instance()
+        wire = instance_to_dict(instance)
+        with BackgroundShardedServer(ServerConfig(port=0, workers=1), shards=2) as bg:
+            client = ServiceClient(port=bg.port)
+            worker = bg.server._workers[1].proc
+            worker.kill()
+            worker.wait(timeout=30)
+
+            health = client.healthz()
+            assert health["ok"] is False
+            assert health["status"] == "degraded"
+            assert health["shards"] == {"count": 2, "alive": 1}
+
+            shards = {}
+            for seed in range(16):
+                request = parse_request({
+                    "v": PROTOCOL_VERSION, "op": "estimate", "instance": wire,
+                    "mechanism": MECH_SPEC, "rounds": 20, "seed": seed,
+                })
+                shards[seed] = bg.server.ring.shard_for(request.routing_key())
+            assert set(shards.values()) == {0, 1}
+            for seed, shard in shards.items():
+                if shard == 0:
+                    served = client.estimate(wire, MECH_SPEC, rounds=20, seed=seed)
+                    assert served == _direct(seed, rounds=20)
+                else:
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.estimate(wire, MECH_SPEC, rounds=20, seed=seed)
+                    assert excinfo.value.code == "shard_unavailable"
