@@ -4,8 +4,8 @@ The adversarial search scores dozens of candidate moves per committed
 step, and every score is a full correct-probability estimate of the
 attacked state.  :class:`~repro.attacks.search.AttackSearch` evaluates
 all of them on **one** shared delta session (``inner="delta"``: apply
-the candidate, estimate, apply the inverse) instead of rebuilding a
-session per candidate (``inner="scratch"``).  Both inners are pure
+the candidate in a ``DeltaSession.trial``, estimate, undo) instead of
+rebuilding a session per candidate (``inner="scratch"``).  Both inners are pure
 functions of the same inputs, so their results — every score, every
 committed move, the final :class:`AttackResult` dict — are
 **bit-identical**, asserted before any timing is recorded; the speedup
@@ -22,6 +22,14 @@ candidate recomputes the direct-voting term) and ``collusion_ring``
 (rewires at the most competent voter, so every candidate repairs
 forests).  Both scales assert each search's floor and record the
 candidate-scoring throughput (``moves_per_s``) in ``BENCH_attacks.json``.
+The scratch search runs right after the delta search on the same
+instance, so it takes the base session that search left (both inners
+reuse it); only its per-candidate sessions are built from scratch.
+
+A third case times base-session reuse itself: a ``collusion_ring``
+search right after a ``misreport`` search on the same instance (no
+session build) against the same search on an equal but distinct
+instance object (one build), with bit-identical results.
 """
 
 import os
@@ -53,6 +61,18 @@ COLLUSION_FLOOR = 3.0
 (smoke scale measured 4.7-7.8x over eleven runs on 2 CPUs)."""
 
 
+REUSE_FLOOR = 2.0
+"""Second-scenario floor: a search on the base the previous search left
+≥2x over the same search on an equal but fresh instance object (smoke
+scale measured 3.4-5.2x over twelve runs on 2 CPUs)."""
+
+
+def _electorate():
+    n, degree, _budget, _rounds = _PARAMS.get(SCALE, _PARAMS["smoke"])
+    graph = random_regular_graph(n, degree, seed=SEED)
+    return graph, bounded_uniform_competencies(n, 0.35, seed=SEED)
+
+
 def _run_search(instance, scenario, *, inner, budget, rounds):
     search = AttackSearch(
         instance,
@@ -73,9 +93,7 @@ def _run_search(instance, scenario, *, inner, budget, rounds):
 def _check_delta_speedup(attack_record, scenario, floor):
     """Time one search per inner, assert bit-identity, then the floor."""
     n, degree, budget, rounds = _PARAMS.get(SCALE, _PARAMS["smoke"])
-    graph = random_regular_graph(n, degree, seed=SEED)
-    competencies = bounded_uniform_competencies(n, 0.35, seed=SEED)
-    instance = ProblemInstance(graph, competencies, alpha=0.05)
+    instance = ProblemInstance(*_electorate(), alpha=0.05)
 
     seconds, delta_result = _run_search(
         instance, scenario, inner="delta", budget=budget, rounds=rounds
@@ -121,4 +139,44 @@ def test_collusion_ring_delta_speedup(attack_record):
         attack_record,
         {"name": "collusion_ring", "params": {"ring": COLLUSION_RING}},
         COLLUSION_FLOOR,
+    )
+
+
+def test_second_scenario_reuses_base(attack_record):
+    """A collusion-ring search after a misreport search on one base
+    builds no session; the same search on an equal, distinct instance
+    object builds one.  Results are bit-identical."""
+    n, degree, budget, rounds = _PARAMS.get(SCALE, _PARAMS["smoke"])
+    graph, competencies = _electorate()
+    instance = ProblemInstance(graph, competencies, alpha=0.05)
+    scenario = {"name": "collusion_ring", "params": {"ring": COLLUSION_RING}}
+    _run_search(instance, {"name": "misreport"}, inner="delta", budget=budget, rounds=rounds)
+    seconds, reused = _run_search(
+        instance, scenario, inner="delta", budget=budget, rounds=rounds
+    )
+    twin = ProblemInstance(graph, competencies, alpha=0.05)
+    baseline_seconds, fresh = _run_search(
+        twin, scenario, inner="delta", budget=budget, rounds=rounds
+    )
+    assert reused.to_dict() == fresh.to_dict()
+    assert reused.moves_evaluated > 0
+
+    speedup = baseline_seconds / seconds
+    attack_record(
+        "collusion_ring_reused_base",
+        n,
+        seconds,
+        baseline_seconds,
+        moves_evaluated=reused.moves_evaluated,
+        engine="mc",
+        degree=degree,
+        budget=budget,
+        rounds=rounds,
+        steps=reused.steps,
+        found=reused.found,
+        floor=REUSE_FLOOR,
+    )
+    assert speedup >= REUSE_FLOOR, (
+        f"base-session reuse speedup {speedup:.2f}x under the {REUSE_FLOOR}x "
+        f"floor ({seconds:.3f}s reused vs {baseline_seconds:.3f}s fresh)"
     )

@@ -13,18 +13,29 @@ candidate improves, or when the budget or step cap runs out.
 
 The inner loop is the point: with ``inner="delta"`` all candidates are
 evaluated on **one** shared :class:`~repro.incremental.session.DeltaSession`
-by applying the candidate's edits, estimating, and un-applying the
-:func:`~repro.incremental.edits.invert_batch` inverse — each score is a
-patched estimate touching only the affected voters, not a from-scratch
-re-resolution.  ``inner="scratch"`` rebuilds a fresh session per
-candidate instead; it is the benchmark baseline
-(``benchmarks/bench_attacks.py``) and, because a session is a pure
-function of its patched instance, both inners produce **bitwise
+inside :meth:`~repro.incremental.session.DeltaSession.trial` — apply the
+candidate's edits, estimate, and restore the committed state from the
+trial's undo log — so each score is a patched estimate touching only the
+affected voters, not a from-scratch re-resolution.  ``inner="scratch"``
+rebuilds a fresh session per candidate instead; it is the benchmark
+baseline (``benchmarks/bench_attacks.py``) and, because a session is a
+pure function of its patched instance, both inners produce **bitwise
 identical** scores, commits, and certificates.
+
+A search does not build its base session when the previous search left
+one for the same instance object, mechanism token, rounds, seed, engine
+and tie policy: one module-level slot retains the last finished search's
+session, walked back to its base by the inverses of its committed moves,
+with the base :class:`~repro.voting.exact.DirectVotingTerm`.  A search
+takes the session out of the slot (concurrent searches never share one),
+empties the slot before building on a miss (so at most one idle session
+is held), and puts it back only when it finishes normally.  A session is
+a pure function of its inputs, so reuse changes no result bit.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -110,6 +121,35 @@ class AttackResult:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed attack result payload: {exc}") from None
+
+
+class _BaseSlot:
+    """One retained base session and its direct term, behind a lock.
+
+    :meth:`take` always empties the slot, so a miss frees the held
+    session before the caller builds its own, and two threads never
+    hold the same session.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._held: Optional[Tuple[Any, DeltaSession, DirectVotingTerm]] = None
+
+    def take(
+        self, key: Any, instance: ProblemInstance
+    ) -> Optional[Tuple[DeltaSession, DirectVotingTerm]]:
+        with self._lock:
+            held, self._held = self._held, None
+        if held is None or held[0] != key or held[1].base_instance is not instance:
+            return None
+        return held[1], held[2]
+
+    def put(self, key: Any, session: DeltaSession, direct: DirectVotingTerm) -> None:
+        with self._lock:
+            self._held = (key, session, direct)
+
+
+_BASE = _BaseSlot()
 
 
 def _check_positive(value: int, name: str) -> int:
@@ -243,13 +283,9 @@ class AttackSearch:
     def _score_delta(
         self, session: DeltaSession, move: AttackMove
     ) -> CorrectnessEstimate:
-        """Patched score: apply, estimate, un-apply on the shared session."""
-        inverse = invert_batch(session.instance, move.edits)
-        session.apply(move.edits)
-        try:
+        """Patched score: the move applied in a trial on the shared session."""
+        with session.trial(move.edits):
             return session.estimate()
-        finally:
-            session.apply(inverse)
 
     def _score_scratch(
         self, instance: ProblemInstance, move: AttackMove
@@ -289,15 +325,44 @@ class AttackSearch:
 
     def run(self) -> AttackResult:
         """Run the greedy search; returns the (JSON-serialisable) result."""
-        session = self._fresh_session(self.instance)
+        token = self.mechanism.cache_token(self.instance)
+        key = None if token is None else (
+            token, self.rounds, self.seed, self.engine, self.tie_policy
+        )
+        taken = None if key is None else _BASE.take(key, self.instance)
+        if taken is None:
+            session = self._fresh_session(self.instance)
+            base_direct = DirectVotingTerm(
+                session.instance.competencies, self.tie_policy
+            )
+        else:
+            session, base_direct = taken
+            session.cache = self._cache
+        result, inverses = self._search(session, base_direct)
+        if key is not None and inverses is not None:
+            for inverse in reversed(inverses):
+                session.apply(inverse)
+            session.reset_chain()
+            session.cache = None  # the slot must not keep a caller's cache alive
+            _BASE.put(key, session, base_direct)
+        return result
+
+    def _search(
+        self, session: DeltaSession, direct: DirectVotingTerm
+    ) -> Tuple[AttackResult, Optional[List[List[Any]]]]:
+        """The greedy search from ``session``'s base state.
+
+        Returns the result and the inverse of each committed batch, in
+        commit order (``None`` when a committed batch has no inverse).
+        """
         pre_estimate = session.estimate()
         # Candidates are screened against the committed state's cached
         # PMF; every published direct value comes from a fresh term.
-        direct = DirectVotingTerm(session.instance.competencies, self.tie_policy)
         pre_direct = direct.probability
         baseline_harm = pre_direct - pre_estimate.probability
 
         committed: List[Tuple[Any, ...]] = []  # canonical batches
+        inverses: Optional[List[List[Any]]] = []
         history: List[Dict[str, Any]] = []
         moves_evaluated = 0
         budget_left = self.budget
@@ -318,10 +383,8 @@ class AttackSearch:
             for move in affordable:
                 moves_evaluated += 1
                 if self.inner == "delta":
-                    # Shadow edits (e.g. a shared Join) could collide if a
-                    # previous candidate leaked state; invert_batch plus
-                    # session purity guarantees each candidate scores
-                    # against the same committed state.
+                    # The trial restores the committed state bitwise, so
+                    # shadow edits (e.g. a shared Join) never collide.
                     estimate = self._score_delta(session, move)
                 else:
                     estimate = self._score_scratch(session.instance, move)
@@ -335,6 +398,11 @@ class AttackSearch:
                 break  # no strictly improving move
 
             move, estimate, _screened = best
+            if inverses is not None:
+                try:
+                    inverses.append(invert_batch(session.instance, move.edits))
+                except ValueError:  # a Leave: this session cannot go back
+                    inverses = None
             session.apply(move.edits)
             if any(
                 not isinstance(as_edit(edit), Rewire) for edit in move.edits
@@ -380,7 +448,7 @@ class AttackSearch:
             best_harm=current_harm,
             history=history,
             certificate=certificate,
-        )
+        ), inverses
 
     def _certificate(
         self,

@@ -29,11 +29,18 @@ to, cold and cache-warm.
 Joins and leaves re-base the voter index space (uniform columns are
 positional), so they rebuild the per-round state from the spliced
 instance; rewires and competency edits take the patch path.
+
+:meth:`DeltaSession.trial` scores a batch without keeping it: it applies
+the batch through :meth:`~DeltaSession.apply` and on exit puts back
+exactly what that apply replaced, from an undo log the patch path fills
+only while a trial is open — no inverse batch, no second splice.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from contextlib import contextmanager
+from operator import setitem
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -104,6 +111,13 @@ class DeltaSession:
     cache:
         Optional :class:`repro.cache.EstimateCache`; estimates of
         patched states are persisted under the ``delta`` op label.
+
+    :meth:`apply` keeps a batch; :meth:`trial` applies one for the
+    duration of a ``with`` block and then restores the prior state
+    bitwise, edit chain included, so an estimate inside the block is
+    keyed (and cached) by the kept chain plus the trial batch.
+    ``patch_stats`` counts a trial's apply like any other and its undo
+    not at all.
     """
 
     def __init__(
@@ -142,6 +156,8 @@ class DeltaSession:
         self._n_blocks_arg = n_blocks
         self._base_instance = instance
         self._edit_batches: List[List[dict]] = []
+        # Undo entries ``(fn, *args)`` while a trial is open, else None.
+        self._undo: Optional[list] = None
         self.patch_stats: Dict[str, int] = {
             "edit_batches": 0,
             "edits": 0,
@@ -269,12 +285,73 @@ class DeltaSession:
         self.patch_stats["edits"] += len(batch)
         if dirty is None:
             self.patch_stats["full_rebuilds"] += 1
+            if self._undo is not None:
+                # _build only rebinds attributes, so the old bindings
+                # are the old state.
+                self._undo.append((self.__dict__.update, dict(self.__dict__)))
             self._build(new_instance)
         else:
             self._patch(new_instance, dirty)
         self._edit_batches.append(canonical)
         self._values_cache = None
         return self
+
+    @contextmanager
+    def trial(self, edits: Sequence[Union[Edit, dict]]) -> Iterator["DeltaSession"]:
+        """Apply ``edits`` for the body of a ``with`` block, then undo them.
+
+        Inside the block the session is the one :meth:`apply` leaves
+        (estimates included, keyed by the kept chain plus this batch).
+        On exit — normal or by exception, also when ``apply`` itself
+        raises — every array cell, merge-tree node and attribute the
+        apply replaced is put back from the undo log, so the state is
+        bitwise the pre-trial one without splicing an inverse batch.
+        Trials do not nest.
+        """
+        if self._undo is not None:
+            raise RuntimeError("DeltaSession trials do not nest")
+        saved = (self._instance, self._values_cache, len(self._edit_batches))
+        self._undo = log = []
+        try:
+            yield self.apply(edits)
+        finally:
+            while log:
+                fn, *args = log.pop()
+                fn(*args)
+            self._undo = None
+            self._instance, self._values_cache, chain = saved
+            del self._edit_batches[chain:]
+
+    def reset_chain(self) -> None:
+        """Forget an applied chain that nets out to the base instance.
+
+        After the inverse of every kept batch has been applied the
+        retained state is already bitwise the base state (a session is
+        a pure function of its instance); this rebinds the base instance
+        and empties the chain, so the session is then indistinguishable
+        from a fresh one, estimate cache keys included.  Raises
+        ``ValueError`` when the current instance differs from the base.
+        """
+        now, base = self._instance, self._base_instance
+        if now is not base and not (
+            now.alpha == base.alpha
+            and np.array_equal(now.competencies, base.competencies)
+            and now.graph == base.graph
+        ):
+            raise ValueError("the applied edit chain does not net out to the base")
+        del self._edit_batches[:]
+        self._instance = base
+        self._values_cache = None
+
+    def _unmove(self, move: tuple) -> None:
+        """Take back one logged weight move, pending or already flushed."""
+        if self._pending_moves and self._pending_moves[-1] is move:
+            self._pending_moves.pop()
+            return
+        old, new = move
+        w_flat = self._weights_arr.reshape(-1)
+        np.subtract.at(w_flat, new, 1)
+        np.add.at(w_flat, old, 1)
 
     def _patch(self, new_instance: ProblemInstance, dirty: np.ndarray) -> None:
         """Patch retained state for a non-structural edit batch.
@@ -295,7 +372,13 @@ class DeltaSession:
         The exact engine still walks rounds (each round owns a merge
         tree), using :func:`sink_weight_deltas` to slice the dirtied
         leaves per round.
+
+        Inside a :meth:`trial` each in-place write first logs what it
+        overwrites: the dirty delegate columns, the affected sink cells,
+        the weight move, the MC totals and vote columns, and the
+        replaced merge-tree nodes.
         """
+        log = self._undo
         old_comp = self._instance.competencies
         new_comp = new_instance.competencies
         new_instance.compiled().adopt_degree_tables(self._instance.compiled())
@@ -307,7 +390,10 @@ class DeltaSession:
             sub = self.mechanism.delegations_from_uniforms_subset(
                 new_instance, self._uniforms, dirty
             )
-            changed_mask = sub != self._delegates[:, dirty]
+            old_cols = self._delegates[:, dirty]
+            changed_mask = sub != old_cols
+            if log is not None:
+                log.append((setitem, self._delegates, (slice(None), dirty), old_cols))
             self._delegates[:, dirty] = sub
             if changed_mask.any():
                 rows, cols_idx = np.nonzero(changed_mask)
@@ -330,8 +416,14 @@ class DeltaSession:
                 self.patch_stats["rounds_patched"] += rounds_patched
                 self.patch_stats["affected_voters"] += int(affected.size)
         if affected.size:
-            self._pending_moves.append((old_sinks, new_sinks))
+            move = (old_sinks, new_sinks)
+            self._pending_moves.append(move)
+            if log is not None:
+                log.append((setitem, self._sinks_flat, affected, old_sinks))
+                log.append((self._unmove, move))
         if self.engine == "mc":
+            if log is not None and (affected.size or comp_changed.size):
+                log.append((setitem, self._correct, slice(None), self._correct.copy()))
             if affected.size:
                 votes_flat = self._votes.reshape(-1)
                 contrib = votes_flat[new_sinks].astype(
@@ -348,6 +440,10 @@ class DeltaSession:
                 self._correct += (flips * self._weights[:, comp_changed]).sum(
                     axis=1
                 )
+                if log is not None:
+                    log.append(
+                        (setitem, self._votes, (slice(None), comp_changed), v_old)
+                    )
                 self._votes[:, comp_changed] = v_new
         else:
             touched_keys = _EMPTY
@@ -367,7 +463,7 @@ class DeltaSession:
                 if cols.size:
                     pmf_tree_delta(
                         self._trees[r], self._weights[r], new_comp,
-                        self._bounds, cols,
+                        self._bounds, cols, undo=log,
                     )
         self._instance = new_instance
 

@@ -28,7 +28,8 @@ is always on the path.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from operator import setitem
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -87,6 +88,7 @@ def pmf_tree_delta(
     probs: np.ndarray,
     bounds: np.ndarray,
     dirty_cols: np.ndarray,
+    undo: Optional[list] = None,
 ) -> List[List[np.ndarray]]:
     """Re-merge only the dirtied root paths of a cached merge tree.
 
@@ -97,12 +99,16 @@ def pmf_tree_delta(
     re-merges exactly the nodes with a dirty child.  Clean nodes keep
     their cached arrays — bitwise identical to a scratch
     :func:`pmf_tree_build` because the recomputed nodes see equal inputs
-    and apply the identical merge.
+    and apply the identical merge.  With ``undo``, each replaced node is
+    first appended as ``(setitem, nodes, index, old)``; calling
+    ``setitem(nodes, index, old)`` puts it back.
     """
     if len(dirty_cols) == 0:
         return levels
     dirty = np.unique(np.searchsorted(bounds, dirty_cols, side="right") - 1)
     for b in dirty:
+        if undo is not None:
+            undo.append((setitem, levels[0], b, levels[0][b]))
         levels[0][b] = _leaf_pmf(
             weights[bounds[b] : bounds[b + 1]], probs[bounds[b] : bounds[b + 1]]
         )
@@ -110,6 +116,8 @@ def pmf_tree_delta(
         dirty = np.unique(dirty // 2)
         prev = levels[level - 1]
         for i in dirty:
+            if undo is not None:
+                undo.append((setitem, levels[level], i, levels[level][i]))
             levels[level][i] = _convolve(prev[2 * i], prev[2 * i + 1])
     return levels
 

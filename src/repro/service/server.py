@@ -833,11 +833,12 @@ class EstimationServer(_FrontDoor):
     def _serve_attack_request(self, request: AttackRequest) -> Any:
         """Serve one attack search; the result is the search's wire dict.
 
-        The search is self-contained — it owns its delta session for the
-        whole run — so unlike ``/v1/delta`` there is no warm pool to
-        check out; what the base-digest routing buys is the shard's
-        interned instance (and its compiled views) staying warm across
-        the scenarios probing one electorate.  The result is exactly
+        The search owns its delta session for the whole run.  Base-digest
+        routing lands every search of one electorate on the shard that
+        interned its instance, so the compiled views stay warm and the
+        search reuses the base session the previous search on that
+        instance object left (:mod:`repro.attacks.search`'s one-entry
+        slot) instead of building its own.  The result is exactly
         :meth:`repro.attacks.search.AttackResult.to_dict`, so a served
         search is bitwise-comparable to a direct library run.
         """

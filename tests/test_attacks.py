@@ -9,7 +9,10 @@ inner loop is bit-identical to scratch re-estimation; tampered
 certificates are rejected; and every wire object round-trips JSON.
 """
 
+import gc
 import json
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -35,11 +38,13 @@ from repro.attacks import (
     scenario_spec,
     verify_certificate,
 )
+from repro.attacks import search as search_module
 from repro.attacks.scenarios import (
     FIGURE1_HUB_COMPETENCY,
     _non_neighbours,
     _reference_non_neighbours,
 )
+from repro.cache import EstimateCache
 from repro.core.competencies import bounded_uniform_competencies
 from repro.core.instance import ProblemInstance
 from repro.graphs.generators import (
@@ -608,3 +613,118 @@ class TestSearchValidation:
             AttackSearch(
                 instance, MECH, {"name": "misreport"}, tie_policy="MAYBE"
             )
+
+
+class TestBaseReuse:
+    """A search reuses the base session the previous search left, with
+    results bitwise those of a search that builds its own."""
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self, monkeypatch):
+        monkeypatch.setattr(search_module, "_BASE", search_module._BaseSlot())
+
+    @staticmethod
+    def _search(instance, scenario="collusion_ring", **kwargs):
+        params = dict(budget=2, rounds=32, seed=4, min_harm=0.9)
+        params.update(kwargs)
+        return AttackSearch(instance, MECH, {"name": scenario}, **params)
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        calls = []
+        build = DeltaSession._build
+
+        def counted(self, instance):
+            calls.append(instance)
+            return build(self, instance)
+
+        monkeypatch.setattr(DeltaSession, "_build", counted)
+        return calls
+
+    @pytest.mark.parametrize("engine", ["mc", "exact"])
+    def test_second_search_builds_nothing(self, monkeypatch, engine):
+        instance = _instance(n=48, seed=3)
+        builds = self._count_builds(monkeypatch)
+        self._search(instance, "misreport", engine=engine).run()
+        assert len(builds) == 1
+        reused = self._search(instance, engine=engine).run()
+        assert len(builds) == 1
+        twin = _instance(n=48, seed=3)  # equal, but another object
+        fresh = self._search(twin, engine=engine).run()
+        assert len(builds) == 2
+        assert reused.steps > 0
+        assert reused.to_dict() == fresh.to_dict()
+
+    def test_key_change_rebuilds(self, monkeypatch):
+        instance = _instance(n=48, seed=3)
+        builds = self._count_builds(monkeypatch)
+        self._search(instance).run()
+        self._search(instance, seed=5).run()
+        self._search(instance, seed=5, tie_policy="COIN_FLIP").run()
+        self._search(instance, seed=5, tie_policy="COIN_FLIP", rounds=16).run()
+        assert len(builds) == 4
+
+    def test_search_on_another_instance_frees_the_held_session(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._search(_instance(n=48, seed=3)).run()
+            held = weakref.ref(search_module._BASE._held[1])
+            self._search(_instance(n=48, seed=4)).run()
+            assert held() is None
+            assert search_module._BASE._held is not None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_search_that_raises_leaves_the_slot_empty(self, monkeypatch):
+        instance = _instance(n=48, seed=3)
+        self._search(instance).run()
+        assert search_module._BASE._held is not None
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(AttackSearch, "_screen_direct", fail)
+        with pytest.raises(RuntimeError, match="injected"):
+            self._search(instance).run()
+        assert search_module._BASE._held is None
+
+    def test_threads_on_one_base_give_the_serial_results(self):
+        instance = _instance(n=48, seed=3)
+        jobs = [
+            (scenario, seed)
+            for seed in (1, 2, 3)
+            for scenario in ("misreport", "collusion_ring")
+        ]
+        serial = [
+            self._search(instance, scenario, seed=seed).run().to_dict()
+            for scenario, seed in jobs
+        ]
+        got = {}
+
+        def worker(offset):
+            for index in range(offset, len(jobs), 2):
+                scenario, seed = jobs[index]
+                got[index] = self._search(instance, scenario, seed=seed).run().to_dict()
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert [got[i] for i in range(len(jobs))] == serial
+
+    def test_repeated_cached_search_hits(self, tmp_path):
+        """Candidate estimates key by the committed chain plus the move,
+        so a repeated search finds every estimate it needs cached."""
+        instance = _instance(n=48, seed=3)
+        plain = self._search(instance, "misreport", budget=3).run()
+        cache = EstimateCache(tmp_path)
+        first = self._search(instance, "misreport", budget=3, cache=cache).run()
+        misses = cache.misses
+        second = self._search(instance, "misreport", budget=3, cache=cache).run()
+        assert plain.to_dict() == first.to_dict() == second.to_dict()
+        assert second.steps > 1
+        assert cache.misses == misses
+        assert cache.hits == second.moves_evaluated + 1

@@ -15,6 +15,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import EstimateCache
 from repro.core.competencies import bounded_uniform_competencies
@@ -71,14 +73,16 @@ def _adjacency_sets(graph):
     ]
 
 
-def _random_edit(rng, instance, *, structural):
-    """One valid random edit against ``instance``'s current state."""
+def _random_edit(rng, instance, *, structural, kind=None):
+    """One valid random edit against ``instance``'s current state
+    (of ``kind`` when given, else a random kind)."""
     n = instance.num_voters
     adj = _adjacency_sets(instance.graph)
     kinds = ["rewire", "competency"]
     if structural:
         kinds += ["join"] + (["leave"] if n > 8 else [])
-    kind = kinds[rng.integers(len(kinds))]
+    if kind is None:
+        kind = kinds[rng.integers(len(kinds))]
     if kind == "rewire":
         candidates = [v for v in range(n) if adj[v] and len(adj[v]) < n - 1]
         if not candidates:
@@ -101,12 +105,13 @@ def _random_edit(rng, instance, *, structural):
     return Leave(voter=int(rng.integers(n)))
 
 
-def _fresh_session(instance, mechanism, *, rounds, engine):
+def _fresh_session(instance, mechanism, *, rounds, engine, n_blocks=None):
     rebuilt = ProblemInstance(
         instance.graph, instance.competencies, alpha=instance.alpha
     )
     return DeltaSession(
-        rebuilt, mechanism, rounds=rounds, seed=3, engine=engine
+        rebuilt, mechanism, rounds=rounds, seed=3, engine=engine,
+        n_blocks=n_blocks,
     )
 
 
@@ -264,6 +269,150 @@ def test_instances_free_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+TRIAL_KINDS = ("rewire", "competency", "join", "leave", "mixed", "hub", "bad")
+
+
+def _trial_setup(kind, engine):
+    """(instance, mechanism, session params) for a trial of ``kind``: hub
+    trials run on a star whose every leaf approves the competent hub;
+    exact merge trees get four leaves, so trials replace inner nodes."""
+    params = {"rounds": 8, "engine": engine, "n_blocks": None}
+    if engine == "exact":
+        params.update(rounds=4, n_blocks=4)
+    if kind == "hub":
+        comp = bounded_uniform_competencies(30, 0.35, seed=7).copy()
+        comp[0] = 0.99
+        return ProblemInstance(star_graph(30), comp, alpha=0.05), ApprovalThreshold(1), params
+    graph = random_regular_graph(40, 6, seed=1)
+    comp = bounded_uniform_competencies(40, 0.35, seed=7)
+    return ProblemInstance(graph, comp, alpha=0.05), ApprovalThreshold(2), params
+
+
+def _trial_edits(rng, instance, kind):
+    """One trial batch of ``kind`` against ``instance``."""
+    if kind == "hub":  # cut the hub from every other leaf it still has
+        return [Rewire(voter=0, remove=tuple(sorted(_adjacency_sets(instance.graph)[0])[::2]))]
+    if kind == "bad":  # a valid edit, then an edge that does not exist
+        adj = _adjacency_sets(instance.graph)[0]
+        absent = next(w for w in range(1, instance.num_voters) if w not in adj)
+        edit = _random_edit(rng, instance, structural=False)
+        return [edit, Rewire(voter=0, remove=(absent,))]
+    batch = []
+    mirror = instance
+    for _ in range(int(rng.integers(1, 4))):
+        edit = _random_edit(
+            rng, mirror, structural=kind == "mixed",
+            kind=None if kind == "mixed" else kind,
+        )
+        mirror, _ = patched_instance(mirror, [edit])
+        batch.append(edit)
+    return batch
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    engine=st.sampled_from(ENGINES),
+    kind=st.sampled_from(TRIAL_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    kept=st.integers(0, 2),
+    flush=st.booleans(),
+)
+def test_trial_restores_state_bitwise(engine, kind, seed, kept, flush):
+    """Inside a trial the session is ``apply``'s; after it, bitwise the
+    pre-trial session — with kept batches pending before it, weights
+    flushed inside it, and a batch whose ``apply`` raises."""
+    instance, mechanism, params = _trial_setup(kind, engine)
+    rng = np.random.default_rng(seed)
+    session = DeltaSession(instance, mechanism, seed=3, **params)
+    for _ in range(kept):  # kept rewires leave weight moves pending
+        session.apply([_random_edit(rng, session.instance, structural=False, kind="rewire")])
+    pre, chain = session.instance, session.chain_digest()
+    batch = _trial_edits(rng, pre, kind)
+    if kind == "bad":
+        with pytest.raises(ValueError, match="does not exist"):
+            with session.trial(batch):
+                pass
+    else:
+        with session.trial(batch):
+            if flush:
+                session._flush_weights()
+            inside = session.estimate()
+        want = _fresh_session(pre, mechanism, **params).apply(batch).estimate()
+        assert (inside.probability, inside.std_error, inside.rounds) == (
+            want.probability, want.std_error, want.rounds,
+        )
+    assert session.instance is pre
+    assert session.chain_digest() == chain
+    _assert_state_bitwise(session, _fresh_session(pre, mechanism, **params), engine)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_trial_undoes_a_patch_that_raises_midway(engine, monkeypatch):
+    """A fault after the delegate columns are written is undone too."""
+    instance, mechanism, params = _trial_setup("hub", engine)
+    session = DeltaSession(instance, mechanism, seed=3, **params)
+    batch = _trial_edits(np.random.default_rng(0), instance, "hub")
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr("repro.incremental.session.patch_forests_delta", fail)
+    with pytest.raises(RuntimeError, match="injected"):
+        with session.trial(batch):
+            pass
+    monkeypatch.undo()
+    _assert_state_bitwise(session, _fresh_session(instance, mechanism, **params), engine)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_trial_patch_stats_count_the_apply_not_the_undo(engine):
+    """``patch_stats`` count a trial's apply exactly as ``apply`` counts
+    the same batch, and nothing for the undo; trials do not nest."""
+    instance, mechanism, params = _trial_setup("hub", engine)
+    batch = _trial_edits(np.random.default_rng(0), instance, "hub")
+    session = DeltaSession(instance, mechanism, seed=3, **params)
+    with session.trial(batch):
+        with pytest.raises(RuntimeError, match="do not nest"):
+            with session.trial(batch):
+                pass
+    applied = DeltaSession(instance, mechanism, seed=3, **params).apply(batch)
+    assert session.patch_stats == applied.patch_stats
+    assert session.patch_stats["affected_voters"] > 0
+    assert session.edit_batches() == []
+
+
+def test_trial_estimates_key_by_kept_chain_plus_move(tmp_path):
+    """A cached trial estimate is stored under the kept chain plus the
+    trial batch — the key ``apply`` of that batch on a fresh session
+    looks up — and a trial repeated after undo hits it."""
+    instance, mechanism, params = _trial_setup("rewire", "mc")
+    rng = np.random.default_rng(4)
+    kept = [_random_edit(rng, instance, structural=False, kind="rewire")]
+    cache = EstimateCache(tmp_path)
+    session = DeltaSession(instance, mechanism, seed=3, cache=cache, **params)
+    session.apply(kept)
+    batch = [_random_edit(rng, session.instance, structural=False, kind="competency")]
+    for _ in range(2):
+        with session.trial(batch):
+            inside = session.estimate()
+    assert (cache.hits, cache.misses) == (1, 1)
+    replay = DeltaSession(instance, mechanism, seed=3, cache=cache, **params)
+    assert replay.apply(kept).apply(batch).estimate().probability == inside.probability
+    assert (cache.hits, cache.misses) == (2, 1)
+
+
+def test_reset_chain_needs_a_chain_that_nets_out():
+    instance, mechanism, params = _trial_setup("rewire", "mc")
+    session = DeltaSession(instance, mechanism, seed=3, **params)
+    session.apply([SetCompetency(voter=3, competency=0.9)])
+    with pytest.raises(ValueError, match="net out"):
+        session.reset_chain()
+    session.apply([SetCompetency(voter=3, competency=float(instance.competencies[3]))])
+    session.reset_chain()
+    assert session.instance is instance and session.edit_batches() == []
+    _assert_state_bitwise(session, _fresh_session(instance, mechanism, **params), "mc")
 
 
 def test_spliced_structure_matches_rebuilt():

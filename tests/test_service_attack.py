@@ -13,6 +13,8 @@ include the search knobs, and the per-scenario metrics counters.
 import pytest
 
 from repro.attacks import AttackResult, AttackSearch, benign_star_instance, verify_certificate
+from repro.attacks import search as search_module
+from repro.incremental import DeltaSession
 from repro.io import instance_to_dict
 from repro.service import (
     BackgroundServer,
@@ -67,6 +69,25 @@ class TestServedEqualsDirect:
         )
         assert served == direct.to_dict()
         assert not served["found"]
+
+    def test_served_searches_share_the_interned_base(self, client, monkeypatch):
+        """The server interns the instance, so the second search of one
+        electorate takes the base session the first left."""
+        monkeypatch.setattr(search_module, "_BASE", search_module._BaseSlot())
+        builds = []
+        build = DeltaSession._build
+
+        def counted(self, instance):
+            builds.append(instance)
+            return build(self, instance)
+
+        monkeypatch.setattr(DeltaSession, "_build", counted)
+        instance = benign_star_instance(25)
+        knobs = dict(rounds=32, seed=5, min_harm=0.9)
+        client.attack(instance, MECH, SCENARIO, budget=2, **knobs)
+        served = client.attack(instance, MECH, SCENARIO, budget=3, **knobs)
+        assert len(builds) == 1
+        assert served == _direct(benign_star_instance(25), budget=3, **knobs).to_dict()
 
     def test_remote_attack_search_handle(self, client):
         instance = benign_star_instance(25)
