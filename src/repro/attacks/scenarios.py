@@ -424,14 +424,6 @@ class AdaptiveLemmaProbe(AttackScenario):
                     best_sink, best_weight = int(sink), int(weight)
         return best_sink, best_weight
 
-    @staticmethod
-    def lemma_thresholds(num_voters: int) -> Dict[str, float]:
-        """The Lemma 3 / Lemma 5 max-weight scales at this electorate size."""
-        return {
-            "lemma3": float(num_voters) ** 0.5,
-            "lemma5": float(num_voters) ** 0.9,
-        }
-
     def propose(
         self,
         instance: ProblemInstance,

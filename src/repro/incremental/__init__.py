@@ -15,9 +15,9 @@ parts an edit can reach:
 * the resolved forests (restricted pointer doubling over the affected
   set, :mod:`repro.incremental.forest`),
 * the per-round values (integer correct-weight deltas for the Monte
-  Carlo engine, :mod:`repro.incremental.mc`; dirty-path re-merge of a
-  cached Poisson-binomial merge tree for the exact engine,
-  :mod:`repro.incremental.tails`).
+  Carlo engine, computed inline by the session's patch; dirty-path
+  re-merge of a cached Poisson-binomial merge tree for the exact
+  engine, :mod:`repro.incremental.tails`).
 
 Every patched quantity is pinned bit-identical to a from-scratch rebuild
 of the same session on the final instance — the package-wide determinism

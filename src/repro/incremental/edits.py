@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 
@@ -37,6 +38,23 @@ class Rewire:
 
     kind = "rewire"
 
+    def __post_init__(self) -> None:
+        voter = _check_voter(self.voter, "voter")
+        add = _check_voters(self.add, "add")
+        remove = _check_voters(self.remove, "remove")
+        if not add and not remove:
+            raise ValueError("rewire edit must add or remove at least one edge")
+        if voter in add or voter in remove:
+            raise ValueError("rewire edit cannot reference the voter itself")
+        overlap = set(add) & set(remove)
+        if overlap:
+            raise ValueError(
+                f"rewire edit both adds and removes {sorted(overlap)}"
+            )
+        object.__setattr__(self, "voter", voter)
+        object.__setattr__(self, "add", add)
+        object.__setattr__(self, "remove", remove)
+
 
 @dataclass(frozen=True)
 class SetCompetency:
@@ -46,6 +64,12 @@ class SetCompetency:
     competency: float
 
     kind = "competency"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "voter", _check_voter(self.voter, "voter"))
+        object.__setattr__(
+            self, "competency", _check_competency(self.competency, "competency")
+        )
 
 
 @dataclass(frozen=True)
@@ -57,6 +81,14 @@ class Join:
 
     kind = "join"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "neighbors", _check_voters(self.neighbors, "neighbors")
+        )
+        object.__setattr__(
+            self, "competency", _check_competency(self.competency, "competency")
+        )
+
 
 @dataclass(frozen=True)
 class Leave:
@@ -66,18 +98,26 @@ class Leave:
 
     kind = "leave"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "voter", _check_voter(self.voter, "voter"))
+
 
 Edit = Union[Rewire, SetCompetency, Join, Leave]
 
 _KINDS = {cls.kind: cls for cls in (Rewire, SetCompetency, Join, Leave)}
 
 
+# Each edit validates itself on construction with these checks, so an
+# edit object and its wire dict (parsed by constructing the object) pass
+# the same ones.  NumPy scalars are accepted and stored as Python ints
+# and floats.
 def _check_voter(value: Any, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"edit field {field!r} must be an integer")
+    value = int(value)
     if value < 0:
         raise ValueError(f"edit field {field!r} must be non-negative, got {value}")
-    return int(value)
+    return value
 
 
 def _check_voters(value: Any, field: str) -> Tuple[int, ...]:
@@ -90,7 +130,7 @@ def _check_voters(value: Any, field: str) -> Tuple[int, ...]:
 
 
 def _check_competency(value: Any, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"edit field {field!r} must be a number")
     p = float(value)
     if not 0.0 <= p <= 1.0:
@@ -99,7 +139,8 @@ def _check_competency(value: Any, field: str) -> float:
 
 
 def as_edit(edit: Union[Edit, Mapping[str, Any]]) -> Edit:
-    """Coerce an edit object or its wire dict to a validated edit."""
+    """Coerce an edit object or its wire dict to a validated edit
+    (objects validated themselves when they were constructed)."""
     if isinstance(edit, (Rewire, SetCompetency, Join, Leave)):
         return edit
     if isinstance(edit, Mapping):
@@ -112,24 +153,24 @@ def edit_to_dict(edit: Edit) -> Dict[str, Any]:
     if isinstance(edit, Rewire):
         return {
             "kind": "rewire",
-            "voter": int(edit.voter),
-            "add": [int(v) for v in edit.add],
-            "remove": [int(v) for v in edit.remove],
+            "voter": edit.voter,
+            "add": list(edit.add),
+            "remove": list(edit.remove),
         }
     if isinstance(edit, SetCompetency):
         return {
             "kind": "competency",
-            "voter": int(edit.voter),
-            "competency": float(edit.competency),
+            "voter": edit.voter,
+            "competency": edit.competency,
         }
     if isinstance(edit, Join):
         return {
             "kind": "join",
-            "neighbors": [int(v) for v in edit.neighbors],
-            "competency": float(edit.competency),
+            "neighbors": list(edit.neighbors),
+            "competency": edit.competency,
         }
     if isinstance(edit, Leave):
-        return {"kind": "leave", "voter": int(edit.voter)}
+        return {"kind": "leave", "voter": edit.voter}
     raise ValueError(f"not an edit: {edit!r}")
 
 
@@ -152,30 +193,21 @@ def edit_from_dict(data: Mapping[str, Any]) -> Edit:
     if extra:
         raise ValueError(f"unexpected edit fields for {kind!r}: {sorted(extra)}")
     if kind == "rewire":
-        voter = _check_voter(data.get("voter"), "voter")
-        add = _check_voters(data.get("add", []), "add")
-        remove = _check_voters(data.get("remove", []), "remove")
-        if not add and not remove:
-            raise ValueError("rewire edit must add or remove at least one edge")
-        if voter in add or voter in remove:
-            raise ValueError("rewire edit cannot reference the voter itself")
-        overlap = set(add) & set(remove)
-        if overlap:
-            raise ValueError(
-                f"rewire edit both adds and removes {sorted(overlap)}"
-            )
-        return Rewire(voter=voter, add=add, remove=remove)
+        return Rewire(
+            voter=data.get("voter"),
+            add=data.get("add", []),
+            remove=data.get("remove", []),
+        )
     if kind == "competency":
         return SetCompetency(
-            voter=_check_voter(data.get("voter"), "voter"),
-            competency=_check_competency(data.get("competency"), "competency"),
+            voter=data.get("voter"), competency=data.get("competency")
         )
     if kind == "join":
         return Join(
-            neighbors=_check_voters(data.get("neighbors", []), "neighbors"),
-            competency=_check_competency(data.get("competency"), "competency"),
+            neighbors=data.get("neighbors", []),
+            competency=data.get("competency"),
         )
-    return Leave(voter=_check_voter(data.get("voter"), "voter"))
+    return Leave(voter=data.get("voter"))
 
 
 # reprolint: disable=K401

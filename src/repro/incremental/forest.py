@@ -1,28 +1,13 @@
 """Incremental forest maintenance: re-resolve only affected subtrees.
 
 :func:`repro.delegation.graph.resolve_forests_batch` pointer-doubles the
-whole ``(rounds, n)`` batch.  After an edit batch, only a handful of
-voters per round changed their delegate; everything whose delegation
-path avoids those voters keeps its sink.  The **affected set** of a
-round is
-
-    ``A = { v : old_sink[v] ∈ old_sink[changed] }``
-
-— every voter whose *old* tree contains a changed voter.  This is a
-provably conservative superset of the voters whose sink can change:
-
-* if ``v ∉ A``, no vertex on ``v``'s old delegation path changed its
-  pointer (a changed vertex ``c`` on the path would force
-  ``old_sink[v] = old_sink[c] ∈ old_sink[changed]``), so the new path
-  equals the old path and ``v``'s sink is unchanged;
-* consequently, for any ``t ∉ A`` reached while re-resolving an affected
-  voter, ``old_sink[t]`` is already the correct new sink — clean
-  territory acts as terminal shortcuts, and the restricted doubling
-  converges in O(|A| log n) gathers instead of O(n log n).
-
-:func:`resolve_sinks_delta` implements exactly this and is pinned
+whole ``(rounds, n)`` batch.  After an edit batch only a handful of
+voters per round changed their delegate, and :func:`patch_forests_delta`
+re-resolves just the voters whose sink can have moved, pinned
 bit-identical to the from-scratch resolver by
-:func:`_reference_resolve_sinks_delta` (reprolint K403).
+:func:`_reference_patch_forests_delta` (reprolint K403).
+:func:`sink_weight_deltas` turns its aligned old/new sinks into sparse
+per-round weight changes.
 """
 
 from __future__ import annotations
@@ -34,132 +19,12 @@ import numpy as np
 from repro.delegation.graph import SELF, DelegationGraph, resolve_forests_batch
 
 
-# reprolint: reference=_reference_resolve_sinks_delta
-def resolve_sinks_delta(
-    delegates: np.ndarray,
-    old_sink: np.ndarray,
-    changed: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Patch one round's sink assignment after a localised delegate change.
-
-    Parameters
-    ----------
-    delegates:
-        The round's **updated** ``(n,)`` delegate row (``SELF`` = vote).
-    old_sink:
-        The sink assignment before the change.
-    changed:
-        Voters whose delegate entry differs from the previous row.
-
-    Returns ``(sink_of, affected)``: the patched int64 sink row (equal
-    bitwise to resolving ``delegates`` from scratch) and the affected
-    voter set whose sinks were re-derived — the caller patches weight
-    buckets by diffing ``old_sink[affected]`` against
-    ``sink_of[affected]``.  Cycles introduced by the new delegates raise
-    :class:`~repro.delegation.graph.DelegationCycleError` via the same
-    reference walk as the global resolver.
-    """
-    n = int(old_sink.shape[0])
-    changed = np.asarray(changed, dtype=np.int64)
-    if changed.size == 0:
-        return old_sink.copy(), changed
-    affected_sinks = np.zeros(n, dtype=bool)
-    affected_sinks[old_sink[changed]] = True
-    affected = np.flatnonzero(affected_sinks[old_sink])
-    ptr = old_sink.astype(np.int64, copy=True)
-    d = np.asarray(delegates, dtype=np.int64)[affected]
-    ptr[affected] = np.where((d == SELF) | (d == affected), affected, d)
-    sub = ptr[affected]
-    for _ in range(int(n).bit_length() + 1):
-        nxt = ptr[sub]
-        if np.array_equal(nxt, sub):
-            break
-        ptr[affected] = nxt
-        sub = nxt
-    # A converged pointer must land on a genuine sink: a clean voter's
-    # old sink, or an affected voter whose new delegate is itself.
-    # Even-length cycles collapse to spurious fixed points under
-    # doubling (x→y→x doubles to x→x), so convergence alone is not a
-    # sound test; root validity is, and it also covers odd cycles
-    # exhausting the iteration bound.
-    nonterminal = np.zeros(n, dtype=bool)
-    nonterminal[affected] = ~((d == SELF) | (d == affected))
-    bad = np.flatnonzero(nonterminal[ptr[affected]])
-    if bad.size:
-        DelegationGraph._raise_cycle(
-            _normalised_row(delegates), int(affected[bad[0]])
-        )
-    return ptr, affected
-
-
 def _normalised_row(delegates: np.ndarray) -> np.ndarray:
     """Copy of one delegate row with self-pointers normalised to ``SELF``."""
     row = np.asarray(delegates, dtype=np.int64).copy()
     idx = np.arange(row.shape[0], dtype=np.int64)
     row[row == idx] = SELF
     return row
-
-
-def _reference_resolve_sinks_delta(
-    delegates: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """From-scratch oracle: global pointer doubling on the single row."""
-    sink_of, weights = resolve_forests_batch(np.asarray(delegates)[None, :])
-    return sink_of[0].astype(np.int64), weights[0]
-
-
-def weight_diff(
-    old_sink: np.ndarray,
-    new_sink: np.ndarray,
-    affected: np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """Per-sink int64 weight delta induced by re-sinking ``affected``.
-
-    Voters outside ``affected`` kept their sink, so their contributions
-    cancel; the diff is two restricted bincounts.  Adding it to the old
-    weight row reproduces ``bincount(new_sink)`` exactly (integer
-    arithmetic — associative, so patch order cannot change the result).
-    """
-    return np.bincount(new_sink[affected], minlength=n) - np.bincount(
-        old_sink[affected], minlength=n
-    )
-
-
-# reprolint: reference=_reference_sink_weight_delta
-def sink_weight_delta(
-    old_sink: np.ndarray,
-    new_sink: np.ndarray,
-    affected: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sparse form of :func:`weight_diff`: ``(touched sinks, deltas)``.
-
-    Returns the sorted sinks whose weight changed and the int64 delta at
-    each, in O(|affected| log |affected|) — no length-``n`` buffer, no
-    O(n) scan.  The session patches sixty-four rounds per edit batch, so
-    a dense diff row per round would reintroduce the O(rounds · n) term
-    the patch path exists to avoid.
-    """
-    old_s = old_sink[affected]
-    new_s = new_sink[affected]
-    cols = np.unique(np.concatenate((old_s, new_s)))
-    deltas = np.bincount(
-        np.searchsorted(cols, new_s), minlength=cols.size
-    ) - np.bincount(np.searchsorted(cols, old_s), minlength=cols.size)
-    nonzero = deltas != 0
-    return cols[nonzero], deltas[nonzero].astype(np.int64, copy=False)
-
-
-def _reference_sink_weight_delta(
-    old_sink: np.ndarray,
-    new_sink: np.ndarray,
-    affected: np.ndarray,
-    n: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """From-scratch oracle: the dense diff row, scanned for support."""
-    diff = weight_diff(old_sink, new_sink, affected, n)
-    cols = np.flatnonzero(diff)
-    return cols, diff[cols]
 
 
 # reprolint: reference=_reference_patch_forests_delta
@@ -172,15 +37,29 @@ def patch_forests_delta(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Patch every round's sink assignment in one flat restricted doubling.
 
-    The per-round patch (:func:`resolve_sinks_delta`) is a couple dozen
-    small NumPy calls; at sixty-four retained rounds per edit batch,
-    interpreter dispatch on those calls dominates the actual gathers.
-    This variant runs the identical restricted doubling over all rounds
-    at once in a global index space: round ``r``'s voter ``v`` is the
-    flat id ``r·n + v``.  Delegation never crosses rounds, so the flat
-    pointer graph is the disjoint union of the per-round ones and
-    resolves to the same fixed point — extra doubling iterations past a
-    round's convergence are no-ops on its entries.
+    The **affected set** of a round is
+
+        ``A = { v : old_sink[v] ∈ old_sink[changed] }``
+
+    — every voter whose *old* tree contains a changed voter.  This is a
+    provably conservative superset of the voters whose sink can change:
+
+    * if ``v ∉ A``, no vertex on ``v``'s old delegation path changed its
+      pointer (a changed vertex ``c`` on the path would force
+      ``old_sink[v] = old_sink[c] ∈ old_sink[changed]``), so the new
+      path equals the old path and ``v``'s sink is unchanged;
+    * consequently, for any ``t ∉ A`` reached while re-resolving an
+      affected voter, ``old_sink[t]`` is already the correct new sink —
+      clean territory acts as terminal shortcuts, and the restricted
+      doubling converges in O(|A| log n) gathers instead of O(n log n).
+
+    The doubling runs over all rounds at once in a global index space:
+    round ``r``'s voter ``v`` is the flat id ``r·n + v``, so a batch
+    costs a few dozen NumPy calls however many rounds are retained.
+    Delegation never crosses rounds, so the flat pointer graph is the
+    disjoint union of the per-round ones and resolves to the same fixed
+    point — extra doubling iterations past a round's convergence are
+    no-ops on its entries.
 
     Parameters
     ----------

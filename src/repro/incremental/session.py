@@ -104,10 +104,9 @@ class DeltaSession:
     seed:
         Root seed of the retained-draw streams.
     engine:
-        ``"mc"`` or ``"exact"`` (see :data:`ENGINES`).
-    n_blocks:
-        Exact-engine merge-tree leaf count (power of two; default
-        :func:`~repro.incremental.tails.default_blocks`).
+        ``"mc"`` or ``"exact"`` (see :data:`ENGINES`).  The exact
+        engine's merge trees have
+        :func:`~repro.incremental.tails.default_blocks` leaves.
     cache:
         Optional :class:`repro.cache.EstimateCache`; estimates of
         patched states are persisted under the ``delta`` op label.
@@ -129,7 +128,6 @@ class DeltaSession:
         seed: SeedLike = 0,
         engine: str = "mc",
         tie_policy: TiePolicy = TiePolicy.INCORRECT,
-        n_blocks: Optional[int] = None,
         cache=None,
     ) -> None:
         if engine not in ENGINES:
@@ -153,7 +151,6 @@ class DeltaSession:
         self.cache = cache
         self._seed = seed
         self._root = as_seed_sequence(seed)
-        self._n_blocks_arg = n_blocks
         self._base_instance = instance
         self._edit_batches: List[List[dict]] = []
         # Undo entries ``(fn, *args)`` while a trial is open, else None.
@@ -197,8 +194,7 @@ class DeltaSession:
             self._trees = None
             self._bounds = None
         else:
-            n_blocks = self._n_blocks_arg or default_blocks(n)
-            self._bounds = block_bounds(n, n_blocks)
+            self._bounds = block_bounds(n, default_blocks(n))
             comp = instance.competencies
             self._trees = [
                 pmf_tree_build(self._weights_arr[r], comp, self._bounds)

@@ -25,6 +25,7 @@ builder by :func:`_reference_approved_csr_delta` (reprolint K403).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,52 +43,6 @@ from repro.incremental.edits import (
 )
 
 
-def _splice_rows(
-    old_indptr: np.ndarray,
-    old_indices: np.ndarray,
-    segments: Dict[int, np.ndarray],
-    n: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Replace the rows in ``segments``; copy every clean span verbatim.
-
-    Returns ``(indptr, indices)`` with ``indptr`` int64 and ``indices``
-    in the old array's dtype — callers cast to whatever their consumer
-    expects (keeping the native CSR dtype avoids materialising an int64
-    copy of every clean edge just to splice a few thousand).  The new
-    indices array is assembled piecewise: walking the dirty rows in
-    index order yields alternating clean spans (zero-copy slices of the
-    old array) and replacement segments, concatenated in one pass.  That
-    keeps the O(E) work a single memcpy plus an O(n) counts cumsum,
-    instead of per-element index arithmetic over E — the difference
-    between the splice being noise and being the patch loop's
-    bottleneck.
-    """
-    keys = sorted(segments)
-    keys_arr = np.asarray(keys, dtype=np.int64)
-    seg_values, seg_bounds = _pack_segments(
-        [segments[v] for v in keys], np.asarray(old_indices).dtype
-    )
-    return _splice_rows_flat(
-        old_indptr, old_indices, keys_arr, seg_bounds, seg_values
-    )
-
-
-def _pack_segments(
-    segs: List[np.ndarray], dtype: np.dtype
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-row segments into ``(values, bounds)`` flat form."""
-    lens = np.fromiter(
-        (len(s) for s in segs), dtype=np.int64, count=len(segs)
-    )
-    bounds = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lens)))
-    if not segs:
-        return np.empty(0, dtype=dtype), bounds
-    values = np.concatenate(
-        [np.asarray(s, dtype=dtype) for s in segs]
-    ) if int(bounds[-1]) else np.empty(0, dtype=dtype)
-    return values, bounds
-
-
 def _splice_rows_flat(
     old_indptr: np.ndarray,
     old_indices: np.ndarray,
@@ -95,12 +50,20 @@ def _splice_rows_flat(
     seg_bounds: np.ndarray,
     seg_values: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_splice_rows` on pre-packed segments.
+    """Replace the rows in ``keys``; copy every clean span verbatim.
 
     ``keys`` are the sorted dirty rows; row ``keys[i]``'s replacement is
-    ``seg_values[seg_bounds[i]:seg_bounds[i+1]]``.  The flat form lets
-    the vectorised segment builder hand its output straight in, with no
-    per-row dict or array materialisation in between.
+    ``seg_values[seg_bounds[i]:seg_bounds[i+1]]``.  Returns ``(indptr,
+    indices)`` with ``indptr`` int64 and ``indices`` in the old array's
+    dtype — callers cast to whatever their consumer expects (keeping the
+    native CSR dtype avoids materialising an int64 copy of every clean
+    edge just to splice a few thousand).  The new indices array is
+    assembled piecewise: walking the dirty rows in index order yields
+    alternating clean spans (zero-copy slices of the old array) and
+    replacement segments, concatenated in one pass.  That keeps the O(E)
+    work a single memcpy plus an O(n) counts cumsum, instead of
+    per-element index arithmetic over E — the difference between the
+    splice being noise and being the patch loop's bottleneck.
     """
     old_indptr = np.asarray(old_indptr)
     old_indices = np.asarray(old_indices)
@@ -185,28 +148,6 @@ def _join_csr(
     return new_indptr, out
 
 
-def _approved_segment(
-    g_indptr: np.ndarray,
-    g_indices: np.ndarray,
-    p: np.ndarray,
-    alpha: float,
-    voter: int,
-) -> np.ndarray:
-    """One voter's approved segment in local-view order.
-
-    Applies the builder's own filter (``p[dst] >= p[src] + alpha``) and
-    segment order (competency ascending, ties by index) restricted to
-    one row, so the segment is bitwise what the global pass produces.
-    """
-    lo, hi = int(g_indptr[voter]), int(g_indptr[voter + 1])
-    nbrs = np.asarray(g_indices[lo:hi], dtype=np.int64)
-    keep = p[nbrs] >= p[voter] + alpha
-    seg = nbrs[keep]
-    if seg.size:
-        seg = seg[np.lexsort((seg, p[seg]))]
-    return seg
-
-
 def _approved_flat(
     g_indptr: np.ndarray,
     g_indices: np.ndarray,
@@ -216,12 +157,13 @@ def _approved_flat(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All dirty voters' approved segments in one vectorised pass.
 
-    Produces exactly what mapping :func:`_approved_segment` over
-    ``dirty`` produces, but with one ragged gather and one global
-    lexsort keyed ``(row, competency, index)`` — within each row that is
-    the per-row ``(competency, index)`` order, and rows are contiguous,
-    so the slices are bitwise the per-row segments.  A thousand tiny
-    per-row sorts would otherwise dominate the splice.  Returns
+    Applies the builder's own filter (``p[dst] >= p[src] + alpha``) and
+    segment order (competency ascending, ties by index) with one ragged
+    gather and one global lexsort keyed ``(row, competency, index)`` —
+    within each row that is the per-row ``(competency, index)`` order,
+    and rows are contiguous, so the slices are bitwise the segments the
+    global pass produces.  A thousand tiny per-row sorts would otherwise
+    dominate the splice.  Returns
     ``(values, bounds)`` flat form: row ``dirty[i]``'s segment is
     ``values[bounds[i]:bounds[i+1]]``.
     """
@@ -246,22 +188,6 @@ def _approved_flat(
         (np.zeros(1, dtype=np.int64), np.cumsum(seg_counts))
     )
     return nbrs, bounds
-
-
-def _approved_segments(
-    g_indptr: np.ndarray,
-    g_indices: np.ndarray,
-    p: np.ndarray,
-    alpha: float,
-    dirty: np.ndarray,
-) -> Dict[int, np.ndarray]:
-    """Dict view of :func:`_approved_flat` (per-row oracle comparisons)."""
-    dirty = np.asarray(dirty, dtype=np.int64)
-    nbrs, bounds = _approved_flat(g_indptr, g_indices, p, alpha, dirty)
-    return {
-        int(v): nbrs[bounds[i]:bounds[i + 1]]
-        for i, v in enumerate(dirty)
-    }
 
 
 # reprolint: reference=_reference_approved_csr_delta
@@ -326,13 +252,18 @@ class _EditApplier:
 
     def _flush_rows(self) -> None:
         if self.rows:
-            dtype = np.asarray(self.indices).dtype
-            segments = {
-                v: np.array(sorted(row), dtype=dtype)
-                for v, row in self.rows.items()
-            }
-            self.indptr, self.indices = _splice_rows(
-                self.indptr, self.indices, segments, self.n
+            keys = sorted(self.rows)
+            segs = [sorted(self.rows[v]) for v in keys]
+            bounds = np.zeros(len(keys) + 1, dtype=np.int64)
+            np.cumsum([len(seg) for seg in segs], out=bounds[1:])
+            values = np.fromiter(
+                chain.from_iterable(segs),
+                dtype=np.asarray(self.indices).dtype,
+                count=int(bounds[-1]),
+            )
+            self.indptr, self.indices = _splice_rows_flat(
+                self.indptr, self.indices,
+                np.asarray(keys, dtype=np.int64), bounds, values,
             )
             self.rows = {}
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.framework import FileContext, ProjectContext
 from repro.lint.rules_cache import ClassInfo, _mro_chain, collect_classes
@@ -302,15 +302,6 @@ class CallGraph:
                 qn: tuple(sorted(callers)) for qn, callers in rev.items()
             }
         return self._callers
-
-    def iter_edges(self, fi: FunctionInfo) -> Iterator[Tuple[ast.Call, FunctionInfo]]:
-        """(call site, callee) pairs for one function, in AST order."""
-        targets = self.call_targets(fi)
-        for node in ast.walk(fi.node):
-            if isinstance(node, ast.Call) and node in targets:
-                callee = self.functions.get(targets[node])
-                if callee is not None:
-                    yield node, callee
 
     def file_dependencies(self) -> Dict[str, Set[str]]:
         """Direct dependency edges between files: ``A → files A reads``.

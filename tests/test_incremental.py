@@ -7,11 +7,12 @@ topologies under both value engines, comparing the session's retained
 state and estimates against a fresh session after every batch; kernels
 are fuzzed directly against their ``_reference`` oracles; and the
 even-length-cycle regression (pointer doubling collapses ``x→y→x`` to a
-spurious fixed point) is pinned for both delta resolvers.
+spurious fixed point) is pinned for the delta resolver.
 """
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,11 +34,7 @@ from repro.graphs.generators import (
 from repro.incremental import DeltaSession, Join, Leave, Rewire, SetCompetency
 from repro.incremental.forest import (
     _reference_patch_forests_delta,
-    _reference_resolve_sinks_delta,
-    _reference_sink_weight_delta,
     patch_forests_delta,
-    resolve_sinks_delta,
-    sink_weight_delta,
     sink_weight_deltas,
 )
 from repro.incremental.session import ENGINES
@@ -105,13 +102,12 @@ def _random_edit(rng, instance, *, structural, kind=None):
     return Leave(voter=int(rng.integers(n)))
 
 
-def _fresh_session(instance, mechanism, *, rounds, engine, n_blocks=None):
+def _fresh_session(instance, mechanism, *, rounds, engine):
     rebuilt = ProblemInstance(
         instance.graph, instance.competencies, alpha=instance.alpha
     )
     return DeltaSession(
         rebuilt, mechanism, rounds=rounds, seed=3, engine=engine,
-        n_blocks=n_blocks,
     )
 
 
@@ -274,13 +270,18 @@ def test_instances_free_without_the_cycle_collector():
 TRIAL_KINDS = ("rewire", "competency", "join", "leave", "mixed", "hub", "bad")
 
 
+def _four_leaf_trees():
+    """Exact merge trees get four leaves while this is active, so trials
+    on these small instances replace inner nodes."""
+    return mock.patch("repro.incremental.session.default_blocks", lambda n: 4)
+
+
 def _trial_setup(kind, engine):
     """(instance, mechanism, session params) for a trial of ``kind``: hub
-    trials run on a star whose every leaf approves the competent hub;
-    exact merge trees get four leaves, so trials replace inner nodes."""
-    params = {"rounds": 8, "engine": engine, "n_blocks": None}
+    trials run on a star whose every leaf approves the competent hub."""
+    params = {"rounds": 8, "engine": engine}
     if engine == "exact":
-        params.update(rounds=4, n_blocks=4)
+        params.update(rounds=4)
     if kind == "hub":
         comp = bounded_uniform_competencies(30, 0.35, seed=7).copy()
         comp[0] = 0.99
@@ -311,6 +312,7 @@ def _trial_edits(rng, instance, kind):
     return batch
 
 
+@_four_leaf_trees()
 @settings(max_examples=40, deadline=None)
 @given(
     engine=st.sampled_from(ENGINES),
@@ -348,6 +350,7 @@ def test_trial_restores_state_bitwise(engine, kind, seed, kept, flush):
     _assert_state_bitwise(session, _fresh_session(pre, mechanism, **params), engine)
 
 
+@_four_leaf_trees()
 @pytest.mark.parametrize("engine", ENGINES)
 def test_trial_undoes_a_patch_that_raises_midway(engine, monkeypatch):
     """A fault after the delegate columns are written is undone too."""
@@ -366,6 +369,7 @@ def test_trial_undoes_a_patch_that_raises_midway(engine, monkeypatch):
     _assert_state_bitwise(session, _fresh_session(instance, mechanism, **params), engine)
 
 
+@_four_leaf_trees()
 @pytest.mark.parametrize("engine", ENGINES)
 def test_trial_patch_stats_count_the_apply_not_the_undo(engine):
     """``patch_stats`` count a trial's apply exactly as ``apply`` counts
@@ -467,45 +471,6 @@ def _perturb(rng, deleg):
     return new_deleg, np.array(rows), np.array(cols)
 
 
-def test_resolve_sinks_delta_matches_oracle():
-    rng = np.random.default_rng(21)
-    checked = 0
-    for _ in range(40):
-        deleg = _random_forest(rng, 1, int(rng.integers(4, 40)))
-        old_sink, _ = _reference_resolve_sinks_delta(deleg[0])
-        new_deleg, _, cols = _perturb(rng, deleg)
-        try:
-            ref_sink, _ = _reference_resolve_sinks_delta(new_deleg[0])
-        except DelegationCycleError:
-            with pytest.raises(DelegationCycleError):
-                resolve_sinks_delta(new_deleg[0], old_sink, np.unique(cols))
-            continue
-        got, affected = resolve_sinks_delta(
-            new_deleg[0], old_sink, np.unique(cols)
-        )
-        assert np.array_equal(got, ref_sink)
-        unchanged = np.setdiff1d(np.arange(deleg.shape[1]), affected)
-        assert np.array_equal(got[unchanged], old_sink[unchanged])
-        checked += 1
-    assert checked >= 10
-
-
-def test_sink_weight_delta_matches_oracle():
-    rng = np.random.default_rng(22)
-    for _ in range(30):
-        n = int(rng.integers(4, 40))
-        old_sink = rng.integers(n, size=n)
-        new_sink = old_sink.copy()
-        affected = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
-        new_sink[affected] = rng.integers(n, size=affected.size)
-        cols, deltas = sink_weight_delta(old_sink, new_sink, affected)
-        ref_cols, ref_deltas = _reference_sink_weight_delta(
-            old_sink, new_sink, affected, n
-        )
-        assert np.array_equal(cols, ref_cols)
-        assert np.array_equal(deltas, ref_deltas)
-
-
 @pytest.mark.parametrize("use_scratch", [False, True])
 def test_patch_forests_delta_matches_oracle(use_scratch):
     rng = np.random.default_rng(23)
@@ -532,6 +497,9 @@ def test_patch_forests_delta_matches_oracle(use_scratch):
             new_deleg, got, rows, cols, pos_scratch=scratch
         )
         assert np.array_equal(got, ref_flat)
+        # voters outside the affected set keep their old sink
+        clean = np.setdiff1d(np.arange(rounds * n), affected)
+        assert np.array_equal(ref_flat[clean], sinks_flat[clean])
         assert patched == np.unique(rows).size
         assert np.array_equal(old_s, sinks_flat[affected])
         assert np.array_equal(new_s, got[affected])
@@ -593,21 +561,6 @@ def test_approved_csr_delta_matches_oracle():
 
 
 # -- even-length cycle regression -----------------------------------------
-
-
-def test_resolve_sinks_delta_two_cycle_raises():
-    """Doubling collapses x→y→x to x→x; root validity must still raise."""
-    old_sink = np.array([0, 1, 2], dtype=np.int64)
-    delegates = np.array([1, 0, SELF], dtype=np.int64)
-    with pytest.raises(DelegationCycleError):
-        resolve_sinks_delta(delegates, old_sink, np.array([0, 1]))
-
-
-def test_resolve_sinks_delta_three_cycle_raises():
-    old_sink = np.array([0, 1, 2, 3], dtype=np.int64)
-    delegates = np.array([1, 2, 0, SELF], dtype=np.int64)
-    with pytest.raises(DelegationCycleError):
-        resolve_sinks_delta(delegates, old_sink, np.array([0, 1, 2]))
 
 
 @pytest.mark.parametrize(
